@@ -6,11 +6,13 @@ package pki
 
 import (
 	"crypto"
+	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
+	"crypto/sha512"
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"fmt"
@@ -38,6 +40,88 @@ type Certificate struct {
 	Leaf  *x509.Certificate
 	Chain [][]byte // DER, leaf first
 	Key   crypto.Signer
+}
+
+// SignSKE signs the SHA-256 digest of a ServerKeyExchange's signed
+// parameters with the certificate's key. P-256 ECDSA keys use a lean
+// hedged signer (signP256); other keys sign through crypto.Signer.
+func (c *Certificate) SignSKE(entropy io.Reader, digest []byte) ([]byte, error) {
+	if k, ok := c.Key.(*ecdsa.PrivateKey); ok && k.Curve == elliptic.P256() {
+		return signP256(k, entropy, digest)
+	}
+	return c.Key.Sign(entropy, digest, crypto.SHA256)
+}
+
+var p256N = elliptic.P256().Params().N
+
+// signP256 returns an ASN.1 DER ECDSA signature of a SHA-256 digest. The
+// nonce k is hedged: SHA-512(d ‖ digest ‖ 32 entropy bytes ‖ ctr), whose
+// first 32 bytes are rejection-sampled into [1, n-1]. A repeated entropy
+// draw still gives a distinct nonce per (key, digest), and the signature
+// is a function of (key, digest, entropy). R = k·G comes from
+// crypto/ecdh's base-point multiplication. This skips the standard
+// library's per-signature DRBG set-up and constant-time inversion, which
+// cost more than the multiplication; like the rest of the simulator it is
+// not hardened against timing side channels.
+func signP256(key *ecdsa.PrivateKey, entropy io.Reader, digest []byte) ([]byte, error) {
+	if len(digest) != sha256.Size {
+		return nil, fmt.Errorf("pki: SKE digest is %d bytes, want %d", len(digest), sha256.Size)
+	}
+	var msg [32 + sha256.Size + 32 + 1]byte // d ‖ digest ‖ entropy ‖ ctr
+	key.D.FillBytes(msg[:32])
+	copy(msg[32:], digest)
+	if _, err := io.ReadFull(entropy, msg[32+sha256.Size:len(msg)-1]); err != nil {
+		return nil, fmt.Errorf("pki: reading signing entropy: %w", err)
+	}
+	// The digest is as wide as the order, so it is e unshifted.
+	e := new(big.Int).SetBytes(digest)
+	r, s := new(big.Int), new(big.Int)
+	for ctr := 0; ctr < 256; ctr++ {
+		msg[len(msg)-1] = byte(ctr)
+		h := sha512.Sum512(msg[:])
+		k, err := ecdh.P256().NewPrivateKey(h[:32]) // rejects 0 and k >= n
+		if err != nil {
+			continue
+		}
+		pub := k.PublicKey().Bytes() // 0x04 ‖ x ‖ y
+		r.SetBytes(pub[1:33])
+		if r.Cmp(p256N) >= 0 {
+			r.Sub(r, p256N)
+		}
+		if r.Sign() == 0 {
+			continue
+		}
+		kInv := new(big.Int).SetBytes(h[:32])
+		kInv.ModInverse(kInv, p256N)
+		s.Mul(r, key.D)
+		s.Add(s, e)
+		s.Mul(s, kInv)
+		s.Mod(s, p256N)
+		if s.Sign() == 0 {
+			continue
+		}
+		sig := make([]byte, 2, 2+2*(2+33))
+		sig[0] = 0x30 // SEQUENCE
+		sig = appendASN1Int(sig, r)
+		sig = appendASN1Int(sig, s)
+		sig[1] = byte(len(sig) - 2)
+		return sig, nil
+	}
+	return nil, fmt.Errorf("pki: no valid ECDSA nonce in 256 candidates")
+}
+
+// appendASN1Int appends 0 < v < 2^256 as a DER INTEGER.
+func appendASN1Int(b []byte, v *big.Int) []byte {
+	var buf [33]byte
+	mag := v.FillBytes(buf[1:])
+	for len(mag) > 1 && mag[0] == 0 {
+		mag = mag[1:]
+	}
+	if mag[0]&0x80 != 0 { // keep the value positive
+		mag = buf[len(buf)-len(mag)-1:]
+	}
+	b = append(b, 0x02, byte(len(mag)))
+	return append(b, mag...)
 }
 
 // RootCA can issue leaves.

@@ -6,7 +6,6 @@
 package tlsserver
 
 import (
-	"crypto"
 	"crypto/ecdh"
 	crand "crypto/rand"
 	"crypto/sha256"
@@ -409,18 +408,17 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) (*sessio
 	}
 	hc.sp = ske.AppendSignedParams(hc.sp[:0], ch.Random[:], sh.Random[:])
 	digest := sha256.Sum256(hc.sp)
-	// ECDSA's hedged signing consumes a scheduling-dependent number of
-	// bytes from its entropy source (crypto/internal randutil.MaybeReadByte),
-	// so in deterministic mode the signature gets its own stream: every
-	// later draw on the connection stream — the session-ticket IV — stays
-	// at a reproducible offset. Nothing recorded depends on signature
-	// bytes, only on their verifiability.
+	// In deterministic mode the signature draws its entropy from its own
+	// stream, so every later draw on the connection stream — the
+	// session-ticket IV — sits at an offset no signer can move, whatever
+	// the key type and however many bytes its signer reads. Nothing
+	// recorded depends on signature bytes, only on their verifiability.
 	sigRand := rnd
 	if cfg.Rand == nil && cfg.RandSeed != nil {
 		hc.sigRng.ReseedParts(cfg.RandSeed, string(ch.Random[:]), "ske-sig")
 		sigRand = &hc.sigRng
 	}
-	sig, err := crt.Key.Sign(sigRand, digest[:], crypto.SHA256)
+	sig, err := crt.SignSKE(sigRand, digest[:])
 	if err != nil {
 		return nil, err
 	}
