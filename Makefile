@@ -8,7 +8,7 @@ BENCHPKG ?= tlsshortcuts
 BENCHTIME ?= 1x
 
 .PHONY: build test test-faults test-telemetry test-shards test-cryptanalysis \
-	test-obsv test-traffic race bench bench-campaign bench-gate bench-million fmt
+	test-obsv test-traffic race fuzz bench bench-campaign bench-gate bench-million fmt
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,11 @@ test-traffic:
 
 race:
 	$(GO) test -race ./...
+
+# Native fuzz targets, each run for 20s. Their committed seed corpora
+# (testdata/fuzz/<target>/) also run as plain tests under go test.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifySKE$$' -fuzztime 20s ./internal/pki
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=$(BENCHTIME) ./...

@@ -69,9 +69,8 @@ func SetKexOnlyProbes(on bool) { kexOnlyProbes.Store(on) }
 
 // CryptoAmortization reports whether the per-connection crypto
 // amortization layer is enabled: the traffic-key-keyed AEAD cache, the
-// fixed-client-key premaster caches on both endpoints, verify-once
-// ServerKeyExchange signature checking, and the cached NewSessionTicket
-// flight prefix + in-place ticket sealing.
+// fixed-client-key premaster caches on both endpoints, and the cached
+// NewSessionTicket flight prefix + in-place ticket sealing.
 func CryptoAmortization() bool { return cryptoAmortize.Load() }
 
 // SetCryptoAmortization toggles the crypto amortization layer (tests only).

@@ -3,7 +3,7 @@ package pki
 import (
 	"bytes"
 	"crypto"
-	"crypto/ecdsa"
+	"crypto/elliptic"
 	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/asn1"
@@ -16,6 +16,8 @@ import (
 )
 
 var (
+	p256N = elliptic.P256().Params().N
+
 	nb = time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
 	na = time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)
 )
@@ -66,8 +68,7 @@ func parseSig(t *testing.T, sig []byte) (r, s *big.Int) {
 }
 
 func TestSignSKEP256Verifies(t *testing.T) {
-	crt := p256Cert(t)
-	pub := crt.Key.Public().(*ecdsa.PublicKey)
+	crt, pub := tablePub(t)
 	rng := rand.New(rand.NewSource(1))
 	n := 10000
 	if testing.Short() {
@@ -80,11 +81,11 @@ func TestSignSKEP256Verifies(t *testing.T) {
 			t.Fatal(err)
 		}
 		parseSig(t, sig)
-		if !ecdsa.VerifyASN1(pub, digest, sig) {
+		if !agree(t, pub, digest, sig) {
 			t.Fatalf("signature %d does not verify", i)
 		}
 		digest[i%len(digest)] ^= 1 << (i % 8)
-		if ecdsa.VerifyASN1(pub, digest, sig) {
+		if agree(t, pub, digest, sig) {
 			t.Fatalf("signature %d verifies a flipped digest", i)
 		}
 	}
@@ -144,9 +145,15 @@ func TestSignSKERSA(t *testing.T) {
 		if err := rsa.VerifyPKCS1v15(pub, crypto.SHA256, digest, sig); err != nil {
 			t.Fatalf("RSA signature %d: %v", i, err)
 		}
+		if err := VerifySKE(pub, digest, sig); err != nil {
+			t.Fatalf("VerifySKE rejects RSA signature %d: %v", i, err)
+		}
 		digest[0] ^= 1
 		if rsa.VerifyPKCS1v15(pub, crypto.SHA256, digest, sig) == nil {
 			t.Fatalf("RSA signature %d verifies a flipped digest", i)
+		}
+		if VerifySKE(pub, digest, sig) == nil {
+			t.Fatalf("VerifySKE accepts RSA signature %d over a flipped digest", i)
 		}
 	}
 }

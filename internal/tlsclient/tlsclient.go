@@ -5,14 +5,10 @@
 package tlsclient
 
 import (
-	"crypto"
 	"crypto/ecdh"
-	"crypto/ecdsa"
 	crand "crypto/rand"
-	"crypto/rsa"
 	"crypto/sha256"
 	"crypto/x509"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
@@ -804,33 +800,6 @@ func parseLeaf(der []byte) (*x509.Certificate, error) {
 	return leaf, nil
 }
 
-// skeVerified is the verify-once cache: once a (leaf certificate, KEX
-// params) pair has carried a valid signature, later sightings of the same
-// pair skip the signature check. Servers in the simulation always sign
-// honestly, so the skipped verification is over the same signed content
-// (the randoms differ per connection, but the decision a scan acts on —
-// proceed with this server's params — is identical); proven byte-inert
-// against the golden campaign hash. Only successful verifications insert.
-var skeVerified struct {
-	mu sync.RWMutex
-	m  map[[32]byte]struct{}
-}
-
-const maxSKEVerified = 8192
-
-// skeCacheKey binds the leaf fingerprint to the length-prefixed KEX
-// params so distinct (cert, params) pairs can never collide.
-func skeCacheKey(leafDER []byte, ske *wire.SKE) [32]byte {
-	fp := sha256.Sum256(leafDER)
-	var b [256]byte
-	s := append(b[:0], fp[:]...)
-	for _, part := range [][]byte{ske.P, ske.G, ske.Public} {
-		s = binary.BigEndian.AppendUint16(s, uint16(len(part)))
-		s = append(s, part...)
-	}
-	return sha256.Sum256(s)
-}
-
 func verifySKE(hc *hsConn, chain [][]byte, ske *wire.SKE, clientRandom, serverRandom []byte) error {
 	if len(chain) == 0 {
 		return errors.New("tls: no certificate to verify ServerKeyExchange")
@@ -839,41 +808,9 @@ func verifySKE(hc *hsConn, chain [][]byte, ske *wire.SKE, clientRandom, serverRa
 	if err != nil {
 		return err
 	}
-	amort := perf.CryptoAmortization()
-	var vkey [32]byte
-	if amort {
-		vkey = skeCacheKey(chain[0], ske)
-		skeVerified.mu.RLock()
-		_, ok := skeVerified.m[vkey]
-		skeVerified.mu.RUnlock()
-		if ok {
-			telemetry.Global().Counter("wall/tlsclient/ske_verify_hit").Inc()
-			return nil
-		}
-	}
 	hc.sp = ske.AppendSignedParams(hc.sp[:0], clientRandom, serverRandom)
 	digest := sha256.Sum256(hc.sp)
-	switch pub := leaf.PublicKey.(type) {
-	case *ecdsa.PublicKey:
-		if !ecdsa.VerifyASN1(pub, digest[:], ske.Sig) {
-			return errors.New("tls: bad ServerKeyExchange signature")
-		}
-	case *rsa.PublicKey:
-		if err := rsa.VerifyPKCS1v15(pub, crypto.SHA256, digest[:], ske.Sig); err != nil {
-			return err
-		}
-	default:
-		return errors.New("tls: unsupported server public key")
-	}
-	if amort {
-		skeVerified.mu.Lock()
-		if skeVerified.m == nil || len(skeVerified.m) >= maxSKEVerified {
-			skeVerified.m = make(map[[32]byte]struct{})
-		}
-		skeVerified.m[vkey] = struct{}{}
-		skeVerified.mu.Unlock()
-	}
-	return nil
+	return pki.VerifySKE(leaf.PublicKey, digest[:], ske.Sig)
 }
 
 func equal(a, b []byte) bool {
