@@ -19,15 +19,16 @@ test:
 	$(GO) test -short ./...
 
 # Lossy-network robustness suite: fault plan determinism, scan deadlines
-# and retries, the error taxonomy, cache sweeping, and the empty-plan
-# golden-hash inertness proof.
+# and retries, the error taxonomy, cache sweeping, the golden-matrix row
+# for the empty fault plan, and the sharded-merge golden check.
 test-faults:
-	$(GO) test -run 'Fault|Stall|Refus|Reset|Retry|Transient|Classify|Churn|Decide|Sweep|Len|Expire|NoRoute|Clearing|Golden' \
+	$(GO) test -run 'Fault|Stall|Refus|Reset|Retry|Transient|Classify|Churn|Decide|Sweep|Len|Expire|NoRoute|Clearing|ShardedCampaignMatchesGolden' \
 		./internal/faults ./internal/simnet ./internal/scanner ./internal/session ./internal/study
+	$(GO) test -run 'TestCampaignDeterminism/^(default|empty_fault_plan)$$' ./internal/study
 
 # Telemetry suite: registry/histogram correctness under -race, span
 # schema round-trip, dial/label collectors, report-rendering determinism,
-# and the tentpole proof — the golden 200x8 campaign re-run with
+# and the inertness proof — the golden 200x8 campaign re-run with
 # telemetry fully enabled must still match the committed hash, and a
 # faulted campaign's deterministic metrics must be identical across
 # worker counts.
@@ -35,13 +36,16 @@ test-telemetry:
 	$(GO) test -race ./internal/telemetry
 	$(GO) test -run 'Telemetry|Span|ReportRendering' \
 		./internal/scanner ./internal/simnet ./internal/study
+	$(GO) test -run 'TestFaultCampaignDeterministicAcrossWorkers|TestCampaignDeterminism/^(default|telemetry)$$' \
+		./internal/study
 
 # Sharding determinism suite: the 200x8 seed-7 campaign split into 1, 3,
 # and 5 independently-run shards and merged must reproduce the committed
 # golden hash byte-identically, shards must not depend on worker count,
 # and the merge must reject malformed shard sets.
 test-shards:
-	$(GO) test -run 'Shard|Merge|CampaignDeterminism' -count=1 ./internal/study
+	$(GO) test -run 'Shard|Merge' -count=1 ./internal/study
+	$(GO) test -run 'TestCampaignDeterminism/^default$$' -count=1 ./internal/study
 
 # Cryptanalysis suite: dictionary cracking and probe units, the ticket
 # key-name regressions, the attacker capture-path fixes (format rejection,
@@ -52,7 +56,7 @@ test-shards:
 test-cryptanalysis:
 	$(GO) test -count=1 ./internal/cryptanalysis ./internal/ticket ./internal/vulnwindow
 	$(GO) test -race -count=1 ./internal/attacker
-	$(GO) test -run 'WeakCrypto|CampaignDeterminism' -count=1 ./internal/study
+	$(GO) test -run 'WeakCrypto|CampaignDeterminism/^default$$' -count=1 ./internal/study
 
 # Observability-plane suite. Fast half under -race: SSE broadcaster
 # accounting under churn (never blocks, every dropped event counted),
@@ -77,7 +81,7 @@ test-traffic:
 	$(GO) test -count=1 ./internal/traffic
 	$(GO) test -run 'BoundedCache|StableDials|ProgressZeroWallDelta|ProgressCounterRollback|ProgressTrafficFields|Timeline' \
 		-count=1 ./internal/session ./internal/simnet ./internal/obsv ./cmd/tlsobserve
-	$(GO) test -run 'Traffic|CampaignDeterminism' -count=1 ./internal/study
+	$(GO) test -run 'Traffic|CampaignDeterminism/^(default|traffic_stripped)$$' -count=1 ./internal/study
 
 race:
 	$(GO) test -race ./...

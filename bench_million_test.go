@@ -4,7 +4,8 @@
 // days the paper actually scanned. The projection is honest because the
 // incremental aggregator makes resident memory O(domains) — independent
 // of day count — and shards divide wall time by machine count without
-// changing a byte of the merged dataset (TestShardedCampaignMatchesGolden).
+// changing a byte of the merged dataset (the shard rows of
+// internal/study's TestCampaignDeterminism).
 //
 // `make bench-million` refreshes the committed BENCH_million.json.
 package tlsshortcuts_test

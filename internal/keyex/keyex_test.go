@@ -1,0 +1,174 @@
+package keyex
+
+import (
+	"bytes"
+	"crypto/ecdh"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math/big"
+	"testing"
+	"time"
+
+	"tlsshortcuts/internal/drbg"
+	"tlsshortcuts/internal/ffdh"
+	"tlsshortcuts/internal/telemetry"
+)
+
+// The caches in this package can hide their own bugs: a client publishes
+// a premaster and the server consumes it, so a wrong value still
+// completes the handshake on both ends. These tests check every cached
+// answer against a computation that shares no code with the cache.
+
+var oracleBase = time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC)
+
+// fixedAgreement is the fixed client key's crypto/ecdh agreement with pub.
+func fixedAgreement(t *testing.T, pub []byte) []byte {
+	t.Helper()
+	priv, _ := FixedClientECDHE()
+	peer, err := ecdh.P256().NewPublicKey(pub)
+	if err != nil {
+		t.Fatalf("server public: %v", err)
+	}
+	pm, err := priv.ECDH(peer)
+	if err != nil {
+		t.Fatalf("ECDH: %v", err)
+	}
+	return pm
+}
+
+// TestScalarExchangeMatchesECDH checks ClientPremasterFromScalar against
+// crypto/ecdh for fresh server keys (one answer each, then nil) and for
+// reuse epochs (answered on every lookup).
+func TestScalarExchangeMatchesECDH(t *testing.T) {
+	fresh := &Policy{Mode: Fresh}
+	rnd := drbg.NewString("keyex-test|fresh")
+	for i := 0; i < 256; i++ {
+		_, pub, err := ECDHEKeyPub(fresh, oracleBase, rnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ClientPremasterFromScalar(pub)
+		if want := fixedAgreement(t, pub); !bytes.Equal(got, want) {
+			t.Fatalf("fresh key %d: scalar exchange gave %x, ECDH gives %x", i, got, want)
+		}
+		if again := ClientPremasterFromScalar(pub); again != nil {
+			t.Fatalf("fresh key %d: scalar answered a second lookup", i)
+		}
+	}
+
+	p := &Policy{Mode: Reuse, Period: time.Hour, Base: oracleBase, Seed: []byte("keyex-test|scalar-reuse")}
+	for e := 0; e < 4; e++ {
+		now := oracleBase.Add(time.Duration(e)*p.Period + time.Minute)
+		_, pub, err := ECDHEKeyPub(p, now, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fixedAgreement(t, pub)
+		for lookup := 0; lookup < 3; lookup++ {
+			if got := ClientPremasterFromScalar(pub); !bytes.Equal(got, want) {
+				t.Fatalf("epoch %d lookup %d: scalar exchange gave %x, ECDH gives %x", e, lookup, got, want)
+			}
+		}
+	}
+
+	if pm := ClientPremasterFromScalar(bytes.Repeat([]byte{4}, 65)); pm != nil {
+		t.Fatal("scalar exchange answered for a point no server published")
+	}
+}
+
+// TestPremasterExchangeConsumedOnce checks that each stored premaster
+// comes back byte-identical for its own public-value pair, exactly once.
+func TestPremasterExchangeConsumedOnce(t *testing.T) {
+	type entry struct{ spub, cpub, pm []byte }
+	var entries []entry
+	for i := 0; i < 64; i++ {
+		e := entry{
+			spub: []byte(fmt.Sprintf("server-%d", i%8)), // servers repeat, as under Reuse
+			cpub: []byte(fmt.Sprintf("client-%d", i)),
+			pm:   []byte(fmt.Sprintf("premaster-%d", i)),
+		}
+		PremasterStore(e.spub, e.cpub, e.pm)
+		entries = append(entries, e)
+	}
+	for i, e := range entries {
+		if got := PremasterLookup(e.spub, e.cpub); !bytes.Equal(got, e.pm) {
+			t.Fatalf("entry %d: lookup gave %q, stored %q", i, got, e.pm)
+		}
+		if again := PremasterLookup(e.spub, e.cpub); again != nil {
+			t.Fatalf("entry %d: answered a second lookup with %q", i, again)
+		}
+	}
+	if got := PremasterLookup([]byte("server-0"), []byte("client-none")); got != nil {
+		t.Fatalf("lookup of a never-stored pair gave %q", got)
+	}
+}
+
+// epochSeedOracle recomputes a policy's epoch seed from its definition:
+// SHA-256 over the policy seed and the big-endian epoch counter.
+func epochSeedOracle(seed []byte, epoch uint64) []byte {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], epoch)
+	h := sha256.Sum256(append(append([]byte(nil), seed...), b[:]...))
+	return h[:]
+}
+
+// ecdheOracle derives the epoch's P-256 key: the first SHA-256 candidate
+// over ("ecdhe-priv", seed, counter) that is a valid scalar.
+func ecdheOracle(t *testing.T, seed []byte) *ecdh.PrivateKey {
+	t.Helper()
+	for i := 0; i < 64; i++ {
+		h := sha256.Sum256(append(append([]byte("ecdhe-priv"), seed...), byte(i)))
+		if k, err := ecdh.P256().NewPrivateKey(h[:]); err == nil {
+			return k
+		}
+	}
+	t.Fatal("no valid P-256 candidate")
+	return nil
+}
+
+// TestReuseCacheHitsMatchDerivation checks every reuse-mode answer —
+// the epoch's first derivation and the cache hits after it — against a
+// derivation done from the epoch seed alone.
+func TestReuseCacheHitsMatchDerivation(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	defer telemetry.SetGlobal(reg)()
+	hits := reg.Counter("wall/keyex/cache_hit")
+
+	p := &Policy{Mode: Reuse, Period: 6 * time.Hour, Base: oracleBase, Seed: []byte("keyex-test|epochs")}
+	g := ffdh.TestGroup512()
+	for e := uint64(0); e < 4; e++ {
+		now := oracleBase.Add(time.Duration(e)*p.Period + time.Hour)
+		seed := epochSeedOracle(p.Seed, e)
+		wantKey := ecdheOracle(t, seed)
+		wantX := g.PrivateFromSeed(seed)
+		wantY := new(big.Int).Exp(g.G, wantX, g.P).FillBytes(make([]byte, (g.P.BitLen()+7)/8))
+
+		var before uint64
+		for call := 0; call < 3; call++ {
+			if call == 1 {
+				// The first call derived the epoch's values, or found them
+				// cached by an earlier run in this process; the rest must hit.
+				before = hits.Value()
+			}
+			k, pub, err := ECDHEKeyPub(p, now, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(k.Bytes(), wantKey.Bytes()) || !bytes.Equal(pub, wantKey.PublicKey().Bytes()) {
+				t.Fatalf("epoch %d call %d: ECDHE key differs from the epoch-seed derivation", e, call)
+			}
+			x, y, err := DHEKey(g, p, now, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if x.Cmp(wantX) != 0 || !bytes.Equal(y, wantY) {
+				t.Fatalf("epoch %d call %d: DHE key differs from the epoch-seed derivation", e, call)
+			}
+		}
+		// Two kinds × two repeat calls: four answers came from the cache.
+		if got := hits.Value() - before; got != 4 {
+			t.Fatalf("epoch %d: %d cache hits, want 4", e, got)
+		}
+	}
+}

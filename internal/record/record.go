@@ -14,7 +14,6 @@ import (
 	"net"
 	"sync"
 
-	"tlsshortcuts/internal/perf"
 	"tlsshortcuts/internal/telemetry"
 )
 
@@ -87,14 +86,14 @@ func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
 // Reset rebinds the connection to c and clears both directions' crypto
 // state, keeping the frame scratch buffers. The engines pool their
 // handshake state across connections; nothing a caller retains aliases
-// these buffers (payloads are copied out before the next read). Flight
-// coalescing is enabled here — the pooled engines flush before every
-// read and at connection exit.
+// these buffers (payloads are copied out before the next read). A reset
+// connection coalesces each flight: the pooled engines flush before
+// every read and at connection exit.
 func (rc *Conn) Reset(c net.Conn) {
 	rc.c = c
 	rc.in = halfConn{}
 	rc.out = halfConn{}
-	rc.coalesce = perf.FlightCoalescing()
+	rc.coalesce = true
 	rc.pend = rc.pend[:0]
 }
 
@@ -133,7 +132,7 @@ var aeadCache struct {
 const maxAEADCacheEntries = 4096
 
 func trafficAEAD(key []byte) (cipher.AEAD, error) {
-	if len(key) != 16 || !perf.CryptoAmortization() {
+	if len(key) != 16 {
 		return NewAEAD(key)
 	}
 	var k [16]byte
@@ -230,7 +229,7 @@ func NewAEAD(key []byte) (cipher.AEAD, error) {
 
 // WriteRecord writes one record, protecting it if the direction is armed.
 // The frame is assembled in the connection's reusable scratch buffer so
-// steady-state writes allocate nothing. With flight coalescing enabled
+// steady-state writes allocate nothing. On a coalescing (Reset) Conn
 // the frame is queued in pend instead and handed to the transport by the
 // next Flush (which ReadRecord and WriteAlert perform implicitly); a
 // transport error then surfaces at that flush.
@@ -270,9 +269,9 @@ func (rc *Conn) WriteRecord(typ uint8, payload []byte) error {
 }
 
 // Flush hands every pending coalesced record to the transport in one
-// write. It is a no-op when nothing is pending (or coalescing is off),
-// so callers sprinkle it at read boundaries and connection exit without
-// tracking state.
+// write. It is a no-op when nothing is pending (or the Conn does not
+// coalesce), so callers sprinkle it at read boundaries and connection
+// exit without tracking state.
 func (rc *Conn) Flush() error {
 	if len(rc.pend) == 0 {
 		return nil

@@ -19,7 +19,6 @@ import (
 
 	"tlsshortcuts/internal/drbg"
 	"tlsshortcuts/internal/faults"
-	"tlsshortcuts/internal/perf"
 	"tlsshortcuts/internal/pki"
 	"tlsshortcuts/internal/simclock"
 	"tlsshortcuts/internal/telemetry"
@@ -122,15 +121,6 @@ func (s *Scanner) ensureArenas() {
 	}
 }
 
-// arena returns worker w's arena — or a fresh one per call when
-// recycling is off, restoring the unpooled allocation behavior.
-func (s *Scanner) arena(w int) *workerArena {
-	if !perf.ConnRecycling() {
-		return &workerArena{}
-	}
-	return s.arenas[w]
-}
-
 // Scan hardening defaults: generous wall-clock deadline (simnet
 // handshakes finish in microseconds; only a stalled peer ever reaches
 // it) and two retries, matching common active-scan practice.
@@ -176,8 +166,7 @@ func (s *Scanner) retries() int {
 // granularity for locality (a worker's arena stays hot across a run of
 // adjacent domains) and fewer contended atomics; results are written to
 // out[i] regardless of which worker claims i, so partitioning never shows
-// in output — the campaign golden hash is identical for any worker count
-// and either claiming mode.
+// in output — the campaign golden hash is identical for any worker count.
 func (s *Scanner) forEach(n int, fn func(w, i int)) {
 	workers := s.workers()
 	if workers > n {
@@ -190,15 +179,12 @@ func (s *Scanner) forEach(n int, fn func(w, i int)) {
 		}
 		return
 	}
-	chunk := 1
-	if perf.ChunkedScheduling() {
-		chunk = n / (workers * 4)
-		if chunk < 8 {
-			chunk = 8
-		}
-		if chunk > 64 {
-			chunk = 64
-		}
+	chunk := n / (workers * 4)
+	if chunk < 8 {
+		chunk = 8
+	}
+	if chunk > 64 {
+		chunk = 64
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -334,13 +320,9 @@ func (s *Scanner) connectOnce(ar *workerArena, dst *tlsclient.Capture, domain, l
 	cfg.ReuseKex = true
 	cfg.Rand = callerRand
 	if callerRand == nil && s.Seed != nil {
-		if perf.ConnRecycling() {
-			// Same stream as a fresh NewParts reader, reseeded in place.
-			ar.rng.ReseedParts(s.Seed, domain, label)
-			cfg.Rand = &ar.rng
-		} else {
-			cfg.Rand = drbg.NewParts(s.Seed, domain, label)
-		}
+		// Same stream as a fresh NewParts reader, reseeded in place.
+		ar.rng.ReseedParts(s.Seed, domain, label)
+		cfg.Rand = &ar.rng
 	}
 	if err := tlsclient.HandshakeInto(dst, conn, cfg); err != nil {
 		return faults.Classify(err), err
@@ -440,9 +422,11 @@ func (s *Scanner) DailyInto(dst []Observation, domains []string, day int, suites
 	case len(suites) > 0:
 		kind = fmt.Sprintf("kex%04x", suites[0])
 	}
-	// Forced-suite scans only record what precedes the client's second
-	// flight, so they capture the SKE and disconnect (see perf.KexOnlyProbes).
-	kexOnly := len(suites) > 0 && !offerTicket && perf.KexOnlyProbes()
+	// Forced-suite scans stop after the ServerKeyExchange, as zgrab's
+	// key-exchange grabs do. Everything they record is on the wire before
+	// the client's second flight, so the abbreviated probe observes
+	// exactly what the full handshake would.
+	kexOnly := len(suites) > 0 && !offerTicket
 	// Probe labels depend only on (kind, day), never on the domain — the
 	// domain salts the entropy stream inside connect — so they are built
 	// once per scan, not once per connection.
@@ -456,7 +440,7 @@ func (s *Scanner) DailyInto(dst []Observation, domains []string, day int, suites
 		clear(out)
 	}
 	s.forEach(len(domains), func(w, i int) {
-		ar := s.arena(w)
+		ar := s.arenas[w]
 		o := &out[i]
 		o.Domain = domains[i]
 		o.Day = day
@@ -530,7 +514,7 @@ func (s *Scanner) LifetimeProbe(targets []string, useTicket bool, poll, max time
 	out := make([]ProbeResult, len(targets))
 	sessions := make([]*tlsclient.Session, len(targets))
 	s.forEach(len(targets), func(w, i int) {
-		ar := s.arena(w)
+		ar := s.arenas[w]
 		out[i].Domain = targets[i]
 		cfg := &ar.cfg
 		*cfg = tlsclient.Config{OfferTicket: useTicket}
@@ -563,7 +547,7 @@ func (s *Scanner) LifetimeProbe(targets []string, useTicket bool, poll, max time
 
 	clock.Set(start.Add(time.Second))
 	s.forEach(len(targets), func(w, i int) {
-		if out[i].OK && probe(s.arena(w), i, "lt|"+mode+"|1s") {
+		if out[i].OK && probe(s.arenas[w], i, "lt|"+mode+"|1s") {
 			out[i].ResumedAt1s = true
 			alive[i] = true
 		}
@@ -576,7 +560,7 @@ func (s *Scanner) LifetimeProbe(targets []string, useTicket bool, poll, max time
 			if !alive[i] {
 				return
 			}
-			if probe(s.arena(w), i, label) {
+			if probe(s.arenas[w], i, label) {
 				out[i].MaxDelay = d
 			} else {
 				alive[i] = false
@@ -630,7 +614,7 @@ func (s *Scanner) CrossDomainGroupsIn(initiators, pop []string, topo Topology, n
 	st := XDStats{Probed: len(targets)}
 	var mu sync.Mutex
 	s.forEach(len(targets), func(w, i int) {
-		ar := s.arena(w)
+		ar := s.arenas[w]
 		domain := targets[i]
 		cfg := &ar.cfg
 		*cfg = tlsclient.Config{}

@@ -1,33 +1,11 @@
 package study
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"tlsshortcuts/internal/cryptanalysis"
 )
-
-// TestWeakCryptoOffMatchesGolden is the inertness proof extended to the
-// cryptanalysis layer: with WeakCrypto explicitly off (the default), the
-// weak profiles are not seeded, the capture/crack/replay pass does not
-// run, Dataset.Crypt stays nil (omitted from JSON), and the campaign
-// reproduces the committed golden hash byte-identically.
-func TestWeakCryptoOffMatchesGolden(t *testing.T) {
-	if regenGolden() {
-		t.Skip("golden being regenerated")
-	}
-	o := detOpts
-	o.WeakCrypto = false
-	raw, err := os.ReadFile(filepath.Join("testdata", "campaign_200x8_seed7.sha256"))
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -regen-golden): %v", err)
-	}
-	if got, want := datasetHash(t, o), strings.TrimSpace(string(raw)); got != want {
-		t.Fatalf("WeakCrypto=false campaign drifted from golden:\n  got  %s\n  want %s", got, want)
-	}
-}
 
 // TestWeakCryptoCampaign runs the determinism campaign with the weak
 // profiles enabled and checks every probe fires and the measured yield

@@ -1,58 +1,24 @@
 package study
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"os"
-	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"tlsshortcuts/internal/faults"
+	"tlsshortcuts/internal/telemetry"
 )
 
-// runAndHash runs a campaign and returns both the dataset and its
-// serialized hash (datasetHash alone discards the dataset).
-func runAndHash(t *testing.T, o Options) (*Dataset, string) {
-	t.Helper()
-	ds, err := Run(o)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	b, err := json.Marshal(ds)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	h := sha256.Sum256(b)
-	return ds, hex.EncodeToString(h[:])
-}
-
-// TestEmptyFaultPlanMatchesGolden is the inertness proof the ISSUE
-// demands: a campaign run with an explicitly supplied zero fault plan
-// must serialize byte-identically to the committed golden hash — all the
-// fault machinery (plan lookup, taxonomy fields, deadline arming, retry
-// scaffolding) is provably unobservable on a clean network.
-func TestEmptyFaultPlanMatchesGolden(t *testing.T) {
-	o := detOpts
-	o.Faults = &faults.Options{Seed: 99} // rates all zero: compiles to nil plan
-	got := datasetHash(t, o)
-	golden := filepath.Join("testdata", "campaign_200x8_seed7.sha256")
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden: %v", err)
-	}
-	if w := strings.TrimSpace(string(want)); got != w {
-		t.Fatalf("empty fault plan perturbed the dataset:\n  got  %s\n  want %s", got, w)
-	}
-}
-
-// TestFaultCampaignDeterministicAcrossWorkers checks the tentpole's
-// replay property: a fixed non-empty fault plan produces a byte-identical
-// dataset for any worker count, because every fault decision, backend
-// choice, retry backoff, and entropy stream keys on the probe's identity
-// rather than on scheduling order.
+// TestFaultCampaignDeterministicAcrossWorkers checks the replay property
+// under a fixed non-empty fault plan: 3 and 13 workers produce a
+// byte-identical dataset and an identical deterministic telemetry view,
+// because every fault decision, backend choice, retry backoff, and
+// entropy stream keys on the probe's identity rather than on scheduling
+// order. Counters and virtual-latency histograms outside the wall/
+// prefix are functions of (seed, fault plan, probe schedule), never of
+// goroutine scheduling.
 func TestFaultCampaignDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two faulted campaigns")
@@ -60,14 +26,39 @@ func TestFaultCampaignDeterministicAcrossWorkers(t *testing.T) {
 	fo := &faults.Options{Seed: 11, Refuse: 0.06, Reset: 0.03, Stall: 0.01, Flap: 0.05, Churn: 0.08, ChurnMaxDays: 3}
 	base := Options{ListSize: 120, Days: 5, Seed: 7, ProbeTimeout: 120 * time.Millisecond, Faults: fo}
 
-	a := base
-	a.Workers = 3
-	dsA, hA := runAndHash(t, a)
-	b := base
-	b.Workers = 13
-	_, hB := runAndHash(t, b)
-	if hA != hB {
-		t.Fatalf("same fault plan, different worker counts, different datasets:\n  3 workers  %s\n  13 workers %s", hA, hB)
+	var dsA *Dataset
+	var hashes [2]string
+	var snaps [2]*telemetry.Snapshot
+	for i, workers := range []int{3, 13} {
+		o := base
+		o.Workers = workers
+		o.Telemetry = telemetry.NewRegistry()
+		ds, h := runAndHash(t, o)
+		if i == 0 {
+			dsA = ds
+		}
+		hashes[i] = h
+		snaps[i] = o.Telemetry.Snapshot().Deterministic()
+	}
+	if hashes[0] != hashes[1] {
+		t.Fatalf("same fault plan, different worker counts, different datasets:\n  3 workers  %s\n  13 workers %s", hashes[0], hashes[1])
+	}
+	if !reflect.DeepEqual(snaps[0], snaps[1]) {
+		a, _ := json.MarshalIndent(snaps[0], "", "  ")
+		b, _ := json.MarshalIndent(snaps[1], "", "  ")
+		t.Fatalf("deterministic telemetry differs across worker counts:\n--- 3 workers ---\n%s\n--- 13 workers ---\n%s", a, b)
+	}
+	if snaps[0].Counters["scanner/retries"] == 0 {
+		t.Fatal("faulted campaign recorded no retries")
+	}
+	foundFault := false
+	for name := range snaps[0].Counters {
+		if strings.HasPrefix(name, "simnet/faults/") {
+			foundFault = true
+		}
+	}
+	if !foundFault {
+		t.Fatalf("no simnet fault-kind counters recorded: %v", snaps[0].Counters)
 	}
 
 	if len(dsA.Failures) == 0 {

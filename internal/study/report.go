@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"tlsshortcuts/internal/perf"
 	"tlsshortcuts/internal/telemetry"
 	"tlsshortcuts/internal/vulnwindow"
 )
@@ -124,26 +123,22 @@ var (
 const maxReportMemo = 16
 
 // BuildReport computes exposures and windows from a dataset. Repeat calls
-// with the same *Dataset return the memoized Report (callers must not
-// mutate the dataset afterwards; disable via perf.SetReportMemoized).
+// with the same *Dataset return the memoized Report, so callers must not
+// mutate the dataset afterwards.
 func BuildReport(ds *Dataset) *Report {
-	if perf.ReportMemoized() {
-		reportMu.Lock()
-		r, ok := reportMemo[ds]
-		reportMu.Unlock()
-		if ok {
-			return r
-		}
+	reportMu.Lock()
+	r, ok := reportMemo[ds]
+	reportMu.Unlock()
+	if ok {
+		return r
 	}
-	r := buildReport(ds)
-	if perf.ReportMemoized() {
-		reportMu.Lock()
-		if len(reportMemo) >= maxReportMemo {
-			reportMemo = map[*Dataset]*Report{}
-		}
-		reportMemo[ds] = r
-		reportMu.Unlock()
+	r = buildReport(ds)
+	reportMu.Lock()
+	if len(reportMemo) >= maxReportMemo {
+		reportMemo = map[*Dataset]*Report{}
 	}
+	reportMemo[ds] = r
+	reportMu.Unlock()
 	return r
 }
 

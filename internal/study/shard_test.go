@@ -1,13 +1,7 @@
 package study
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"tlsshortcuts/internal/population"
@@ -32,29 +26,18 @@ func shardedHash(t *testing.T, o Options, n int) string {
 	if err != nil {
 		t.Fatalf("MergeDatasets(%d): %v", n, err)
 	}
-	b, err := json.Marshal(merged)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:])
+	return sha256Hex(marshal(t, merged))
 }
 
-// TestShardedCampaignMatchesGolden is the tentpole proof: splitting the
-// committed 200×8 seed-7 campaign into 1, 3, and 5 independently-run
-// shards and merging them reproduces the byte-identical golden dataset
-// hash of the monolithic run. Every shard builds the full world but
-// scans only its round-robin rank slice, so this pins the whole
-// determinism argument — per-domain entropy keying, label-keyed fault
-// decisions, per-domain backend sequences, and the merge's
-// canonicalization — in one check.
+// TestShardedCampaignMatchesGolden splits the 200×8 seed-7 campaign into
+// 1, 3, and 5 independently-run shards and checks that the merged
+// dataset reproduces the golden hash of the monolithic run. Every shard
+// builds the full world but scans only its round-robin rank slice, so
+// this pins the whole determinism argument — per-domain entropy keying,
+// label-keyed fault decisions, per-domain backend sequences, and the
+// merge's canonicalization — in one check.
 func TestShardedCampaignMatchesGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "campaign_200x8_seed7.sha256")
-	raw, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -regen-golden): %v", err)
-	}
-	want := strings.TrimSpace(string(raw))
+	want := golden(t)
 	for _, n := range []int{1, 3, 5} {
 		n := n
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
@@ -76,16 +59,7 @@ func TestShardWorkerIndependence(t *testing.T) {
 		o := detOpts
 		o.Workers = workers
 		o.Shard = &ShardSpec{Index: 1, Count: 3}
-		ds, err := Run(o)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		b, err := json.Marshal(ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.Sum256(b)
-		return hex.EncodeToString(h[:])
+		return datasetHash(t, o)
 	}
 	if a, b := run(8), run(3); a != b {
 		t.Fatalf("shard dataset depends on worker count:\n  w8 %s\n  w3 %s", a, b)

@@ -56,7 +56,7 @@ type Options struct {
 	// run's duration — the session/ticket/keyex collectors. Telemetry
 	// observes, never perturbs: nil leaves every code path untouched,
 	// and an enabled registry reproduces the same golden dataset hash
-	// (TestTelemetryObservationallyInert pins both).
+	// (the default and telemetry rows of TestCampaignDeterminism).
 	Telemetry *telemetry.Registry
 
 	// Trace, when non-nil, receives one JSONL telemetry.Span line per

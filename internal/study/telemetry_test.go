@@ -2,107 +2,13 @@ package study
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"tlsshortcuts/internal/faults"
 	"tlsshortcuts/internal/simclock"
 	"tlsshortcuts/internal/telemetry"
 )
-
-// readGolden returns the committed golden campaign hash.
-func readGolden(t *testing.T) string {
-	t.Helper()
-	want, err := os.ReadFile(filepath.Join("testdata", "campaign_200x8_seed7.sha256"))
-	if err != nil {
-		t.Fatalf("read golden: %v", err)
-	}
-	return strings.TrimSpace(string(want))
-}
-
-// TestTelemetryObservationallyInert is the tentpole's hard requirement,
-// in two parts.
-//
-// Part 1 — byte inertness: the golden 200×8 campaign must serialize to
-// the committed hash with telemetry disabled AND with a registry plus a
-// JSONL trace fully enabled. Telemetry observes, never perturbs: it may
-// not draw entropy, shift the virtual clock, or reorder probes.
-//
-// Part 2 — metric determinism: under a fixed non-empty fault plan, the
-// deterministic view of the telemetry snapshot (everything outside the
-// wall/ prefix) must be identical for 3 and 13 workers. Counters and
-// virtual-latency histograms are functions of (seed, fault plan, probe
-// schedule), never of goroutine scheduling.
-func TestTelemetryObservationallyInert(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs four campaigns")
-	}
-	want := readGolden(t)
-
-	// Part 1: disabled run.
-	if got := datasetHash(t, detOpts); got != want {
-		t.Fatalf("telemetry-disabled campaign diverged from golden:\n  got  %s\n  want %s", got, want)
-	}
-
-	// Part 1: enabled run — registry plus trace writer.
-	var trace bytes.Buffer
-	o := detOpts
-	o.Telemetry = telemetry.NewRegistry()
-	o.Trace = &trace
-	if got := datasetHash(t, o); got != want {
-		t.Fatalf("ENABLED telemetry perturbed the campaign:\n  got  %s\n  want %s", got, want)
-	}
-	snap := o.Telemetry.Snapshot()
-	if snap.Counters[telemetry.CounterProbes] == 0 {
-		t.Fatal("enabled registry recorded no probes")
-	}
-	if snap.Counters["simnet/dials"] != snap.Counters[telemetry.CounterHandshakesStarted] {
-		t.Fatalf("dials (%d) != handshakes started (%d)",
-			snap.Counters["simnet/dials"], snap.Counters[telemetry.CounterHandshakesStarted])
-	}
-	if got := snap.Counters[telemetry.CounterDaysCompleted]; got != uint64(detOpts.Days) {
-		t.Fatalf("days_completed = %d, want %d", got, detOpts.Days)
-	}
-	if trace.Len() == 0 {
-		t.Fatal("trace writer received no spans")
-	}
-
-	// Part 2: fixed fault plan, 3 vs 13 workers.
-	fo := &faults.Options{Seed: 11, Refuse: 0.06, Reset: 0.03, Stall: 0.01, Flap: 0.05, Churn: 0.08, ChurnMaxDays: 3}
-	base := Options{ListSize: 120, Days: 5, Seed: 7, ProbeTimeout: 120 * time.Millisecond, Faults: fo}
-	snaps := make([]*telemetry.Snapshot, 2)
-	for i, workers := range []int{3, 13} {
-		o := base
-		o.Workers = workers
-		o.Telemetry = telemetry.NewRegistry()
-		if _, err := Run(o); err != nil {
-			t.Fatalf("faulted run (%d workers): %v", workers, err)
-		}
-		snaps[i] = o.Telemetry.Snapshot().Deterministic()
-	}
-	if !reflect.DeepEqual(snaps[0], snaps[1]) {
-		a, _ := json.MarshalIndent(snaps[0], "", "  ")
-		b, _ := json.MarshalIndent(snaps[1], "", "  ")
-		t.Fatalf("deterministic telemetry differs across worker counts:\n--- 3 workers ---\n%s\n--- 13 workers ---\n%s", a, b)
-	}
-	if snaps[0].Counters["scanner/retries"] == 0 {
-		t.Fatal("faulted campaign recorded no retries")
-	}
-	foundFault := false
-	for name := range snaps[0].Counters {
-		if strings.HasPrefix(name, "simnet/faults/") {
-			foundFault = true
-		}
-	}
-	if !foundFault {
-		t.Fatalf("no simnet fault-kind counters recorded: %v", snaps[0].Counters)
-	}
-}
 
 // TestScanDayTraceSpans checks the JSONL trace a campaign emits: one
 // span per lifetime pass, per scan day, and for the cross-domain pass,

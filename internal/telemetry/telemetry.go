@@ -4,14 +4,14 @@
 // session/ticket/keyex, study) reports through, snapshot-able at any
 // moment, plus the JSONL Span records study.Run emits per scan phase.
 //
-// The contract, in the house style of internal/perf and internal/faults:
-// telemetry observes, never perturbs. A nil *Registry (and the nil
-// *Counter / *Histogram handles it hands out) is valid and every method
-// on it is a no-op, so uninstrumented runs take the existing code paths
-// untouched. An enabled registry only adds atomic increments on the
-// side — it draws no entropy and reads no clock the measurement depends
-// on — and TestTelemetryObservationallyInert in internal/study proves
-// the golden dataset hash is byte-identical either way.
+// The contract, in the house style of internal/faults: telemetry
+// observes, never perturbs. A nil *Registry (and the nil *Counter /
+// *Histogram handles it hands out) is valid and every method on it is a
+// no-op, so uninstrumented runs take the existing code paths untouched.
+// An enabled registry only adds atomic increments on the side — it draws
+// no entropy and reads no clock the measurement depends on — and the
+// golden-campaign matrix in internal/study (TestCampaignDeterminism)
+// proves the dataset hash is byte-identical with and without one.
 //
 // Metric names are "/"-separated. Names under the "wall/" prefix carry
 // wall-clock or scheduling-dependent values (real latencies, sweep
@@ -346,7 +346,8 @@ func (r *Registry) Snapshot() *Snapshot {
 // Deterministic returns a copy of the snapshot without the wall/
 // subtree. What remains must be a pure function of (seed, fault plan,
 // probe schedule) — identical for any worker count — which is exactly
-// what TestTelemetryObservationallyInert compares across runs.
+// what TestFaultCampaignDeterministicAcrossWorkers in internal/study
+// compares across runs.
 func (s *Snapshot) Deterministic() *Snapshot {
 	out := &Snapshot{
 		Counters:   map[string]uint64{},

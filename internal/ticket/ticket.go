@@ -370,13 +370,11 @@ type Manager interface {
 	IssuingKey(now time.Time) *STEK
 	// LookupKey returns the accepted key that sealed tkt, or nil.
 	LookupKey(tkt []byte, now time.Time) *STEK
-	// OpenTicket authenticates and decrypts tkt with whichever accepted
-	// key sealed it, in one pass (LookupKey followed by Open decrypts
-	// twice).
-	OpenTicket(tkt []byte, now time.Time) *session.State
-	// OpenTicketInto is OpenTicket decoding into caller-owned state,
-	// reporting acceptance; the server's resume hot path uses it so a
-	// ticket open costs no State allocation.
+	// OpenTicketInto authenticates and decrypts tkt with whichever
+	// accepted key sealed it, in one pass (LookupKey followed by Open
+	// decrypts twice), decoding into caller-owned state and reporting
+	// acceptance; a ticket open on the server's resume path costs no
+	// State allocation.
 	OpenTicketInto(dst *session.State, tkt []byte, now time.Time) bool
 	// ActiveKeys returns every key accepted at time now, issuing first.
 	ActiveKeys(now time.Time) []*STEK
@@ -410,12 +408,6 @@ func (s *Static) LookupKey(tkt []byte, _ time.Time) *STEK {
 		return s.key
 	}
 	return nil
-}
-
-func (s *Static) OpenTicket(tkt []byte, _ time.Time) *session.State {
-	st := s.key.Open(tkt)
-	countOpen(st != nil)
-	return st
 }
 
 func (s *Static) OpenTicketInto(dst *session.State, tkt []byte, _ time.Time) bool {
@@ -529,15 +521,6 @@ func (r *Rotating) LookupKey(tkt []byte, now time.Time) *STEK {
 	for _, k := range r.ActiveKeys(now) {
 		if k.Open(tkt) != nil {
 			return k
-		}
-	}
-	return nil
-}
-
-func (r *Rotating) OpenTicket(tkt []byte, now time.Time) *session.State {
-	for _, k := range r.ActiveKeys(now) {
-		if st := k.Open(tkt); st != nil {
-			return st
 		}
 	}
 	return nil

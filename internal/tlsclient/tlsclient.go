@@ -20,7 +20,6 @@ import (
 
 	"tlsshortcuts/internal/drbg"
 	"tlsshortcuts/internal/keyex"
-	"tlsshortcuts/internal/perf"
 	"tlsshortcuts/internal/pki"
 	"tlsshortcuts/internal/prf"
 	"tlsshortcuts/internal/record"
@@ -210,7 +209,7 @@ func getHsConn(conn net.Conn) *hsConn {
 	h.rc.Reset(conn)
 	h.hash.Reset()
 	h.off = 0
-	if perf.ConnRecycling() && cap(h.buf) >= 2048 {
+	if cap(h.buf) >= 2048 {
 		// Reuse the previous connection's buffer: every retained parse
 		// result is copied into Capture/Session storage before the hsConn
 		// returns to the pool, so nothing aliases it across connections.
@@ -392,9 +391,9 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		// cache-hit path's skipped range/point checks cannot admit a value
 		// the slow path would have rejected. The fixed-key path draws no
 		// randomness, so cache hits never shift the DRBG stream.
-		fixed := cfg.ReuseKex && perf.ClientKexReuse()
+		fixed := cfg.ReuseKex
 		if kex == wire.KexECDHE {
-			if fixed && perf.CryptoAmortization() {
+			if fixed {
 				premaster, clientPub = clientPremasterECDHE(ske.Public)
 				if premaster == nil {
 					// Fresh-policy servers publish their scalar at key
@@ -428,15 +427,13 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 				}
 				if fixed {
 					clientPub = fixedECDHEPub()
-					if perf.CryptoAmortization() {
-						clientPremasterPutECDHE(ske.Public, premaster, clientPub)
-					}
+					clientPremasterPutECDHE(ske.Public, premaster, clientPub)
 				} else {
 					clientPub = priv.PublicKey().Bytes()
 				}
 			}
 		} else {
-			if fixed && perf.CryptoAmortization() {
+			if fixed {
 				premaster, clientPub = clientPremasterDHE(ske.P, ske.G, ske.Public)
 			}
 			if premaster == nil {
@@ -460,7 +457,7 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 				}
 				premaster = new(big.Int).Exp(ys, x, p).Bytes()
 				clientPub = ycb
-				if fixed && perf.CryptoAmortization() {
+				if fixed {
 					clientPremasterPutDHE(ske.P, ske.G, ske.Public, premaster, clientPub)
 				}
 			}
@@ -483,7 +480,7 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 	// these bytes from its private half, and the store-before-write order
 	// means its lookup hits. cap.ServerKEXValue carries the same bytes as
 	// the SKE public value, and the map keys copy them.
-	if perf.CryptoAmortization() && premaster != nil {
+	if premaster != nil {
 		keyex.PremasterStore(cap.ServerKEXValue, clientPub, premaster)
 	}
 	hc.mbuf = wire.AppendCKE(hc.mbuf[:0], kex, clientPub)
@@ -785,9 +782,6 @@ func clientPremasterPutDHE(p, g, ys, pm, cpub []byte) {
 var leafCache sync.Map // [32]byte -> *x509.Certificate
 
 func parseLeaf(der []byte) (*x509.Certificate, error) {
-	if !perf.CryptoCaches() {
-		return x509.ParseCertificate(der)
-	}
 	key := sha256.Sum256(der)
 	if v, ok := leafCache.Load(key); ok {
 		return v.(*x509.Certificate), nil
