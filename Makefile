@@ -63,10 +63,12 @@ test-cryptanalysis:
 # journal round-trip/validation/merge, prom exposition, and the cluster
 # view. Full half without -short: the golden 200x8 campaign re-run with
 # the whole plane attached (HTTP server + churning SSE subscribers +
-# flight-recorder journal + trace) must match the committed hash, the
-# journal's deterministic view must be identical across worker counts
-# and for sharded-vs-monolithic merges, and studyrun's fatal path must
-# finalize every sink (plus the simweb -metrics smoke).
+# flight-recorder journal + trace) must match the committed hash, with
+# phase_end events equal to the trace spans and pprof/expvar served; the
+# journal's deterministic view, terminal snapshot included, must be
+# identical across worker counts and for sharded-vs-monolithic merges;
+# and studyrun's fatal path must finalize the journal (plus the simweb
+# -metrics smoke).
 test-obsv:
 	$(GO) test -race -count=1 -run 'Broadcaster|Prom|Sanitize|JournalRoundTrip|JournalValidation|JournalVersion|JournalAbort|MergeJournals|ClusterView' ./internal/obsv
 	$(GO) test -count=1 ./internal/obsv ./cmd/studyrun ./cmd/simweb ./cmd/tlsobserve

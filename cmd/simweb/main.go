@@ -5,9 +5,9 @@
 //	simweb -domain yahoo.com -listen 127.0.0.1:4433 &
 //	tlsscan -addr 127.0.0.1:4433 -sni yahoo.com -conns 3
 //
-// With -metrics the terminator's telemetry registry is mounted on an
-// observability endpoint (the same /metrics and /healthz contract as
-// studyrun -obsv), so a long-lived simweb can be scraped:
+// With -metrics the terminator's telemetry registry is mounted on the
+// obsv server studyrun -obsv uses (/metrics, /healthz, /debug/pprof/,
+// ...), so a long-lived simweb can be scraped and profiled:
 //
 //	simweb -domain yahoo.com -metrics 127.0.0.1:9091 &
 //	curl http://127.0.0.1:9091/metrics

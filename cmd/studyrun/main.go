@@ -24,32 +24,33 @@
 //
 // Observability (all off by default; none of it perturbs the dataset):
 //
-//	studyrun -progress                       # live stderr ticker: day N/M, handshakes/s, failure rate
-//	studyrun -telemetry-out telemetry.json   # final metrics snapshot as JSON
-//	studyrun -trace trace.jsonl              # one JSONL span per scan phase
 //	studyrun -journal flight.jsonl           # flight-recorder event journal (internal/obsv)
-//	studyrun -obsv 127.0.0.1:9090            # /metrics /progress /journal /healthz HTTP plane
+//	studyrun -obsv 127.0.0.1:9090            # /metrics /progress /journal /healthz /debug/pprof/ /debug/vars
 //	studyrun -obsv-peers http://h2:9090      # merge sibling shards into /cluster
-//	studyrun -pprof 127.0.0.1:6060           # net/http/pprof + /debug/vars expvar export
+//	studyrun -progress                       # live stderr ticker: day N/M, handshakes/s, failure rate
 //
-// On any fatal error the observability sinks are finalized, not lost: the
-// trace file is flushed to a parseable state and the journal ends with a
-// campaign_aborted event recording the failure.
+// The journal is the run's one observability file. Its phase_end events
+// are the per-phase telemetry spans, and its terminal event carries the
+// final telemetry snapshot:
+//
+//	jq -c 'select(.type=="phase_end")' flight.jsonl   # one span per scan phase
+//	tail -n1 flight.jsonl | jq .telemetry            # final metrics snapshot
+//
+// On any fatal error the journal is finalized, not lost: it ends with a
+// campaign_aborted event recording the failure and the failed campaign's
+// snapshot.
 //
 // The dataset feeds cmd/report, which regenerates every table and figure.
 package main
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"runtime"
 	"strconv"
@@ -94,15 +95,10 @@ func main() {
 		faultChurn   = flag.Float64("fault-churn", 0, "per-domain churn-window probability")
 		churnDays    = flag.Int("fault-churn-days", 3, "max churn window length in days")
 
-		telemetryOut = flag.String("telemetry-out", "", "write the final telemetry snapshot JSON to this path")
-		traceOut     = flag.String("trace", "", "write one JSONL telemetry span per scan phase to this path")
-		journalOut   = flag.String("journal", "", "write the flight-recorder event journal (JSONL) to this path")
-		obsvAddr     = flag.String("obsv", "", "serve the observability plane (/metrics /progress /journal /healthz) on this address")
-		obsvPeers    = flag.String("obsv-peers", "", "comma-separated base URLs of sibling shards' -obsv servers, merged into /cluster")
-		progress     = flag.Bool("progress", false, "live stderr ticker: day N/M, handshakes/s, failure rate")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. 127.0.0.1:6060)")
-
-		abortAfterDay = flag.Int("abort-after-day", -1, "abort the campaign after this day completes (fault-injection test hook)")
+		journalOut = flag.String("journal", "", "write the flight-recorder event journal (JSONL) to this path")
+		obsvAddr   = flag.String("obsv", "", "serve the observability plane (/metrics /progress /journal /healthz /debug/pprof/) on this address")
+		obsvPeers  = flag.String("obsv-peers", "", "comma-separated base URLs of sibling shards' -obsv servers, merged into /cluster")
+		progress   = flag.Bool("progress", false, "live stderr ticker: day N/M, handshakes/s, failure rate")
 	)
 	flag.Parse()
 
@@ -157,23 +153,19 @@ func main() {
 			WeakCrypto:   *weakCrypto,
 			Traffic:      to,
 		},
-		shard:         *shard,
-		out:           *out,
-		report:        *report,
-		telemetryOut:  *telemetryOut,
-		tracePath:     *traceOut,
-		journalPath:   *journalOut,
-		obsvAddr:      *obsvAddr,
-		obsvPeers:     splitList(*obsvPeers),
-		progress:      *progress,
-		pprofAddr:     *pprofAddr,
-		abortAfterDay: *abortAfterDay,
-		logf:          logf,
-		stdout:        os.Stdout,
+		shard:       *shard,
+		out:         *out,
+		report:      *report,
+		journalPath: *journalOut,
+		obsvAddr:    *obsvAddr,
+		obsvPeers:   splitList(*obsvPeers),
+		progress:    *progress,
+		logf:        logf,
+		stdout:      os.Stdout,
 	}
-	// All sink finalization (trace flush, journal campaign_aborted,
-	// telemetry snapshot) happens inside runStudy's defers, so exiting
-	// on error here cannot lose observability data.
+	// Journal finalization (campaign_aborted with the final snapshot) and
+	// server shutdown happen inside runStudy's defers, so exiting on error
+	// here cannot lose observability data.
 	if err := runStudy(cfg); err != nil {
 		log.Fatalf("studyrun: %v", err)
 	}
@@ -182,27 +174,24 @@ func main() {
 // runConfig is everything runStudy needs; main builds it from flags and
 // the fatal-path regression test builds it directly.
 type runConfig struct {
-	opts          study.Options // Telemetry/Trace/Observer are wired by runStudy
+	opts          study.Options // Telemetry/Observer are wired by runStudy
 	shard         string
 	out           string
 	report        bool
-	telemetryOut  string
-	tracePath     string
 	journalPath   string
 	obsvAddr      string
 	obsvPeers     []string
 	progress      bool
-	pprofAddr     string
-	abortAfterDay int // <0 disables; >=0 forces an abort after that day
+	abortAfterDay int // test hook: >0 fails the campaign once that scan day completes
 	logf          func(string, ...interface{})
 	stdout        *os.File
 }
 
-// runStudy executes one campaign (or shard). Every observability sink is
-// finalized on the way out regardless of success: the trace writer is
-// flushed and closed, the journal is closed after recording campaign_end
-// (success) or campaign_aborted (any error), and the telemetry snapshot
-// is written if requested. Callers that log.Fatalf afterwards lose
+// runStudy executes one campaign (or shard). The journal is finalized on
+// the way out regardless of success: it is closed after recording
+// campaign_end (success) or campaign_aborted (any error), each carrying
+// the final telemetry snapshot, and the obsv server has stopped serving
+// before runStudy returns. Callers that log.Fatalf afterwards lose
 // nothing.
 func runStudy(cfg runConfig) (retErr error) {
 	logf := cfg.logf
@@ -222,28 +211,9 @@ func runStudy(cfg runConfig) (retErr error) {
 	// is provably unaffected either way (telemetry observes, never
 	// perturbs — see internal/telemetry and the inertness test).
 	reg := opts.Telemetry
-	if reg == nil && (cfg.telemetryOut != "" || cfg.tracePath != "" || cfg.journalPath != "" ||
-		cfg.obsvAddr != "" || cfg.progress || cfg.pprofAddr != "") {
+	if reg == nil && (cfg.journalPath != "" || cfg.obsvAddr != "" || cfg.progress) {
 		reg = telemetry.NewRegistry()
 		opts.Telemetry = reg
-	}
-
-	if cfg.tracePath != "" {
-		f, err := os.Create(cfg.tracePath)
-		if err != nil {
-			return fmt.Errorf("creating trace file: %v", err)
-		}
-		trace := bufio.NewWriter(f)
-		defer func() {
-			// Flush before close even on the error path: a fatal exit
-			// must leave the trace complete up to the last finished
-			// phase, not truncated mid-buffer.
-			if err := trace.Flush(); err != nil && retErr == nil {
-				retErr = fmt.Errorf("flushing trace: %v", err)
-			}
-			f.Close()
-		}()
-		opts.Trace = trace
 	}
 
 	var journal *obsv.Journal
@@ -258,40 +228,24 @@ func runStudy(cfg runConfig) (retErr error) {
 		opts.Observer = journal
 		defer func() {
 			if retErr != nil {
-				journal.Abort(retErr)
+				// The snapshot of a failed campaign is exactly the
+				// telemetry worth keeping.
+				journal.Abort(retErr, reg.Snapshot())
 			}
 			if err := journal.Close(); err != nil && retErr == nil {
 				retErr = fmt.Errorf("journal: %v", err)
 			}
 		}()
 	}
-	if cfg.abortAfterDay >= 0 {
+	if cfg.abortAfterDay > 0 {
 		opts.Observer = &abortAfterDay{inner: opts.Observer, day: cfg.abortAfterDay}
 	}
 
-	if cfg.telemetryOut != "" {
-		defer func() {
-			// Written on the error path too: the snapshot of a failed
-			// campaign is exactly the telemetry worth keeping.
-			b, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-			if err == nil {
-				err = os.WriteFile(cfg.telemetryOut, append(b, '\n'), 0o644)
-			}
-			if err != nil && retErr == nil {
-				retErr = fmt.Errorf("writing telemetry: %v", err)
-			} else if err == nil {
-				logf("telemetry snapshot written to %s", cfg.telemetryOut)
-			}
-		}()
-	}
-
-	var obsvServer *obsv.Server
-	if cfg.obsvAddr != "" {
-		ln, err := net.Listen("tcp", cfg.obsvAddr)
-		if err != nil {
-			return fmt.Errorf("obsv listen: %v", err)
-		}
-		obsvServer = obsv.NewServer(obsv.Config{
+	// One obsv server backs both the HTTP plane and the stderr ticker; it
+	// listens only for -obsv.
+	var srv *obsv.Server
+	if cfg.obsvAddr != "" || cfg.progress {
+		srv = obsv.NewServer(obsv.Config{
 			Registry: reg,
 			Days:     opts.Days,
 			ListSize: opts.ListSize,
@@ -301,32 +255,32 @@ func runStudy(cfg runConfig) (retErr error) {
 			Peers:    cfg.obsvPeers,
 			Logf:     logf,
 		})
-		obsvServer.Start()
-		defer obsvServer.Close()
+	}
+	if cfg.obsvAddr != "" {
+		ln, err := net.Listen("tcp", cfg.obsvAddr)
+		if err != nil {
+			return fmt.Errorf("obsv listen: %v", err)
+		}
+		hs := &http.Server{Handler: srv}
+		served := make(chan struct{})
+		srv.Start()
+		logf("observability plane on http://%s/progress", ln.Addr())
 		go func() {
-			logf("observability plane on http://%s/progress", ln.Addr())
-			if err := http.Serve(ln, obsvServer); err != nil {
+			defer close(served)
+			if err := hs.Serve(ln); err != http.ErrServerClosed {
 				logf("obsv server: %v", err)
 			}
 		}()
-		defer ln.Close()
-	}
-	if cfg.pprofAddr != "" {
-		// net/http/pprof and expvar register on the default mux; the
-		// registry snapshot is republished as the "telemetry" expvar, so
-		// /debug/vars carries live campaign counters.
-		expvar.Publish("telemetry", expvar.Func(func() interface{} { return reg.Snapshot() }))
-		go func() {
-			logf("pprof+expvar listening on http://%s/debug/pprof/", cfg.pprofAddr)
-			if err := http.ListenAndServe(cfg.pprofAddr, nil); err != nil {
-				log.Printf("pprof server: %v", err)
-			}
+		defer func() {
+			srv.Close()
+			hs.Close()
+			<-served
 		}()
 	}
 	var progressDone chan struct{}
 	if cfg.progress {
 		progressDone = make(chan struct{})
-		go progressLoop(reg, opts.Days, progressDone)
+		go progressLoop(srv, progressDone)
 	}
 
 	logf("building %d-domain world and running %d-day campaign (seed %d, %d workers)",
@@ -353,7 +307,7 @@ func runStudy(cfg runConfig) (retErr error) {
 		return fmt.Errorf("saving dataset: %v", err)
 	}
 	if journal != nil {
-		journal.CampaignEnd(datasetHash(ds))
+		journal.CampaignEnd(datasetHash(ds), reg.Snapshot())
 	}
 	if cfg.report && cfg.stdout != nil {
 		fmt.Fprintln(cfg.stdout, study.BuildReport(ds).String())
@@ -374,10 +328,11 @@ func datasetHash(ds *study.Dataset) string {
 	return fmt.Sprintf("%x", sha256.Sum256(b))
 }
 
-// abortAfterDay is the fault-injection observer behind -abort-after-day:
-// it delegates to the real observer (so the journal records everything up
-// to the failure) and then fails the campaign after day N's phase ends —
-// exercising the same abort path a mid-campaign error would take.
+// abortAfterDay is the fault-injection observer behind
+// runConfig.abortAfterDay: it delegates to the real observer (so the
+// journal records everything up to the failure) and then fails the
+// campaign after day N's phase ends — exercising the same abort path a
+// mid-campaign error would take.
 type abortAfterDay struct {
 	inner study.CampaignObserver
 	day   int
@@ -390,7 +345,7 @@ func (a *abortAfterDay) OnPhase(ev telemetry.PhaseEvent) error {
 		}
 	}
 	if !ev.Start && ev.Span.Phase == "day" && ev.Span.Day >= a.day {
-		return fmt.Errorf("injected abort after day %d (-abort-after-day)", ev.Span.Day)
+		return fmt.Errorf("injected abort after day %d", ev.Span.Day)
 	}
 	return nil
 }
@@ -454,15 +409,14 @@ func runMerge(paths []string, out string, report bool, logf func(string, ...inte
 	return nil
 }
 
-// progressLoop renders a once-per-second stderr ticker from registry
-// deltas: scan day, instantaneous handshake rate, cumulative failure
-// rate. It owns the final newline: the caller sends on done and waits
-// for the channel close before printing anything else.
-func progressLoop(reg *telemetry.Registry, days int, done chan struct{}) {
+// progressLoop renders a once-per-second stderr ticker from the obsv
+// server's Progress: scan day, instantaneous handshake rate, cumulative
+// failure rate. It owns the final newline: the caller sends on done and
+// waits for the channel close before printing anything else.
+func progressLoop(srv *obsv.Server, done chan struct{}) {
 	tick := time.NewTicker(time.Second)
 	defer tick.Stop()
-	var lastStarted uint64
-	last := time.Now()
+	srv.Progress() // rate baseline for the first tick
 	for {
 		select {
 		case <-done:
@@ -470,19 +424,9 @@ func progressLoop(reg *telemetry.Registry, days int, done chan struct{}) {
 			close(done)
 			return
 		case <-tick.C:
-			started := reg.Value(telemetry.CounterHandshakesStarted)
-			probes := reg.Value(telemetry.CounterProbes)
-			fails := reg.Value(telemetry.CounterProbeFailures)
-			day := reg.Value(telemetry.CounterDaysCompleted)
-			now := time.Now()
-			rate := float64(started-lastStarted) / now.Sub(last).Seconds()
-			lastStarted, last = started, now
-			failPct := 0.0
-			if probes > 0 {
-				failPct = 100 * float64(fails) / float64(probes)
-			}
+			p := srv.Progress()
 			fmt.Fprintf(os.Stderr, "\rday %d/%d  %8.0f handshakes/s  %5.2f%% probes failed",
-				day, days, rate, failPct)
+				p.Day, p.Days, p.HandshakesPerSec, 100*p.FailureRate)
 		}
 	}
 }

@@ -43,7 +43,7 @@ func writeTimelineFixture(t *testing.T, path string, withTraffic bool) {
 		}
 	}
 	end("cross-domain", -1, 900, 0, nil)
-	j.CampaignEnd("f00dfeed")
+	j.CampaignEnd("f00dfeed", &telemetry.Snapshot{Counters: map[string]uint64{telemetry.CounterProbes: 240}})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

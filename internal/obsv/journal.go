@@ -20,7 +20,8 @@ const JournalVersion = 1
 // Event types, in the order a healthy campaign emits them:
 // campaign_start, then alternating phase_start/phase_end pairs, then
 // exactly one terminal campaign_end (with the dataset hash) or
-// campaign_aborted (with the error).
+// campaign_aborted (with the error), either carrying the final telemetry
+// snapshot.
 const (
 	EventCampaignStart   = "campaign_start"
 	EventPhaseStart      = "phase_start"
@@ -35,11 +36,12 @@ const (
 // the per-phase counter deltas (failure classes, injected faults, STEK
 // rotations) attributed to the phase they happened in.
 //
-// Determinism contract: Wall, WallNanos, Utilization, and Workers are
-// scheduling- or wall-clock-dependent; everything else is a pure
-// function of (seed, options, fault plan). DeterministicView strips
-// exactly that set, and the obsv suite pins that the stripped journal
-// is byte-identical across worker counts.
+// Determinism contract: Wall, WallNanos, Utilization, Workers, and the
+// wall/ metrics of Telemetry are scheduling- or wall-clock-dependent;
+// everything else is a pure function of (seed, options, fault plan).
+// DeterministicView strips exactly that set, and internal/study's
+// faulted-campaign test pins that the stripped journal is identical
+// across worker counts.
 type Event struct {
 	V    int    `json:"v"`
 	Seq  uint64 `json:"seq"`
@@ -74,9 +76,12 @@ type Event struct {
 	Utilization    float64           `json:"utilization,omitempty"`
 
 	// Terminal fields: the dataset hash (campaign_end) or the abort
-	// reason (campaign_aborted).
-	DatasetSHA256 string `json:"dataset_sha256,omitempty"`
-	Err           string `json:"err,omitempty"`
+	// reason (campaign_aborted), and the campaign's final telemetry
+	// snapshot (either terminal event). The snapshot is optional, so v1
+	// readers that predate it decode the journal unchanged.
+	DatasetSHA256 string              `json:"dataset_sha256,omitempty"`
+	Err           string              `json:"err,omitempty"`
+	Telemetry     *telemetry.Snapshot `json:"telemetry,omitempty"`
 }
 
 // Journal is the append-only flight recorder: a JSONL event log with
@@ -224,20 +229,22 @@ func (j *Journal) CampaignStart(listSize, days int, seed int64, workers int, sha
 }
 
 // CampaignEnd records the terminal event carrying the hash of the
-// dataset the campaign produced.
-func (j *Journal) CampaignEnd(datasetSHA256 string) {
-	j.Record(Event{Type: EventCampaignEnd, Day: -1, DatasetSHA256: datasetSHA256})
+// dataset the campaign produced and its final telemetry snapshot (nil
+// omits it).
+func (j *Journal) CampaignEnd(datasetSHA256 string, snap *telemetry.Snapshot) {
+	j.Record(Event{Type: EventCampaignEnd, Day: -1, DatasetSHA256: datasetSHA256, Telemetry: snap})
 }
 
 // Abort finalizes the journal on the campaign's fatal-exit path: it
-// records campaign_aborted with the error and flushes, so the journal
-// is complete and parseable exactly when it is most needed.
-func (j *Journal) Abort(reason error) {
+// records campaign_aborted with the error and the telemetry snapshot of
+// the failed campaign, and flushes, so the journal is complete and
+// parseable exactly when it is most needed.
+func (j *Journal) Abort(reason error, snap *telemetry.Snapshot) {
 	msg := "unknown"
 	if reason != nil {
 		msg = reason.Error()
 	}
-	j.Record(Event{Type: EventCampaignAborted, Day: -1, Err: msg})
+	j.Record(Event{Type: EventCampaignAborted, Day: -1, Err: msg, Telemetry: snap})
 }
 
 // SetShard stamps subsequent phase events with the shard coordinate
@@ -341,9 +348,9 @@ func ValidateJournal(events []Event) error {
 
 // DeterministicView returns a copy of the journal with every wall- or
 // scheduling-dependent field zeroed: Wall stamps, WallNanos,
-// Utilization, and Workers. What remains must be identical for any
-// worker count — the journal-level analogue of
-// telemetry.Snapshot.Deterministic.
+// Utilization, Workers, and the terminal snapshot's wall/ metrics. What
+// remains must be identical for any worker count — the journal-level
+// analogue of telemetry.Snapshot.Deterministic.
 func DeterministicView(events []Event) []Event {
 	out := make([]Event, len(events))
 	for i, ev := range events {
@@ -351,6 +358,9 @@ func DeterministicView(events []Event) []Event {
 		ev.WallNanos = 0
 		ev.Utilization = 0
 		ev.Workers = 0
+		if ev.Telemetry != nil {
+			ev.Telemetry = ev.Telemetry.Deterministic()
+		}
 		out[i] = ev
 	}
 	return out
@@ -362,12 +372,13 @@ func DeterministicView(events []Event) []Event {
 // identical phase sequence), per-phase additive results (domains,
 // failures, handshakes, retries, failure classes, faults) are summed,
 // and shard-variant fields are normalized away — Shard coordinates,
-// per-shard dataset hashes, and STEKRotations (a per-operator manager
+// per-shard dataset hashes, STEKRotations (a per-operator manager
 // rotates lazily in every shard that touches its domains, so rotation
 // counts are per-process observations, not partitions of the monolithic
-// count). Passing a single monolithic journal applies the same
-// normalization, so merged-shards and normalized-monolithic views are
-// directly comparable.
+// count), and for the same reason the terminal telemetry snapshot.
+// Passing a single monolithic journal applies the same normalization,
+// so merged-shards and normalized-monolithic views are directly
+// comparable.
 func MergeJournalsDeterministic(journals ...[]Event) ([]Event, error) {
 	if len(journals) == 0 {
 		return nil, fmt.Errorf("obsv: no journals to merge")
@@ -389,6 +400,7 @@ func MergeJournalsDeterministic(journals ...[]Event) ([]Event, error) {
 		merged.Shard = ""
 		merged.DatasetSHA256 = ""
 		merged.STEKRotations = 0
+		merged.Telemetry = nil
 		merged.FailureClasses = cloneCounts(base.FailureClasses)
 		merged.Faults = cloneCounts(base.Faults)
 		for vi, view := range views[1:] {

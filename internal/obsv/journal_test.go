@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +19,17 @@ func testJournal() (*Journal, *bytes.Buffer) {
 	return j, &buf
 }
 
+// terminalSnapshot is a final registry snapshot with one deterministic
+// and one wall/ metric of each kind.
+func terminalSnapshot() *telemetry.Snapshot {
+	reg := telemetry.NewRegistry()
+	reg.Counter("scanner/probes").Add(42)
+	reg.Counter("wall/scanner/busy_ns").Add(9000)
+	reg.Histogram("scanner/backoff/ticket").Observe(3 * time.Second)
+	reg.Histogram("wall/scanner/latency/ticket").Observe(time.Millisecond)
+	return reg.Snapshot()
+}
+
 func phaseEvent(phase string, day int, start bool) telemetry.PhaseEvent {
 	return telemetry.PhaseEvent{
 		Span:  telemetry.Span{Phase: phase, Day: day, Days: 2, VirtualDate: fmt.Sprintf("2016-03-%02dT00:00:00Z", 2+day)},
@@ -26,7 +38,9 @@ func phaseEvent(phase string, day int, start bool) telemetry.PhaseEvent {
 }
 
 // TestJournalRoundTrip writes a healthy campaign's event sequence and
-// checks it decodes, validates, and carries contiguous sequence numbers.
+// checks it decodes, validates, carries contiguous sequence numbers, and
+// keeps the terminal telemetry snapshot, whose wall/ metrics only the
+// deterministic view strips.
 func TestJournalRoundTrip(t *testing.T) {
 	j, buf := testJournal()
 	j.CampaignStart(200, 2, 7, 8, "")
@@ -41,7 +55,8 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("OnPhase end: %v", err)
 		}
 	}
-	j.CampaignEnd("abc123")
+	snap := terminalSnapshot()
+	j.CampaignEnd("abc123", snap)
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -66,6 +81,16 @@ func TestJournalRoundTrip(t *testing.T) {
 	if events[4].FailureClasses["timeout"] != 2 {
 		t.Errorf("phase_end lost failure classes: %+v", events[4])
 	}
+	if !reflect.DeepEqual(last.Telemetry, snap) {
+		t.Errorf("terminal snapshot changed in the round trip:\n got  %+v\n want %+v", last.Telemetry, snap)
+	}
+	view := DeterministicView(events)
+	if got, want := view[len(view)-1].Telemetry, snap.Deterministic(); !reflect.DeepEqual(got, want) {
+		t.Errorf("deterministic view kept wall/ metrics:\n got  %+v\n want %+v", got, want)
+	}
+	if !reflect.DeepEqual(last.Telemetry, snap) {
+		t.Error("DeterministicView mutated the journal it was given")
+	}
 
 	// The in-memory tail mirrors the file.
 	tail := j.Tail(3)
@@ -80,7 +105,7 @@ func TestJournalValidation(t *testing.T) {
 	j.CampaignStart(10, 1, 1, 1, "")
 	j.OnPhase(phaseEvent("day", 0, true))
 	j.OnPhase(phaseEvent("day", 0, false))
-	j.CampaignEnd("h")
+	j.CampaignEnd("h", nil)
 	j.Close()
 	good, err := DecodeEvents(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -129,7 +154,7 @@ func TestJournalVersionGate(t *testing.T) {
 func TestJournalAbortFlushes(t *testing.T) {
 	j, buf := testJournal()
 	j.CampaignStart(10, 1, 1, 1, "")
-	j.Abort(errors.New("boom"))
+	j.Abort(errors.New("boom"), terminalSnapshot())
 	// No Close: the terminal flush point alone must leave the file whole.
 	events, err := DecodeEvents(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -142,10 +167,14 @@ func TestJournalAbortFlushes(t *testing.T) {
 	if last.Type != EventCampaignAborted || last.Err != "boom" {
 		t.Errorf("bad campaign_aborted: %+v", last)
 	}
+	if last.Telemetry == nil || last.Telemetry.Counters["scanner/probes"] != 42 {
+		t.Errorf("campaign_aborted lost the failed campaign's snapshot: %+v", last.Telemetry)
+	}
 }
 
 // TestMergeJournalsDeterministic checks additive merging, the
-// normalization of shard-variant fields, and campaign-mismatch errors.
+// normalization of shard-variant fields (terminal snapshot included), and
+// campaign-mismatch errors.
 func TestMergeJournalsDeterministic(t *testing.T) {
 	mkShard := func(shard string, fails uint64, hash string) []Event {
 		j, buf := testJournal()
@@ -158,7 +187,7 @@ func TestMergeJournalsDeterministic(t *testing.T) {
 		end.FailureClasses = map[string]uint64{"reset": fails}
 		end.STEKRotations = 7 // per-process observation, must not sum
 		j.OnPhase(end)
-		j.CampaignEnd(hash)
+		j.CampaignEnd(hash, terminalSnapshot())
 		j.Close()
 		evs, err := DecodeEvents(bytes.NewReader(buf.Bytes()))
 		if err != nil {
@@ -190,8 +219,11 @@ func TestMergeJournalsDeterministic(t *testing.T) {
 	if end.STEKRotations != 0 || end.Shard != "" {
 		t.Errorf("shard-variant fields not normalized: %+v", end)
 	}
-	if last := merged[len(merged)-1]; last.DatasetSHA256 != "" {
-		t.Errorf("per-shard dataset hash survived the merge: %+v", last)
+	if last := merged[len(merged)-1]; last.DatasetSHA256 != "" || last.Telemetry != nil {
+		t.Errorf("per-shard dataset hash or snapshot survived the merge: %+v", last)
+	}
+	if a[len(a)-1].Telemetry == nil {
+		t.Error("merge cleared the snapshot in its input journal")
 	}
 	for i, ev := range merged {
 		if ev.Wall != "" || ev.WallNanos != 0 || ev.Workers != 0 {

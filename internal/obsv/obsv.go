@@ -1,9 +1,9 @@
-// Package obsv is the campaign observability plane: an HTTP server any
-// campaign (monolithic or one shard of many) attaches beside its
-// pprof/expvar mux, a flight-recorder journal that records what the
-// campaign did as a replayable JSONL event log, and the cross-shard
-// correlation layer (peer pulling, keyed snapshot merge, journal merge)
-// the tlsobserve CLI and aggregator build on.
+// Package obsv is the campaign observability plane: the one HTTP server
+// a campaign (monolithic or one shard of many) attaches, a
+// flight-recorder journal that records what the campaign did as a
+// replayable JSONL event log, and the cross-shard correlation layer
+// (peer pulling, keyed snapshot merge, journal merge) the tlsobserve CLI
+// and aggregator build on.
 //
 // Endpoints:
 //
@@ -18,6 +18,8 @@
 //	            telemetry.MergeSnapshotsKeyed merge of all reachable
 //	            shards (wall/ metrics kept separate per shard)
 //	/cluster/metrics  the merged snapshot as Prometheus text
+//	/debug/pprof/     net/http/pprof profiles of the serving process
+//	/debug/vars       expvar (cmdline, memstats)
 //
 // The plane inherits telemetry's contract: it observes, never perturbs.
 // Serving, journaling, and streaming draw no entropy and read no clock
@@ -29,9 +31,11 @@ package obsv
 import (
 	"context"
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"sync"
 	"time"
@@ -119,6 +123,9 @@ type Server struct {
 	prevHS     uint64
 	prevBusy   uint64
 	prevVisits uint64
+	hsRate     float64 // rates measured at prevTime
+	visitRate  float64
+	util       float64
 	started    bool
 	done       chan struct{}
 	samplerEnd sync.WaitGroup
@@ -137,6 +144,12 @@ func NewServer(cfg Config) *Server {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/cluster", s.handleCluster)
 	mux.HandleFunc("/cluster/metrics", s.handleClusterMetrics)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/debug/vars", expvar.Handler())
 	s.mux = mux
 	return s
 }
@@ -166,7 +179,7 @@ func (s *Server) Start() {
 			case <-s.done:
 				return
 			case <-tick.C:
-				p := s.progress()
+				p := s.Progress()
 				if b, err := json.Marshal(p); err == nil {
 					s.bc.publish(b)
 				}
@@ -188,9 +201,11 @@ func (s *Server) Close() {
 	s.samplerEnd.Wait()
 }
 
-// progress computes the current Progress, deriving instantaneous rates
-// from the previous call's sample.
-func (s *Server) progress() Progress {
+// Progress computes the current Progress, deriving instantaneous rates
+// from the previous sample, whichever caller took it (/progress, the SSE
+// sampler, /cluster, studyrun's -progress ticker); the first call
+// reports them as 0.
+func (s *Server) Progress() Progress {
 	snap := s.cfg.Registry.Snapshot()
 	now := s.now()
 	p := Progress{
@@ -222,24 +237,29 @@ func (s *Server) progress() Progress {
 	}
 	busy := snap.Counters[telemetry.CounterBusyNanos]
 	s.mu.Lock()
-	if !s.prevTime.IsZero() {
-		// Zero wall delta (a clock step, a coarse timer, a test's frozen
-		// clock) and counter rollback (a registry swap) both occur in
-		// practice: rates stay 0 rather than dividing by zero or
-		// wrapping a uint64 subtraction.
-		dt := now.Sub(s.prevTime).Seconds()
-		if dt > 0 {
-			p.HandshakesPerSec = float64(counterDelta(p.Handshakes, s.prevHS)) / dt
-			p.SessionsPerSec = float64(counterDelta(p.TrafficVisits, s.prevVisits)) / dt
+	// All callers share one rate baseline, so a call less than half an
+	// Interval after the last one repeats its rates: two 1 s tickers
+	// started together (the SSE sampler and studyrun's ticker) would
+	// otherwise measure microsecond windows. Zero wall delta (a clock
+	// step, a coarse timer, a test's frozen clock) and counter rollback
+	// (a registry swap) both occur in practice: rates are 0 rather than
+	// dividing by zero or wrapping a uint64 subtraction.
+	dt := now.Sub(s.prevTime)
+	if s.prevTime.IsZero() || dt <= 0 || dt >= s.cfg.Interval/2 {
+		s.hsRate, s.visitRate, s.util = 0, 0, 0
+		if !s.prevTime.IsZero() && dt > 0 {
+			sec := dt.Seconds()
+			s.hsRate = float64(counterDelta(p.Handshakes, s.prevHS)) / sec
+			s.visitRate = float64(counterDelta(p.TrafficVisits, s.prevVisits)) / sec
 			if s.cfg.Workers > 0 {
-				p.Utilization = float64(counterDelta(busy, s.prevBusy)) / (dt * 1e9 * float64(s.cfg.Workers))
+				s.util = float64(counterDelta(busy, s.prevBusy)) / (sec * 1e9 * float64(s.cfg.Workers))
 			}
 		}
+		s.prevTime, s.prevHS, s.prevBusy, s.prevVisits = now, p.Handshakes, busy, p.TrafficVisits
 	}
-	s.prevTime, s.prevHS, s.prevBusy, s.prevVisits = now, p.Handshakes, busy, p.TrafficVisits
+	p.HandshakesPerSec, p.SessionsPerSec, p.Utilization = s.hsRate, s.visitRate, s.util
 	s.mu.Unlock()
-	published, dropped, subs := s.bc.counts()
-	_ = published
+	_, dropped, subs := s.bc.counts()
 	p.SSESubscribers = subs
 	p.SSEDropped = dropped
 	// A non-finite float is not JSON-encodable: it would 500 /progress
@@ -293,7 +313,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("stream") == "" {
 		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(s.progress()); err != nil && s.cfg.Logf != nil {
+		if err := json.NewEncoder(w).Encode(s.Progress()); err != nil && s.cfg.Logf != nil {
 			s.cfg.Logf("obsv: /progress encode: %v", err)
 		}
 		return
@@ -310,7 +330,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	defer s.bc.unsubscribe(sub)
 	// Immediate snapshot so a fresh subscriber sees state before the
 	// next tick; then the broadcast feed until disconnect or shutdown.
-	if b, err := json.Marshal(s.progress()); err == nil {
+	if b, err := json.Marshal(s.Progress()); err == nil {
 		fmt.Fprintf(w, "data: %s\n\n", b)
 		flusher.Flush()
 	}
@@ -373,7 +393,7 @@ func (s *Server) cluster(ctx context.Context) ClusterView {
 			key = "local"
 		}
 		snaps[key] = s.cfg.Registry.Snapshot()
-		view.Shards[key] = s.progress()
+		view.Shards[key] = s.Progress()
 	}
 	for i, peer := range s.cfg.Peers {
 		c := NewClient(peer)

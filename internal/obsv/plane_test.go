@@ -8,10 +8,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -53,7 +55,10 @@ func hashDataset(t *testing.T, ds *study.Dataset) string {
 // observability plane FULLY enabled — HTTP server attached to the live
 // registry, churning SSE subscribers, flight-recorder journal, trace
 // writer — the determinism campaign must still reproduce the committed
-// golden dataset hash byte-for-byte. Observation must not perturb.
+// golden dataset hash byte-for-byte. Observation must not perturb. It
+// also pins that the journal alone carries what studyrun's retired
+// sinks wrote: its phase_end events are the trace spans, its terminal
+// event the final snapshot, and the server serves pprof and expvar.
 func TestFullPlaneGoldenCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 200x8 campaign; run without -short")
@@ -113,7 +118,7 @@ func TestFullPlaneGoldenCampaign(t *testing.T) {
 		t.Fatalf("Run with full plane: %v", err)
 	}
 	hash := hashDataset(t, ds)
-	journal.CampaignEnd(hash)
+	journal.CampaignEnd(hash, reg.Snapshot())
 
 	if golden := readGolden(t); hash != golden {
 		t.Fatalf("full observability plane perturbed the campaign:\n  got  %s\n  want %s", hash, golden)
@@ -149,9 +154,21 @@ func TestFullPlaneGoldenCampaign(t *testing.T) {
 	if len(events) == 0 || events[len(events)-1].Type != obsv.EventCampaignEnd {
 		t.Errorf("journal tail does not end with campaign_end: %d events", len(events))
 	}
+	for _, path := range []string{"/debug/pprof/cmdline", "/debug/vars"} {
+		resp, err := http.Get(hts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || body.Len() == 0 {
+			t.Errorf("GET %s: status %d, %d-byte body", path, resp.StatusCode, body.Len())
+		}
+	}
 
-	// The trace is complete JSONL and the on-disk journal validates and
-	// records the golden hash.
+	// The on-disk journal validates and records the golden hash and the
+	// final snapshot.
 	if err := journal.Close(); err != nil {
 		t.Fatalf("journal close: %v", err)
 	}
@@ -162,25 +179,62 @@ func TestFullPlaneGoldenCampaign(t *testing.T) {
 	if err := obsv.ValidateJournal(full); err != nil {
 		t.Fatalf("journal invalid: %v", err)
 	}
-	if last := full[len(full)-1]; last.DatasetSHA256 != hash {
+	last := full[len(full)-1]
+	if last.DatasetSHA256 != hash {
 		t.Errorf("journal records hash %s, dataset hashed %s", last.DatasetSHA256, hash)
 	}
-	sc := bufio.NewScanner(bytes.NewReader(trace.Bytes()))
-	lines := 0
-	for sc.Scan() {
-		var span telemetry.Span
-		if err := json.Unmarshal(sc.Bytes(), &span); err != nil {
-			t.Fatalf("trace line %d unparseable: %v", lines, err)
-		}
-		lines++
+	if last.Telemetry == nil || last.Telemetry.Counters[telemetry.CounterProbes] != prog.Probes {
+		t.Errorf("campaign_end snapshot does not match the finished registry (%d probes)", prog.Probes)
 	}
-	if lines < detOpts.Days {
-		t.Errorf("trace has %d spans, want at least one per day", lines)
+
+	// Every phase_end line, decoded as a span, is the trace's span for
+	// that phase, wall fields included.
+	spans := decodeSpans(t, bytes.NewReader(trace.Bytes()), "")
+	jf, err := os.Open(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf.Close()
+	ends := decodeSpans(t, jf, obsv.EventPhaseEnd)
+	if len(spans) < detOpts.Days {
+		t.Errorf("trace has %d spans, want at least one per day", len(spans))
+	}
+	if !reflect.DeepEqual(ends, spans) {
+		t.Errorf("journal phase_end events differ from the trace:\n journal %+v\n trace   %+v", ends, spans)
 	}
 }
 
-// journalOpts is the worker-invariance campaign: smaller than detOpts
-// but with the full fault stack so failure-class deltas are exercised.
+// decodeSpans decodes a JSONL stream's lines as telemetry.Span, keeping
+// only lines whose "type" is typ.
+func decodeSpans(t *testing.T, r io.Reader, typ string) []telemetry.Span {
+	t.Helper()
+	var out []telemetry.Span
+	dec := json.NewDecoder(r)
+	for {
+		var line json.RawMessage
+		if err := dec.Decode(&line); err == io.EOF {
+			return out
+		} else if err != nil {
+			t.Fatalf("line %d unparseable: %v", len(out), err)
+		}
+		var head struct{ Type string }
+		var span telemetry.Span
+		if err := json.Unmarshal(line, &head); err != nil {
+			t.Fatal(err)
+		}
+		if head.Type != typ {
+			continue
+		}
+		if err := json.Unmarshal(line, &span); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, span)
+	}
+}
+
+// journalOpts is the worker-invariance and shard-merge campaign:
+// smaller than detOpts but with the full fault stack so failure-class
+// deltas are exercised.
 func journalOpts() study.Options {
 	return study.Options{
 		ListSize:     120,
@@ -195,9 +249,10 @@ func journalOpts() study.Options {
 }
 
 // runJournal executes one campaign with a journal observer attached and
-// returns the decoded journal.
+// returns the decoded journal, ending in the final telemetry snapshot.
 func runJournal(t *testing.T, opts study.Options, shard string) []obsv.Event {
 	t.Helper()
+	opts.Telemetry = telemetry.NewRegistry()
 	var buf bytes.Buffer
 	j := obsv.NewJournal(&buf)
 	j.SetShard(shard)
@@ -214,7 +269,7 @@ func runJournal(t *testing.T, opts study.Options, shard string) []obsv.Event {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	j.CampaignEnd(hashDataset(t, ds))
+	j.CampaignEnd(hashDataset(t, ds), opts.Telemetry.Snapshot())
 	if err := j.Close(); err != nil {
 		t.Fatalf("journal: %v", err)
 	}
@@ -251,8 +306,9 @@ func journalJSON(t *testing.T, events []obsv.Event) string {
 	return string(b)
 }
 
-// TestJournalWorkerInvariance: the deterministic view of the journal is
-// byte-identical whether the campaign ran with 3 workers or 13.
+// TestJournalWorkerInvariance: the deterministic view of the journal,
+// terminal snapshot included, is byte-identical whether the campaign ran
+// with 3 workers or 13.
 func TestJournalWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two faulted campaigns; run without -short")
@@ -270,7 +326,9 @@ func TestJournalWorkerInvariance(t *testing.T) {
 }
 
 // TestJournalShardMergeMatchesMonolithic: merging the 2-shard journals
-// deterministically equals the normalized monolithic journal.
+// deterministically equals the normalized monolithic journal. Every
+// journal ends in its own telemetry snapshot, so the comparison also
+// pins that the merge clears those (they are not shard-additive).
 func TestJournalShardMergeMatchesMonolithic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three faulted campaigns; run without -short")

@@ -25,10 +25,10 @@ func TestProgressZeroWallDelta(t *testing.T) {
 	frozen := time.Unix(1700000000, 0)
 	s.now = func() time.Time { return frozen }
 
-	_ = s.progress() // establishes prev sample at the frozen instant
+	_ = s.Progress() // establishes prev sample at the frozen instant
 	reg.Counter(telemetry.CounterHandshakesStarted).Add(50)
 	reg.Counter(telemetry.CounterTrafficVisits).Add(10)
-	p := s.progress() // zero wall delta against the first sample
+	p := s.Progress() // zero wall delta against the first sample
 
 	for name, v := range map[string]float64{
 		"handshakes_per_sec": p.HandshakesPerSec,
@@ -66,11 +66,11 @@ func TestProgressCounterRollback(t *testing.T) {
 		return base.Add(time.Duration(calls) * time.Second)
 	}
 
-	_ = s.progress()
+	_ = s.Progress()
 	// Fresh registry with smaller counts: every delta is negative.
 	s.cfg.Registry = telemetry.NewRegistry()
 	s.cfg.Registry.Counter(telemetry.CounterHandshakesStarted).Add(10)
-	p := s.progress()
+	p := s.Progress()
 
 	if p.HandshakesPerSec != 0 || p.SessionsPerSec != 0 || p.Utilization != 0 {
 		t.Errorf("counter rollback must clamp rates to zero, got hs=%v sess=%v util=%v",
@@ -79,21 +79,19 @@ func TestProgressCounterRollback(t *testing.T) {
 }
 
 // TestProgressTrafficFields checks the traffic counters surface in the
-// payload and the session rate derives from the visit delta.
+// payload and the session rate derives from the visit delta, measured
+// over windows of at least half an Interval.
 func TestProgressTrafficFields(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := NewServer(Config{Registry: reg, Workers: 2})
-	base := time.Unix(1700000000, 0)
-	calls := 0
-	s.now = func() time.Time {
-		calls++
-		return base.Add(time.Duration(calls) * time.Second)
-	}
+	now := time.Unix(1700000000, 0)
+	s.now = func() time.Time { return now }
 
-	_ = s.progress()
+	_ = s.Progress()
 	reg.Counter(telemetry.CounterTrafficVisits).Add(30)
 	reg.Counter(telemetry.CounterTrafficResumed).Add(12)
-	p := s.progress()
+	now = now.Add(time.Second)
+	p := s.Progress()
 
 	if p.TrafficVisits != 30 || p.TrafficResumed != 12 {
 		t.Errorf("traffic counters = %d/%d, want 30/12", p.TrafficVisits, p.TrafficResumed)
@@ -109,5 +107,17 @@ func TestProgressTrafficFields(t *testing.T) {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("progress JSON missing %s: %s", want, b)
 		}
+	}
+
+	// Another caller 1 ms later sees fresh counters but repeats the last
+	// rate; the next window still runs from the last full sample.
+	reg.Counter(telemetry.CounterTrafficVisits).Add(10)
+	now = now.Add(time.Millisecond)
+	if p := s.Progress(); p.TrafficVisits != 40 || p.SessionsPerSec != 30 {
+		t.Errorf("1 ms later: visits=%d sessions_per_sec=%v, want 40 and the repeated 30", p.TrafficVisits, p.SessionsPerSec)
+	}
+	now = now.Add(time.Second - time.Millisecond)
+	if p := s.Progress(); p.SessionsPerSec != 10 {
+		t.Errorf("sessions_per_sec = %v, want 10 (10 visits over the 1 s since the last full sample)", p.SessionsPerSec)
 	}
 }

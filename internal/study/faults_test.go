@@ -1,24 +1,25 @@
 package study
 
 import (
-	"encoding/json"
-	"reflect"
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"tlsshortcuts/internal/faults"
+	"tlsshortcuts/internal/obsv"
 	"tlsshortcuts/internal/telemetry"
 )
 
 // TestFaultCampaignDeterministicAcrossWorkers checks the replay property
 // under a fixed non-empty fault plan: 3 and 13 workers produce a
-// byte-identical dataset and an identical deterministic telemetry view,
-// because every fault decision, backend choice, retry backoff, and
-// entropy stream keys on the probe's identity rather than on scheduling
-// order. Counters and virtual-latency histograms outside the wall/
-// prefix are functions of (seed, fault plan, probe schedule), never of
-// goroutine scheduling.
+// byte-identical dataset and an identical deterministic flight-recorder
+// journal (obsv.DeterministicView: every phase's counter deltas plus the
+// final telemetry snapshot outside the wall/ prefix), because every
+// fault decision, backend choice, retry backoff, and entropy stream keys
+// on the probe's identity rather than on scheduling order. Counters and
+// virtual-latency histograms outside the wall/ prefix are functions of
+// (seed, fault plan, probe schedule), never of goroutine scheduling.
 func TestFaultCampaignDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two faulted campaigns")
@@ -28,37 +29,59 @@ func TestFaultCampaignDeterministicAcrossWorkers(t *testing.T) {
 
 	var dsA *Dataset
 	var hashes [2]string
-	var snaps [2]*telemetry.Snapshot
+	var views [2][]obsv.Event
 	for i, workers := range []int{3, 13} {
 		o := base
 		o.Workers = workers
 		o.Telemetry = telemetry.NewRegistry()
+		var buf bytes.Buffer
+		j := obsv.NewJournal(&buf)
+		j.CampaignStart(o.ListSize, o.Days, o.Seed, o.Workers, "")
+		o.Observer = j
 		ds, h := runAndHash(t, o)
+		j.CampaignEnd(h, o.Telemetry.Snapshot())
+		if err := j.Close(); err != nil {
+			t.Fatalf("journal: %v", err)
+		}
+		events, err := obsv.DecodeEvents(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := obsv.ValidateJournal(events); err != nil {
+			t.Fatal(err)
+		}
 		if i == 0 {
 			dsA = ds
 		}
 		hashes[i] = h
-		snaps[i] = o.Telemetry.Snapshot().Deterministic()
+		views[i] = obsv.DeterministicView(events)
 	}
 	if hashes[0] != hashes[1] {
 		t.Fatalf("same fault plan, different worker counts, different datasets:\n  3 workers  %s\n  13 workers %s", hashes[0], hashes[1])
 	}
-	if !reflect.DeepEqual(snaps[0], snaps[1]) {
-		a, _ := json.MarshalIndent(snaps[0], "", "  ")
-		b, _ := json.MarshalIndent(snaps[1], "", "  ")
-		t.Fatalf("deterministic telemetry differs across worker counts:\n--- 3 workers ---\n%s\n--- 13 workers ---\n%s", a, b)
+	if len(views[0]) != len(views[1]) {
+		t.Fatalf("journal has %d events with 3 workers, %d with 13", len(views[0]), len(views[1]))
 	}
-	if snaps[0].Counters["scanner/retries"] == 0 {
+	for i := range views[0] {
+		if a, b := marshal(t, views[0][i]), marshal(t, views[1][i]); !bytes.Equal(a, b) {
+			t.Fatalf("deterministic journal event %d differs across worker counts:\n  3 workers  %s\n  13 workers %s", i, a, b)
+		}
+	}
+	snap := views[0][len(views[0])-1].Telemetry
+	if snap == nil {
+		t.Fatal("campaign_end carries no telemetry snapshot")
+	}
+	if snap.Counters["scanner/retries"] == 0 {
 		t.Fatal("faulted campaign recorded no retries")
 	}
 	foundFault := false
-	for name := range snaps[0].Counters {
+	for name := range snap.Counters {
 		if strings.HasPrefix(name, "simnet/faults/") {
 			foundFault = true
 		}
 	}
 	if !foundFault {
-		t.Fatalf("no simnet fault-kind counters recorded: %v", snaps[0].Counters)
+		t.Fatalf("no simnet fault-kind counters recorded: %v", snap.Counters)
 	}
 
 	if len(dsA.Failures) == 0 {
