@@ -21,6 +21,8 @@ import (
 	"math/big"
 	"sync"
 	"time"
+
+	"tlsshortcuts/internal/telemetry"
 )
 
 // Alg selects the leaf/CA signature algorithm.
@@ -74,26 +76,26 @@ func signP256(key *ecdsa.PrivateKey, entropy io.Reader, digest []byte) ([]byte, 
 		return nil, fmt.Errorf("pki: reading signing entropy: %w", err)
 	}
 	// The digest is as wide as the order, so it is e unshifted.
-	var d, e, r, s, kInv scalar
+	var d, e, k, r, s, kInv scalar
 	d.setBytes(msg[:32])
 	e.setBytes(digest)
 	for ctr := 0; ctr < 256; ctr++ {
 		msg[len(msg)-1] = byte(ctr)
 		h := sha512.Sum512(msg[:])
-		k, err := ecdh.P256().NewPrivateKey(h[:32]) // rejects 0 and k >= n
+		R, err := ecdh.P256().NewPrivateKey(h[:32]) // rejects 0 and k >= n
 		if err != nil {
 			continue
 		}
-		r.setBytes(k.PublicKey().Bytes()[1:33]) // x(R) mod n
+		r.setBytes(R.PublicKey().Bytes()[1:33]) // x(R) mod n
 		if r.isZero() {
 			continue
 		}
-		kInv.setBytes(h[:32])
-		kInv.inv(&kInv)
-		s.mul(&r, &d).add(&s, &e).mul(&s, &kInv)
+		k.setBytes(h[:32])
+		s.mul(&r, &d).add(&s, &e).mul(&s, kInv.inv(&k))
 		if s.isZero() {
 			continue
 		}
+		p256Nonces.remember(&r, &k)
 		sig := make([]byte, 2, 2+2*(2+33))
 		sig[0] = 0x30 // SEQUENCE
 		sig = appendASN1Int(sig, &r)
@@ -130,6 +132,8 @@ var errBadSKESig = errors.New("pki: bad ServerKeyExchange signature")
 // u1·G + u2·Q with u1 = e·s⁻¹ and u2 = r·s⁻¹, because Q = d·G, so the
 // decision equals ecdsa.VerifyASN1's for every digest and signature; the
 // signature is parsed under the same strict DER and 0 < r, s < n rules.
+// When signP256 made the signature in this process and its nonce is
+// still in p256Nonces, the check costs no curve operation at all.
 // Other ECDSA keys go through ecdsa.VerifyASN1 and RSA keys through
 // rsa.VerifyPKCS1v15.
 func VerifySKE(pub crypto.PublicKey, digest, sig []byte) error {
@@ -164,7 +168,15 @@ func verifyP256(d *scalar, digest, sig []byte) bool {
 	}
 	var e, u, w scalar
 	e.setBytes(digest)
-	u.mul(&r, d).add(&u, &e).mul(&u, w.inv(&s))
+	u.mul(&r, d).add(&u, &e) // e + r·d
+	// For a remembered k with s·k ≡ e + r·d, the u = (e + r·d)·s⁻¹ below
+	// is k, and signP256 took r from k·G, so x(u·G) mod n = r holds
+	// without computing it. Any other case takes the multiplication.
+	if k, ok := p256Nonces.lookup(&r); ok && *w.mul(&s, &k) == u {
+		telemetry.Global().Counter("wall/pki/ske_nonce_hit").Inc()
+		return true
+	}
+	u.mul(&u, w.inv(&s))
 	var k [32]byte
 	u.fillBytes(&k)
 	// u = 0 puts the sum at infinity, which ecdsa rejects; so does
@@ -176,6 +188,45 @@ func verifyP256(d *scalar, digest, sig []byte) bool {
 	var x scalar
 	x.setBytes(R.PublicKey().Bytes()[1:33])
 	return x == r
+}
+
+// p256Nonces remembers the nonce k of each recent signP256 signature,
+// keyed by its r = x(k·G) mod n, so that VerifySKE can check a signature
+// made in this process without a curve operation. It exists only because
+// both ends of a handshake share one process, and a remembered k is as
+// secret as the d in p256Keys: with k, any signature reveals d.
+//
+// The table is direct-mapped on the low bits of r. An entry lives from
+// signing to verification, which is a handful of handshakes per worker
+// at most, so 1,024 slots keep collisions rare. A collision or an
+// overwritten entry only sends that check down the multiplication path.
+var p256Nonces nonceTable
+
+const nonceSlots = 1 << 10
+
+type nonceTable struct {
+	mu    sync.Mutex
+	slots [nonceSlots]struct{ r, k scalar }
+}
+
+// remember records that signP256 made a signature with nonce k and
+// r = x(k·G) mod n.
+func (t *nonceTable) remember(r, k *scalar) {
+	slot := &t.slots[r[0]%nonceSlots]
+	t.mu.Lock()
+	slot.r, slot.k = *r, *k
+	t.mu.Unlock()
+}
+
+// lookup returns the nonce remembered for r, if its slot still holds it.
+// A parsed r is never 0, so an empty slot never matches.
+func (t *nonceTable) lookup(r *scalar) (k scalar, ok bool) {
+	slot := &t.slots[r[0]%nonceSlots]
+	t.mu.Lock()
+	ok = slot.r == *r
+	k = slot.k
+	t.mu.Unlock()
+	return k, ok
 }
 
 // parseSignature parses an ASN.1 DER ECDSA signature under crypto/ecdsa's

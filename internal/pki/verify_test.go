@@ -1,6 +1,7 @@
 package pki
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/ed25519"
@@ -12,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tlsshortcuts/internal/telemetry"
 )
 
 // agree requires VerifySKE to reach ecdsa.VerifyASN1's verdict on one
@@ -335,6 +338,186 @@ func TestVerifySKEConcurrentIssue(t *testing.T) {
 	vg.Wait()
 }
 
+// countHits installs a fresh telemetry registry for the test and returns
+// its nonce-hit counter.
+func countHits(t testing.TB) *telemetry.Counter {
+	reg := telemetry.NewRegistry()
+	t.Cleanup(telemetry.SetGlobal(reg))
+	return reg.Counter("wall/pki/ske_nonce_hit")
+}
+
+// collide overwrites the nonce slot of r with an entry for another r
+// that has the same low bits.
+func collide(r *big.Int) {
+	var other scalar
+	other.setBytes(r.Bytes())
+	other[2] ^= 1
+	var k scalar
+	k.setBytes(digestOf(-1))
+	p256Nonces.remember(&other, &k)
+}
+
+// Signatures whose nonce is still in the table must get ecdsa.VerifyASN1's
+// verdict, and only a valid one may be accepted without a multiplication.
+func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
+	crt, pub := tablePub(t)
+	other, err := newLeaf(ECDSAP256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := countHits(t)
+	for i := 0; i < 64; i++ {
+		digest := digestOf(i)
+		prev, err := crt.SignSKE(DefaultRand, digestOf(i+1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		otherSig, err := other.SignSKE(DefaultRand, digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig, err := crt.SignSKE(DefaultRand, digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, s := sigInts(t, sig)
+		pr, ps := sigInts(t, prev)
+		flipped := append([]byte(nil), digest...)
+		flipped[i%len(flipped)] ^= 1
+		for _, c := range []struct {
+			name   string
+			digest []byte
+			sig    []byte
+			want   bool
+		}{
+			{"valid", digest, sig, true},
+			{"flipped digest", flipped, sig, false},
+			{"(r, n-s)", digest, derSig(derInt(r), derInt(new(big.Int).Sub(p256N, s))), true},
+			{"s+1", digest, derSig(derInt(r), derInt(new(big.Int).Add(s, big.NewInt(1)))), false},
+			{"r of this, s of another", digest, derSig(derInt(r), derInt(ps)), false},
+			{"r of another, s of this", digest, derSig(derInt(pr), derInt(s)), false},
+			{"another table key's signature", digest, otherSig, false},
+		} {
+			before := hits.Value()
+			if got := agree(t, pub, c.digest, c.sig); got != c.want {
+				t.Fatalf("signature %d, %s: verdict %v, want %v", i, c.name, got, c.want)
+			}
+			var wantHits uint64
+			if c.name == "valid" {
+				wantHits = 1
+			}
+			if got := hits.Value() - before; got != wantHits {
+				t.Fatalf("signature %d, %s: %d nonce-table hits, want %d", i, c.name, got, wantHits)
+			}
+		}
+		// A colliding r in the slot sends a valid signature down the
+		// multiplication path.
+		collide(r)
+		before := hits.Value()
+		if !agree(t, pub, digest, sig) {
+			t.Fatalf("signature %d: rejected after its slot was overwritten", i)
+		}
+		if hits.Value() != before {
+			t.Fatalf("signature %d: answered from an overwritten slot", i)
+		}
+	}
+}
+
+// Each valid signature verified while its nonce is remembered counts one
+// hit; keys outside the key table never consult the nonce table.
+func TestVerifySKENonceHitsCounted(t *testing.T) {
+	crt, pub := tablePub(t)
+	outside, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := countHits(t)
+	const n = 16
+	for i := 0; i < n; i++ {
+		sig, err := crt.SignSKE(DefaultRand, digestOf(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifySKE(pub, digestOf(i), sig); err != nil {
+			t.Fatal(err)
+		}
+		sig, err = signP256(outside, DefaultRand, digestOf(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifySKE(&outside.PublicKey, digestOf(i), sig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hits.Value(); got != n {
+		t.Fatalf("%d nonce hits, want %d", got, n)
+	}
+}
+
+// Signers and verifiers share the nonce table from many goroutines: each
+// verifier checks signatures another goroutine made, valid and tampered,
+// while the signers keep overwriting slots. Every verdict must still be
+// ecdsa.VerifyASN1's.
+func TestVerifySKENonceTableConcurrent(t *testing.T) {
+	crt, _ := tablePub(t)
+	other, err := newLeaf(ECDSAP256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type signed struct {
+		pub         *ecdsa.PublicKey
+		digest, sig []byte
+	}
+	const signers, perSigner = 4, 32
+	out := make(chan signed, signers*perSigner) // never blocks a signer
+	var sg sync.WaitGroup
+	for w := 0; w < signers; w++ {
+		c := crt
+		if w%2 == 1 {
+			c = other
+		}
+		sg.Add(1)
+		go func(w int, c *Certificate) {
+			defer sg.Done()
+			for i := 0; i < perSigner; i++ {
+				digest := digestOf(w*perSigner + i)
+				sig, err := c.SignSKE(DefaultRand, digest)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				out <- signed{c.Key.Public().(*ecdsa.PublicKey), digest, sig}
+			}
+		}(w, c)
+	}
+	go func() { sg.Wait(); close(out) }()
+	var vg sync.WaitGroup
+	for v := 0; v < 2; v++ {
+		vg.Add(1)
+		go func() {
+			defer vg.Done()
+			for x := range out {
+				check := func(pub *ecdsa.PublicKey, digest, sig []byte, want bool) {
+					got := VerifySKE(pub, digest, sig) == nil
+					if std := ecdsa.VerifyASN1(pub, digest, sig); got != std || got != want {
+						t.Errorf("VerifySKE = %v, ecdsa.VerifyASN1 = %v, want %v", got, std, want)
+					}
+				}
+				check(x.pub, x.digest, x.sig, true)
+				flipped := append([]byte(nil), x.digest...)
+				flipped[0] ^= 1
+				check(x.pub, flipped, x.sig, false)
+				wrong := crt.Key.Public().(*ecdsa.PublicKey)
+				if wrong.Equal(x.pub) {
+					wrong = other.Key.Public().(*ecdsa.PublicKey)
+				}
+				check(wrong, x.digest, x.sig, false)
+			}
+		}()
+	}
+	vg.Wait()
+}
+
 func TestKeyTableForgetsOldest(t *testing.T) {
 	table := keyTable{max: 3}
 	var keys []*ecdsa.PrivateKey
@@ -405,10 +588,14 @@ var fuzzKey = sync.OnceValue(func() *ecdsa.PrivateKey {
 	return key
 })
 
+// FuzzVerifySKE signs with fixed entropy, so the signature is the same
+// on every run; its nonce is then in the nonce table, and the committed
+// seed nonce_hit (the same digest and signature) and its mutations reach
+// the table's fast path.
 func FuzzVerifySKE(f *testing.F) {
 	key := fuzzKey()
 	digest := digestOf(0)
-	sig, err := signP256(key, DefaultRand, digest)
+	sig, err := signP256(key, bytes.NewReader(make([]byte, 32)), digest)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -421,23 +608,34 @@ func FuzzVerifySKE(f *testing.F) {
 	})
 }
 
+// BenchmarkVerifySKE times one check of a valid signature: by a table
+// key whose nonce is remembered (hit), by a table key whose nonce slot
+// was overwritten (miss: one base-point multiplication), and by a key
+// outside the table (ecdsa.VerifyASN1).
 func BenchmarkVerifySKE(b *testing.B) {
 	outside, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		b.Fatal(err)
 	}
+	table := p256Cert(b).Key.(*ecdsa.PrivateKey)
 	for _, bc := range []struct {
 		name string
 		key  *ecdsa.PrivateKey
+		miss bool
 	}{
-		{"table", p256Cert(b).Key.(*ecdsa.PrivateKey)},
-		{"stdlib", outside},
+		{"hit", table, false},
+		{"miss", table, true},
+		{"stdlib", outside, false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			digest := digestOf(0)
 			sig, err := signP256(bc.key, DefaultRand, digest)
 			if err != nil {
 				b.Fatal(err)
+			}
+			if bc.miss {
+				r, _ := sigInts(b, sig)
+				collide(r)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

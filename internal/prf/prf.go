@@ -5,6 +5,7 @@ package prf
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding"
 	"hash"
 )
 
@@ -49,16 +50,18 @@ func PRF(secret []byte, label string, seed []byte, n int) []byte {
 // handshake makes under one secret (key expansion plus two Finished
 // hashes), and — unlike crypto/hmac — is rekeyable in place: a pooled
 // connection calls SetSecret per handshake and never re-allocates MAC
-// state. It implements HMAC-SHA256 from one reused SHA-256 instance and
-// expander-owned pad/scratch arrays, so a keyed MAC costs zero
-// allocations (crypto/hmac's New allocates two digests plus pads on
-// every keying).
+// state. It implements HMAC-SHA256 from one reused SHA-256 instance.
+// SetSecret absorbs the inner and outer pad blocks once and saves both
+// hash states in expander-owned buffers; each MAC restores them instead
+// of compressing the pads again. A keyed MAC costs zero allocations
+// (crypto/hmac's New allocates two digests plus pads on every keying).
 type Expander struct {
-	h          hash.Hash // single reused SHA-256 instance
-	ipad, opad [64]byte  // key XOR 0x36 / 0x5c, per RFC 2104
-	isum       [sha256.Size]byte
-	a          [sha256.Size]byte // P_SHA256's A(i) chain value
-	ls         []byte
+	h            hash.Hash              // single reused SHA-256 instance
+	inner, outer []byte                 // h's state after the ipad / opad block, per RFC 2104
+	pad          [sha256.BlockSize]byte // padState's block; a local would escape through h.Write
+	isum         [sha256.Size]byte
+	a            [sha256.Size]byte // P_SHA256's A(i) chain value
+	ls           []byte
 }
 
 // NewExpander returns an Expander keyed with secret.
@@ -74,32 +77,56 @@ func (e *Expander) SetSecret(secret []byte) {
 		e.h = sha256.New()
 	}
 	k := secret
-	if len(k) > len(e.ipad) {
+	if len(k) > sha256.BlockSize {
 		e.h.Reset()
 		e.h.Write(k)
 		k = e.h.Sum(e.isum[:0])
 	}
-	for i := range e.ipad {
-		e.ipad[i] = 0x36
-		e.opad[i] = 0x5c
+	e.inner = e.padState(e.inner[:0], k, 0x36)
+	e.outer = e.padState(e.outer[:0], k, 0x5c)
+}
+
+// padState hashes the block (k zero-padded) XOR x and appends the hash
+// state to dst.
+func (e *Expander) padState(dst, k []byte, x byte) []byte {
+	for i := range e.pad {
+		e.pad[i] = x
 	}
 	for i, b := range k {
-		e.ipad[i] ^= b
-		e.opad[i] ^= b
+		e.pad[i] ^= b
+	}
+	e.h.Reset()
+	e.h.Write(e.pad[:])
+	var err error
+	if a, ok := e.h.(interface{ AppendBinary([]byte) ([]byte, error) }); ok {
+		dst, err = a.AppendBinary(dst) // Go 1.24 and later: in place
+	} else {
+		var state []byte
+		state, err = e.h.(encoding.BinaryMarshaler).MarshalBinary()
+		dst = append(dst, state...)
+	}
+	if err != nil {
+		panic("prf: saving the SHA-256 state: " + err.Error())
+	}
+	return dst
+}
+
+// restore puts h back in a state padState saved.
+func (e *Expander) restore(state []byte) {
+	if err := e.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+		panic("prf: restoring the SHA-256 state: " + err.Error())
 	}
 }
 
-// begin starts one MAC: the inner hash absorbs the inner pad.
+// begin starts one MAC: the inner hash has absorbed the inner pad.
 func (e *Expander) begin() {
-	e.h.Reset()
-	e.h.Write(e.ipad[:])
+	e.restore(e.inner)
 }
 
 // finish completes the MAC begun by begin, appending the tag to dst.
 func (e *Expander) finish(dst []byte) []byte {
 	inner := e.h.Sum(e.isum[:0])
-	e.h.Reset()
-	e.h.Write(e.opad[:])
+	e.restore(e.outer)
 	e.h.Write(inner)
 	return e.h.Sum(dst)
 }
@@ -111,24 +138,27 @@ func (e *Expander) PRF(label string, seed []byte, n int) []byte {
 
 // AppendPRF appends n bytes of P_SHA256(secret, label || seed) to dst,
 // allocating only if dst lacks capacity — the engines pass per-conn
-// scratch so steady-state key expansion is allocation-free.
+// scratch so steady-state key expansion is allocation-free. It computes
+// A(i) only for the output blocks it returns.
 func (e *Expander) AppendPRF(dst []byte, label string, seed []byte, n int) []byte {
 	e.ls = append(e.ls[:0], label...)
 	e.ls = append(e.ls, seed...)
 	base := len(dst)
-	e.begin()
-	e.h.Write(e.ls)
-	e.finish(e.a[:0]) // A(1)
 	for len(dst)-base < n {
+		// A(1) = HMAC(label || seed), A(i+1) = HMAC(A(i)); begin/Write
+		// copy a into the hash state, so summing back into a is safe.
+		e.begin()
+		if len(dst) == base {
+			e.h.Write(e.ls)
+		} else {
+			e.h.Write(e.a[:])
+		}
+		e.finish(e.a[:0])
+		// Output block i is HMAC(A(i) || label || seed).
 		e.begin()
 		e.h.Write(e.a[:])
 		e.h.Write(e.ls)
 		dst = e.finish(dst)
-		// A(i+1) = HMAC(A(i)); begin/Write copy a into the hash state,
-		// so summing back into a is safe.
-		e.begin()
-		e.h.Write(e.a[:])
-		e.finish(e.a[:0])
 	}
 	return dst[:base+n]
 }
