@@ -11,12 +11,14 @@ package population
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"time"
 
 	"tlsshortcuts/internal/cryptanalysis"
 	"tlsshortcuts/internal/ffdh"
 	"tlsshortcuts/internal/keyex"
+	"tlsshortcuts/internal/par"
 	"tlsshortcuts/internal/pki"
 	"tlsshortcuts/internal/session"
 	"tlsshortcuts/internal/simclock"
@@ -324,11 +326,10 @@ func Build(o Options) (*World, error) {
 		for i := len(names); i < count; i++ {
 			names = append(names, fmt.Sprintf("%s-site-%04d.example", p.op, i))
 		}
-		if err := bld.operatorBlock(p, names, &rank); err != nil {
-			return nil, err
-		}
+		bld.operatorBlock(p, names, &rank)
 	}
-	if err := bld.tail(o.ListSize-len(w.Domains), &rank); err != nil {
+	bld.tail(o.ListSize-len(w.Domains), &rank)
+	if err := bld.issueLeaves(); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -342,6 +343,42 @@ type builder struct {
 	start    time.Time
 	notAfter time.Time
 	asSeq    int
+	leaves   []leafReq
+}
+
+// leafReq is one leaf certificate the sequential pass deferred: its
+// issuer, the names it covers, and the configs that will serve it.
+type leafReq struct {
+	issuer *pki.RootCA
+	names  []string
+	cfgs   []*tlsserver.Config
+}
+
+// issueLeaves issues every deferred leaf on all CPUs and hands each to
+// its configs, returning the lowest-index error. Leaf keys and
+// signatures draw from crypto/rand, never from the seeded rng, so
+// certificate bytes already differ from run to run; issuing them in
+// parallel moves no recorded byte. Only the order of the issuers' serial
+// numbers and of pki's key table follows the schedule.
+func (b *builder) issueLeaves() error {
+	errs := make([]error, len(b.leaves))
+	par.ForEach(runtime.GOMAXPROCS(0), len(b.leaves), func(_, i int) {
+		l := &b.leaves[i]
+		cert, err := l.issuer.IssueLeaf(l.names, pki.ECDSAP256, b.start.AddDate(0, -2, 0), b.notAfter, pki.DefaultRand)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		for _, cfg := range l.cfgs {
+			cfg.DefaultCert = cert
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (b *builder) manager(p STEKPolicy, format ticket.Format, seed string) ticket.Manager {
@@ -355,12 +392,12 @@ func (b *builder) manager(p STEKPolicy, format ticket.Format, seed string) ticke
 		AcceptPrevious: p.AcceptPrevious, Format: format}
 }
 
-// config assembles a terminator Config from a behavior.
+// config assembles a terminator Config from a behavior. Its DefaultCert
+// is set by issueLeaves.
 func (b *builder) config(beh Behavior, mgr ticket.Manager, cache *session.Cache,
-	cert *pki.Certificate, hint time.Duration, kexSeed string) *tlsserver.Config {
+	hint time.Duration, kexSeed string) *tlsserver.Config {
 	cfg := &tlsserver.Config{
 		Clock:        b.w.Clock,
-		DefaultCert:  cert,
 		Cache:        cache,
 		DisableDHE:   !beh.SupportDHE,
 		DisableECDHE: !beh.SupportECDHE,
@@ -391,7 +428,7 @@ func (b *builder) config(beh Behavior, mgr ticket.Manager, cache *session.Cache,
 
 // operatorBlock deploys one named operator: shared STEK manager, shared
 // session cache, shared KEX seeds, domains spread over chunked backends.
-func (b *builder) operatorBlock(p profile, names []string, rank *int) error {
+func (b *builder) operatorBlock(p profile, names []string, rank *int) {
 	seedTag := fmt.Sprintf("%s|%d", p.op, b.w.Opts.Seed)
 	stekSeed := "stek:" + seedTag
 	if p.stekSeed != "" {
@@ -427,11 +464,8 @@ func (b *builder) operatorBlock(p profile, names []string, rank *int) error {
 			j = len(names)
 		}
 		block := names[i:j]
-		cert, err := b.root.IssueLeaf(block, pki.ECDSAP256, b.start.AddDate(0, -2, 0), b.notAfter, pki.DefaultRand)
-		if err != nil {
-			return err
-		}
-		cfg := b.config(p.b, mgr, cache, cert, hint, seedTag)
+		cfg := b.config(p.b, mgr, cache, hint, seedTag)
+		b.leaves = append(b.leaves, leafReq{issuer: b.root, names: block, cfgs: []*tlsserver.Config{cfg}})
 		term := &Terminator{Config: cfg, Behavior: p.b, Tickets: mgr}
 		ip := fmt.Sprintf("%s-ip-%d", p.op, i/chunk)
 		for _, name := range block {
@@ -440,7 +474,6 @@ func (b *builder) operatorBlock(p profile, names []string, rank *int) error {
 			b.w.Net.Register(name, as, []string{ip}, &simnet.Endpoint{Config: cfg})
 		}
 	}
-	return nil
 }
 
 func (b *builder) nextAS() int {
@@ -450,10 +483,7 @@ func (b *builder) nextAS() int {
 
 // tail deploys the long tail: independently sampled per-domain policies,
 // small shared-cache co-lo cliques, and the untrusted fringe.
-func (b *builder) tail(count int, rank *int) error {
-	if count <= 0 {
-		return nil
-	}
+func (b *builder) tail(count int, rank *int) {
 	day := 24 * time.Hour
 	var as int
 	inAS := 0
@@ -505,24 +535,22 @@ func (b *builder) tail(count int, rank *int) error {
 		if beh.Tickets && beh.STEK.Static && b.rng.Float64() < 0.5 {
 			backends = 2
 		}
-		cert, err := issuer.IssueLeaf([]string{name}, pki.ECDSAP256, b.start.AddDate(0, -2, 0), b.notAfter, pki.DefaultRand)
-		if err != nil {
-			return err
-		}
+		leaf := leafReq{issuer: issuer, names: []string{name}}
 		var terms []*Terminator
 		var eps []*simnet.Endpoint
 		for k := 0; k < backends; k++ {
 			seedTag := fmt.Sprintf("%s|%d|%d", name, b.w.Opts.Seed, k)
 			mgr := b.manager(beh.STEK, beh.TicketFormat, "stek:"+seedTag)
-			cfg := b.config(beh, mgr, cache, cert, 2*time.Hour, fmt.Sprintf("%s|%d", name, b.w.Opts.Seed))
+			cfg := b.config(beh, mgr, cache, 2*time.Hour, fmt.Sprintf("%s|%d", name, b.w.Opts.Seed))
+			leaf.cfgs = append(leaf.cfgs, cfg)
 			terms = append(terms, &Terminator{Config: cfg, Behavior: beh, Tickets: mgr})
 			eps = append(eps, &simnet.Endpoint{Config: cfg})
 		}
+		b.leaves = append(b.leaves, leaf)
 		b.w.Domains[name] = &Domain{Name: name, Operator: op, Rank: *rank, Trusted: trusted, Terms: terms}
 		*rank++
 		b.w.Net.Register(name, as, []string{"ip-" + name}, eps...)
 	}
-	return nil
 }
 
 // sampleTailBehavior draws one long-tail domain's policies, calibrated to

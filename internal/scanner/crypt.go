@@ -6,6 +6,7 @@ import (
 
 	"tlsshortcuts/internal/attacker"
 	"tlsshortcuts/internal/drbg"
+	"tlsshortcuts/internal/par"
 	"tlsshortcuts/internal/tlsclient"
 	"tlsshortcuts/internal/wire"
 )
@@ -31,7 +32,7 @@ type CryptCapture struct {
 // alongside the measurement client.
 func (s *Scanner) CryptanalysisCapture(domains []string, appData []byte) []CryptCapture {
 	out := make([]CryptCapture, len(domains))
-	s.forEach(len(domains), func(w, i int) {
+	par.ForEach(s.workers(), len(domains), func(w, i int) {
 		out[i] = s.captureDomain(domains[i], appData)
 	})
 	return out

@@ -14,6 +14,8 @@ import (
 
 // stallDialer returns connections whose server side swallows every byte
 // and never answers — the pathology that used to deadlock a worker.
+// Unlike simnet's Stall fault, which fails the read at once, its pipe
+// makes the worker wait out a real wall-clock deadline.
 type stallDialer struct{ dials atomic.Int64 }
 
 func (d *stallDialer) Dial(domain string) (net.Conn, error) {
@@ -81,6 +83,9 @@ func runDaily(t *testing.T, s *Scanner, domain string, timeout time.Duration) Ob
 	}
 }
 
+// TestStalledBackendScanCompletesWithTimeout drives a scanner worker
+// through a real read deadline expiring on a silent peer: Scanner.Timeout
+// is what keeps a real hang (tlsscan over TCP) from stopping a scan.
 func TestStalledBackendScanCompletesWithTimeout(t *testing.T) {
 	s := &Scanner{
 		Dialer:  &stallDialer{},

@@ -14,11 +14,11 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tlsshortcuts/internal/drbg"
 	"tlsshortcuts/internal/faults"
+	"tlsshortcuts/internal/par"
 	"tlsshortcuts/internal/pki"
 	"tlsshortcuts/internal/simclock"
 	"tlsshortcuts/internal/telemetry"
@@ -96,8 +96,8 @@ type Scanner struct {
 
 	// arenas holds one connection arena per worker slot, grown lazily by
 	// ensureArenas before a pool spins up and reused across every scan
-	// this Scanner runs. Indexed by the worker ID forEach hands out, so
-	// no locking is needed inside a probe.
+	// this Scanner runs. Indexed by the worker slot par.ForEach hands
+	// out, so no locking is needed inside a probe.
 	arenas []*workerArena
 }
 
@@ -157,57 +157,6 @@ func (s *Scanner) retries() int {
 		return 0
 	}
 	return DefaultRetries
-}
-
-// forEach runs fn(w, i) for i in [0,n) on the worker pool, where w is the
-// claiming worker's slot (for arena lookup). Workers claim index chunks
-// from a shared atomic counter: no dispatcher goroutine, no channel send
-// per item — one atomic add per chunk. Chunked claiming trades scheduling
-// granularity for locality (a worker's arena stays hot across a run of
-// adjacent domains) and fewer contended atomics; results are written to
-// out[i] regardless of which worker claims i, so partitioning never shows
-// in output — the campaign golden hash is identical for any worker count.
-func (s *Scanner) forEach(n int, fn func(w, i int)) {
-	workers := s.workers()
-	if workers > n {
-		workers = n
-	}
-	s.ensureArenas()
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	chunk := n / (workers * 4)
-	if chunk < 8 {
-		chunk = 8
-	}
-	if chunk > 64 {
-		chunk = 64
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				base := int(next.Add(int64(chunk))) - chunk
-				if base >= n {
-					return
-				}
-				end := base + chunk
-				if end > n {
-					end = n
-				}
-				for i := base; i < end; i++ {
-					fn(w, i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // connect opens one scan connection, retrying transient failures with a
@@ -439,7 +388,8 @@ func (s *Scanner) DailyInto(dst []Observation, domains []string, day int, suites
 		out = out[:len(domains)]
 		clear(out)
 	}
-	s.forEach(len(domains), func(w, i int) {
+	s.ensureArenas()
+	par.ForEach(s.workers(), len(domains), func(w, i int) {
 		ar := s.arenas[w]
 		o := &out[i]
 		o.Domain = domains[i]
@@ -513,7 +463,8 @@ func (s *Scanner) LifetimeProbe(targets []string, useTicket bool, poll, max time
 	start := clock.Now()
 	out := make([]ProbeResult, len(targets))
 	sessions := make([]*tlsclient.Session, len(targets))
-	s.forEach(len(targets), func(w, i int) {
+	s.ensureArenas()
+	par.ForEach(s.workers(), len(targets), func(w, i int) {
 		ar := s.arenas[w]
 		out[i].Domain = targets[i]
 		cfg := &ar.cfg
@@ -546,7 +497,7 @@ func (s *Scanner) LifetimeProbe(targets []string, useTicket bool, poll, max time
 	}
 
 	clock.Set(start.Add(time.Second))
-	s.forEach(len(targets), func(w, i int) {
+	par.ForEach(s.workers(), len(targets), func(w, i int) {
 		if out[i].OK && probe(s.arenas[w], i, "lt|"+mode+"|1s") {
 			out[i].ResumedAt1s = true
 			alive[i] = true
@@ -556,7 +507,7 @@ func (s *Scanner) LifetimeProbe(targets []string, useTicket bool, poll, max time
 		clock.Set(start.Add(d))
 		label := fmt.Sprintf("lt|%s|poll|%d", mode, int64(d/time.Second))
 		any := false
-		s.forEach(len(targets), func(w, i int) {
+		par.ForEach(s.workers(), len(targets), func(w, i int) {
 			if !alive[i] {
 				return
 			}
@@ -613,7 +564,8 @@ func (s *Scanner) CrossDomainGroupsIn(initiators, pop []string, topo Topology, n
 	uf := NewUnionFind()
 	st := XDStats{Probed: len(targets)}
 	var mu sync.Mutex
-	s.forEach(len(targets), func(w, i int) {
+	s.ensureArenas()
+	par.ForEach(s.workers(), len(targets), func(w, i int) {
 		ar := s.arenas[w]
 		domain := targets[i]
 		cfg := &ar.cfg

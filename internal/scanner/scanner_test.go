@@ -3,21 +3,27 @@ package scanner
 import (
 	"sync/atomic"
 	"testing"
+
+	"tlsshortcuts/internal/par"
 )
 
+// TestForEachVisitsEachIndexOnce checks the scanner's side of the worker
+// pool: after ensureArenas, par.ForEach at the scanner's worker count
+// visits every index once, and every slot it hands out has an arena.
 func TestForEachVisitsEachIndexOnce(t *testing.T) {
 	for _, tc := range []struct{ n, workers int }{
 		{0, 8}, {1, 8}, {7, 8}, {100, 8}, {100, 1}, {3, 16}, {1000, 4},
 	} {
 		s := &Scanner{Workers: tc.workers}
+		s.ensureArenas()
 		counts := make([]atomic.Int32, tc.n+1)
-		s.forEach(tc.n, func(w, i int) {
+		par.ForEach(s.workers(), tc.n, func(w, i int) {
 			if i < 0 || i >= tc.n {
 				t.Errorf("n=%d workers=%d: index %d out of range", tc.n, tc.workers, i)
 				return
 			}
-			if w < 0 || w >= tc.workers {
-				t.Errorf("n=%d workers=%d: worker slot %d out of range", tc.n, tc.workers, w)
+			if w < 0 || w >= len(s.arenas) || s.arenas[w] == nil {
+				t.Errorf("n=%d workers=%d: worker slot %d has no arena", tc.n, tc.workers, w)
 			}
 			counts[i].Add(1)
 		})
@@ -31,8 +37,12 @@ func TestForEachVisitsEachIndexOnce(t *testing.T) {
 
 func TestForEachDefaultWorkers(t *testing.T) {
 	s := &Scanner{} // Workers unset -> default pool
+	s.ensureArenas()
+	if len(s.arenas) != 8 {
+		t.Fatalf("default pool has %d arenas, want 8", len(s.arenas))
+	}
 	var total atomic.Int32
-	s.forEach(50, func(int, int) { total.Add(1) })
+	par.ForEach(s.workers(), 50, func(int, int) { total.Add(1) })
 	if total.Load() != 50 {
 		t.Fatalf("visited %d of 50", total.Load())
 	}

@@ -1,6 +1,10 @@
 package simnet
 
 import (
+	"errors"
+	"io"
+	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -59,6 +63,66 @@ func TestStalledBackendTimesOutReads(t *testing.T) {
 	}
 	if c := faults.Classify(err); c != faults.ClassTimeout {
 		t.Fatalf("stalled read classified %q, want %q (err: %v)", c, faults.ClassTimeout, err)
+	}
+}
+
+// TestStallShortCircuitMatchesRealDeadline pins the stall short-circuit
+// to the behaviour it replaces: a read on a buffered pipe whose peer
+// never answers, failing when its deadline really expires. Both must
+// yield the same error and the same failure class, and with no deadline
+// the stalled read must block until Close, as the pipe's would.
+func TestStallShortCircuitMatchesRealDeadline(t *testing.T) {
+	n := faultNet()
+	n.SetFaults(faults.NewPlan(faults.Options{Seed: 1, StallDomains: []string{"a.example"}}, simclock.NewManual(simclock.Epoch)))
+	readErr := func(conn net.Conn, deadline time.Duration) error {
+		defer conn.Close()
+		if _, err := conn.Write([]byte("client hello bytes")); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(deadline))
+		_, err := conn.Read(make([]byte, 16))
+		return err
+	}
+
+	stalled, err := n.DialProbe("a.example", "probe")
+	if err != nil {
+		t.Fatalf("stalled dial: %v", err)
+	}
+	start := time.Now()
+	short := readErr(stalled, 2*time.Second)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("stalled read waited %v for a 2 s deadline; want an immediate failure", d)
+	}
+	cli, srv := NewBufferedPipe()
+	defer srv.Close()
+	expired := readErr(cli, 20*time.Millisecond)
+
+	if !errors.Is(short, os.ErrDeadlineExceeded) || !errors.Is(expired, os.ErrDeadlineExceeded) {
+		t.Fatalf("short-circuit error %v, real deadline error %v; want os.ErrDeadlineExceeded for both", short, expired)
+	}
+	if cs, cr := faults.Classify(short), faults.Classify(expired); cs != cr || cs != faults.ClassTimeout {
+		t.Fatalf("short-circuit classified %q, real deadline %q; want %q for both", cs, cr, faults.ClassTimeout)
+	}
+
+	// No deadline: the read blocks until Close, then fails like the
+	// pipe's own-close read.
+	stalled, err = n.DialProbe("a.example", "probe")
+	if err != nil {
+		t.Fatalf("stalled dial: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := stalled.Read(make([]byte, 16))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("stalled read without a deadline returned %v before Close", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	stalled.Close()
+	if err := <-done; !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("stalled read after Close returned %v, want io.ErrClosedPipe", err)
 	}
 }
 

@@ -7,12 +7,13 @@ package simnet
 
 import (
 	"errors"
-	"io"
 	"net"
+	"os"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"tlsshortcuts/internal/faults"
 	"tlsshortcuts/internal/telemetry"
@@ -210,15 +211,8 @@ func (n *Net) dial(domain, label string, stable bool) (net.Conn, error) {
 		case faults.Churn:
 			return nil, &faults.DialError{Domain: domain, Reason: "no such host"}
 		case faults.Stall:
-			cli, srv := NewBufferedPipe()
-			go func() {
-				// Swallow the client's bytes so its writes complete, but
-				// never answer: the client's read deadline must expire.
-				// Exits when the client closes its end.
-				_, _ = io.Copy(io.Discard, srv)
-				_ = srv.Close()
-			}()
-			return cli, nil
+			cli, _ := NewBufferedPipe()
+			return &stallConn{Conn: cli}, nil
 		case faults.Reset:
 			cli, srv := NewBufferedPipe()
 			rc := &resetConn{Conn: srv, allow: f.AllowWrites}
@@ -235,6 +229,34 @@ func (n *Net) dial(domain, label string, stable bool) (net.Conn, error) {
 		_ = tlsserver.Serve(srv, ep.Config)
 	}()
 	return cli, nil
+}
+
+// stallConn is the client end of a Stall-faulted connection: a buffered
+// pipe whose peer never reads or answers, so writes are swallowed. The
+// plan decided at dial time that no byte will ever arrive, so a read
+// under a deadline fails at once with the error that deadline would give
+// on expiry. With no deadline a read blocks until Close, as it would on
+// a stalled peer.
+type stallConn struct {
+	net.Conn
+	deadline atomic.Bool
+}
+
+func (c *stallConn) Read(p []byte) (int, error) {
+	if c.deadline.Load() {
+		return 0, os.ErrDeadlineExceeded
+	}
+	return c.Conn.Read(p)
+}
+
+func (c *stallConn) SetDeadline(t time.Time) error {
+	c.deadline.Store(!t.IsZero())
+	return c.Conn.SetDeadline(t)
+}
+
+func (c *stallConn) SetReadDeadline(t time.Time) error {
+	c.deadline.Store(!t.IsZero())
+	return c.Conn.SetReadDeadline(t)
 }
 
 var errReset = errors.New("simnet: connection reset by peer")

@@ -90,9 +90,9 @@ func TestCampaignDeterminism(t *testing.T) {
 		hash func(t *testing.T) string
 	}{
 		{name: "default", hash: withOpts(func(*Options) {})},
-		// Chunked claiming changes which worker runs which probe, never
-		// the probe's inputs; 3 and 13 workers shear the chunk
-		// boundaries of the default 8.
+		// The worker count changes which worker runs which probe and in
+		// what order probes interleave, never the probe's inputs; 3 and
+		// 13 workers regroup the default 8's per-worker arenas.
 		{name: "workers=3", long: true, hash: withOpts(func(o *Options) { o.Workers = 3 })},
 		{name: "workers=13", long: true, hash: withOpts(func(o *Options) { o.Workers = 13 })},
 		// Telemetry observes, never perturbs: a registry plus a JSONL

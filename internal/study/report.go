@@ -642,13 +642,15 @@ func TelemetrySection(s *telemetry.Snapshot) string {
 	return b.String()
 }
 
-// TLS13Outlook summarizes the §8.1 projection.
+// TLS13Outlook projects today's classification onto TLS 1.3 draft-15
+// resumption semantics (§8.1). It is a projection, not a measurement:
+// nothing in the campaign speaks TLS 1.3.
 func (r *Report) TLS13Outlook() string {
 	b := &strings.Builder{}
 	now := r.Classification
 	dhe := r.TLS13Classification(false)
 	early := r.TLS13Classification(true)
-	fmt.Fprintln(b, "TLS 1.3 outlook (draft-15 resumption semantics):")
+	fmt.Fprintln(b, "TLS 1.3 outlook (projection of today's classification onto draft-15 resumption semantics, not a measurement):")
 	fmt.Fprintf(b, "  today:                >24h window for %d domains (%s)\n", now.Over24h, pct(now.Over24h, now.Total))
 	fmt.Fprintf(b, "  psk_dhe_ke (no 0-RTT): %d domains (%s) — ticket windows collapse\n", dhe.Over24h, pct(dhe.Over24h, dhe.Total))
 	fmt.Fprintf(b, "  with 0-RTT early data: %d domains (%s) — replayed data keeps today's exposure\n", early.Over24h, pct(early.Over24h, early.Total))

@@ -3,12 +3,12 @@ package traffic
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"tlsshortcuts/internal/drbg"
 	"tlsshortcuts/internal/faults"
+	"tlsshortcuts/internal/par"
 	"tlsshortcuts/internal/population"
 	"tlsshortcuts/internal/session"
 	"tlsshortcuts/internal/simclock"
@@ -203,39 +203,6 @@ func NewEngine(world *population.World, opts Options, reg *telemetry.Registry) (
 	return e, nil
 }
 
-// forEach runs fn(worker, i) over i in [0, n) on the engine's worker
-// pool with atomic index claiming (any worker may claim any item; item
-// results only land in per-worker tallies, which are additive, so the
-// claim order never shows in the dataset).
-func (e *Engine) forEach(n int, fn func(w, i int)) {
-	workers := e.nworker
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // RunDay runs one traffic day starting at the clock's current instant
 // (the scan day's start). It returns scheduled visits and failed
 // connections, and leaves the clock back at the day start.
@@ -243,7 +210,7 @@ func (e *Engine) RunDay(day int) (visits, fails int) {
 	dayStart := e.clock.Now()
 
 	// Draw every user's schedule for the day (pure per-user function).
-	e.forEach(len(e.users), func(w, i int) {
+	par.ForEach(e.nworker, len(e.users), func(w, i int) {
 		us := e.users[i]
 		e.scheds[i] = e.daySchedule(us.id, &us.prof, day, e.scheds[i][:0])
 	})
@@ -273,10 +240,15 @@ func (e *Engine) RunDay(day int) (visits, fails int) {
 		}
 		now := dayStart.Add(time.Duration(s) * time.Hour)
 		// Lockstep: every connection of this slot — client and server
-		// side — observes the slot's instant; forEach is the barrier
-		// before the next slot moves the shared clock.
+		// side — observes the slot's instant; the pool is the barrier
+		// before the next slot moves the shared clock. Longest items go
+		// first, so the barrier waits on a short one. Items land only in
+		// additive per-worker tallies, so their order never shows.
+		slices.SortStableFunc(items, func(a, b slotItem) int {
+			return int((b.hi - b.lo) - (a.hi - a.lo))
+		})
 		e.clock.Set(now)
-		e.forEach(len(items), func(w, i int) {
+		par.ForEach(e.nworker, len(items), func(w, i int) {
 			it := items[i]
 			us := e.users[it.ui]
 			sched := e.scheds[it.ui]
