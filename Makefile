@@ -92,6 +92,7 @@ race:
 # (testdata/fuzz/<target>/) also run as plain tests under go test.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifySKE$$' -fuzztime 20s ./internal/pki
+	$(GO) test -run '^$$' -fuzz '^FuzzParseInto$$' -fuzztime 20s ./internal/wire
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=$(BENCHTIME) ./...

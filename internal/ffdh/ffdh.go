@@ -114,10 +114,18 @@ func (g *Group) Public(x *big.Int) *big.Int {
 	return g.base.exp(x)
 }
 
+// ValidPublic reports whether y is an acceptable peer value for the
+// modulus p: 1 < y < p-1 (RFC 7919 §5.1). A peer sending 0, 1 or p-1
+// would fix the shared secret at 0, 1 or ±1 whatever the private
+// exponent, and a value of p or more is not reduced mod p.
+func ValidPublic(p, y *big.Int) bool {
+	return y.Cmp(big.NewInt(1)) > 0 && new(big.Int).Add(y, big.NewInt(1)).Cmp(p) < 0
+}
+
 // Shared computes peer^x mod p and returns its big-endian encoding with
 // leading zeros stripped, as the TLS 1.2 premaster (RFC 5246 §8.1.2).
 func (g *Group) Shared(x, peer *big.Int) ([]byte, error) {
-	if peer.Sign() <= 0 || peer.Cmp(g.P) >= 0 {
+	if !ValidPublic(g.P, peer) {
 		return nil, fmt.Errorf("ffdh: peer value out of range")
 	}
 	s := new(big.Int).Exp(peer, x, g.P)

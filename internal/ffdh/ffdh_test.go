@@ -130,8 +130,17 @@ func TestSharedAgrees(t *testing.T) {
 	if len(ab) > 0 && ab[0] == 0 {
 		t.Fatal("Shared kept a leading zero")
 	}
-	if _, err := g.Shared(a, g.P); err == nil {
-		t.Fatal("Shared accepted a peer value equal to P")
+	// RFC 7919 §5.1: a peer value must satisfy 1 < y < p-1.
+	one := big.NewInt(1)
+	for _, y := range []*big.Int{big.NewInt(0), one, new(big.Int).Sub(g.P, one), g.P} {
+		if _, err := g.Shared(a, y); err == nil {
+			t.Fatalf("Shared accepted the peer value %x", y)
+		}
+	}
+	for _, y := range []*big.Int{big.NewInt(2), new(big.Int).Sub(g.P, big.NewInt(2))} {
+		if _, err := g.Shared(a, y); err != nil {
+			t.Fatalf("Shared refused the peer value %x: %v", y, err)
+		}
 	}
 }
 

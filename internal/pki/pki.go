@@ -126,26 +126,18 @@ var errBadSKESig = errors.New("pki: bad ServerKeyExchange signature")
 // VerifySKE checks sig, a ServerKeyExchange signature by pub over digest
 // (the SHA-256 of the signed parameters), and returns nil if it is valid.
 //
-// A P-256 key that this package generated has its private scalar d in
-// p256Keys, and for those keys the check costs one base-point
-// multiplication: x(((e + r·d)·s⁻¹ mod n)·G) mod n == r. That point is
-// u1·G + u2·Q with u1 = e·s⁻¹ and u2 = r·s⁻¹, because Q = d·G, so the
-// decision equals ecdsa.VerifyASN1's for every digest and signature; the
-// signature is parsed under the same strict DER and 0 < r, s < n rules.
-// When signP256 made the signature in this process and its nonce is
-// still in p256Nonces, the check costs no curve operation at all.
-// Other ECDSA keys go through ecdsa.VerifyASN1 and RSA keys through
+// When signP256 made the signature in this process with a key this
+// package generated, and its nonce is still in p256Nonces, the check
+// costs no curve operation at all (verifyP256). Every other ECDSA
+// signature goes through ecdsa.VerifyASN1 and every RSA one through
 // rsa.VerifyPKCS1v15.
 func VerifySKE(pub crypto.PublicKey, digest, sig []byte) error {
 	switch pub := pub.(type) {
 	case *ecdsa.PublicKey:
-		var ok bool
-		if d, found := p256Keys.lookup(pub); found {
-			ok = verifyP256(&d, digest, sig)
-		} else {
-			ok = ecdsa.VerifyASN1(pub, digest, sig)
+		if d, found := p256Keys.lookup(pub); found && verifyP256(&d, digest, sig) {
+			return nil
 		}
-		if !ok {
+		if !ecdsa.VerifyASN1(pub, digest, sig) {
 			return errBadSKESig
 		}
 		return nil
@@ -156,7 +148,13 @@ func VerifySKE(pub crypto.PublicKey, digest, sig []byte) error {
 	}
 }
 
-// verifyP256 checks an ECDSA signature by the P-256 key with scalar d.
+// verifyP256 reports whether sig is a valid ECDSA signature over digest
+// by the P-256 key with scalar d whose nonce p256Nonces remembers. The
+// signature is parsed under crypto/ecdsa's rules (strict DER,
+// 0 < r, s < n). For the k remembered under r it accepts when
+// s·k ≡ e + r·d (mod n): then u = (e + r·d)·s⁻¹ = k, and signP256 took r
+// from k·G, so x(u·G) mod n = r holds without computing it. A false
+// result is no verdict: the caller asks ecdsa.VerifyASN1.
 func verifyP256(d *scalar, digest, sig []byte) bool {
 	r, s, ok := parseSignature(sig)
 	if !ok {
@@ -169,25 +167,11 @@ func verifyP256(d *scalar, digest, sig []byte) bool {
 	var e, u, w scalar
 	e.setBytes(digest)
 	u.mul(&r, d).add(&u, &e) // e + r·d
-	// For a remembered k with s·k ≡ e + r·d, the u = (e + r·d)·s⁻¹ below
-	// is k, and signP256 took r from k·G, so x(u·G) mod n = r holds
-	// without computing it. Any other case takes the multiplication.
-	if k, ok := p256Nonces.lookup(&r); ok && *w.mul(&s, &k) == u {
-		telemetry.Global().Counter("wall/pki/ske_nonce_hit").Inc()
-		return true
-	}
-	u.mul(&u, w.inv(&s))
-	var k [32]byte
-	u.fillBytes(&k)
-	// u = 0 puts the sum at infinity, which ecdsa rejects; so does
-	// NewPrivateKey.
-	R, err := ecdh.P256().NewPrivateKey(k[:])
-	if err != nil {
+	if k, ok := p256Nonces.lookup(&r); !ok || *w.mul(&s, &k) != u {
 		return false
 	}
-	var x scalar
-	x.setBytes(R.PublicKey().Bytes()[1:33])
-	return x == r
+	telemetry.Global().Counter("wall/pki/ske_nonce_hit").Inc()
+	return true
 }
 
 // p256Nonces remembers the nonce k of each recent signP256 signature,
@@ -199,7 +183,7 @@ func verifyP256(d *scalar, digest, sig []byte) bool {
 // The table is direct-mapped on the low bits of r. An entry lives from
 // signing to verification, which is a handful of handshakes per worker
 // at most, so 1,024 slots keep collisions rare. A collision or an
-// overwritten entry only sends that check down the multiplication path.
+// overwritten entry only sends that check to ecdsa.VerifyASN1.
 var p256Nonces nonceTable
 
 const nonceSlots = 1 << 10
@@ -276,7 +260,7 @@ func (z *scalar) setSigInt(b []byte) bool {
 }
 
 // p256Keys records the private scalar of every P-256 key genKey made,
-// keyed by the uncompressed public point, for VerifySKE's one-multiplication
+// keyed by the uncompressed public point, for VerifySKE's nonce-table
 // check. ecdsa.GenerateKey derives the point from the scalar, so every
 // entry is consistent by construction. Once full it forgets the oldest
 // key; a forgotten key only costs the standard-library check.

@@ -358,7 +358,7 @@ func collide(r *big.Int) {
 }
 
 // Signatures whose nonce is still in the table must get ecdsa.VerifyASN1's
-// verdict, and only a valid one may be accepted without a multiplication.
+// verdict, and only a valid one may be accepted from the table.
 func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
 	crt, pub := tablePub(t)
 	other, err := newLeaf(ECDSAP256)
@@ -410,8 +410,8 @@ func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
 				t.Fatalf("signature %d, %s: %d nonce-table hits, want %d", i, c.name, got, wantHits)
 			}
 		}
-		// A colliding r in the slot sends a valid signature down the
-		// multiplication path.
+		// A colliding r in the slot sends a valid signature to
+		// ecdsa.VerifyASN1.
 		collide(r)
 		before := hits.Value()
 		if !agree(t, pub, digest, sig) {
@@ -610,8 +610,8 @@ func FuzzVerifySKE(f *testing.F) {
 
 // BenchmarkVerifySKE times one check of a valid signature: by a table
 // key whose nonce is remembered (hit), by a table key whose nonce slot
-// was overwritten (miss: one base-point multiplication), and by a key
-// outside the table (ecdsa.VerifyASN1).
+// was overwritten (miss), and by a key outside the table (stdlib); both
+// of the last two take ecdsa.VerifyASN1.
 func BenchmarkVerifySKE(b *testing.B) {
 	outside, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {

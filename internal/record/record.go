@@ -179,12 +179,6 @@ func (h *halfConn) aad(seq uint64, typ uint8, n int) []byte {
 	return h.aadBuf[:]
 }
 
-// Seal protects plain for the armed state; the explicit nonce (the
-// sequence number) is prepended to the ciphertext, as on the real wire.
-func Seal(h *halfConn, typ uint8, plain []byte) []byte {
-	return sealInto(make([]byte, 0, 8+len(plain)+16), h, typ, plain)
-}
-
 // sealInto appends the protected payload (explicit nonce || ciphertext ||
 // tag) to dst and returns the extended slice.
 func sealInto(dst []byte, h *halfConn, typ uint8, plain []byte) []byte {
@@ -198,14 +192,10 @@ func sealInto(dst []byte, h *halfConn, typ uint8, plain []byte) []byte {
 	return dst
 }
 
-// Open reverses Seal. It is exported (with OpenPayload) so the attacker
-// package can decrypt captured records given recovered keys.
-func Open(aead cipher.AEAD, salt []byte, typ uint8, payload []byte) ([]byte, error) {
-	return OpenPayload(aead, salt, typ, payload)
-}
-
 // OpenPayload decrypts one protected record payload (explicit nonce ||
-// ciphertext || tag) using the explicit nonce as the sequence number.
+// ciphertext || tag) using the explicit nonce as the sequence number. It
+// is exported so the attacker package can decrypt captured records given
+// recovered keys.
 func OpenPayload(aead cipher.AEAD, salt []byte, typ uint8, payload []byte) ([]byte, error) {
 	if len(payload) < 8+16 {
 		return nil, fmt.Errorf("record: protected payload too short")

@@ -19,12 +19,12 @@ import (
 	"time"
 
 	"tlsshortcuts/internal/drbg"
+	"tlsshortcuts/internal/ffdh"
 	"tlsshortcuts/internal/keyex"
 	"tlsshortcuts/internal/pki"
 	"tlsshortcuts/internal/prf"
 	"tlsshortcuts/internal/record"
 	"tlsshortcuts/internal/simclock"
-	"tlsshortcuts/internal/telemetry"
 	"tlsshortcuts/internal/ticket"
 	"tlsshortcuts/internal/wire"
 )
@@ -384,83 +384,54 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		if err := verifySKE(hc, chain, ske, ch.Random[:], sh.Random[:]); err != nil {
 			return err
 		}
-		// With the fixed client key, the shared secret is a pure function
-		// of the server's KEX value, so Reuse-policy servers (which repeat
-		// theirs) cost one key agreement total instead of one per probe.
-		// Only previously-validated server values get cached, so the
-		// cache-hit path's skipped range/point checks cannot admit a value
-		// the slow path would have rejected. The fixed-key path draws no
-		// randomness, so cache hits never shift the DRBG stream.
+		// The fixed-key path draws no randomness, so however the premaster
+		// is found, the DRBG stream never shifts.
 		fixed := cfg.ReuseKex
 		if kex == wire.KexECDHE {
+			var priv *ecdh.PrivateKey
 			if fixed {
-				premaster, clientPub = clientPremasterECDHE(ske.Public)
-				if premaster == nil {
-					// Fresh-policy servers publish their scalar at key
-					// generation, before the SKE we just parsed was sent:
-					// deriving the secret from both scalars is a base-point
-					// multiplication, ~3x cheaper than x*Ys. Only
-					// self-generated points ever reach the scalar map, so the
-					// skipped on-curve check cannot admit a bad value.
-					if pm := keyex.ClientPremasterFromScalar(ske.Public); pm != nil {
-						premaster, clientPub = pm, fixedECDHEPub()
-					}
+				// Servers publish their ECDHE scalar at key generation,
+				// before the SKE we just parsed was sent: deriving the
+				// secret from both scalars is a base-point multiplication,
+				// ~3x cheaper than x*Ys. Only self-generated points ever
+				// reach the scalar map, so the skipped on-curve check
+				// cannot admit a bad value.
+				priv, clientPub = keyex.FixedClientECDHE()
+				premaster = keyex.ClientPremasterFromScalar(ske.Public)
+			} else {
+				if priv, err = ecdh.P256().GenerateKey(cfg.rand()); err != nil {
+					return err
 				}
+				clientPub = priv.PublicKey().Bytes()
 			}
 			if premaster == nil {
-				var priv *ecdh.PrivateKey
-				if fixed {
-					priv = fixedECDHEKey()
-				} else {
-					priv, err = ecdh.P256().GenerateKey(cfg.rand())
-					if err != nil {
-						return err
-					}
-				}
 				peer, err := ecdh.P256().NewPublicKey(ske.Public)
 				if err != nil {
 					return fmt.Errorf("tls: bad server ECDHE value: %w", err)
 				}
-				premaster, err = priv.ECDH(peer)
-				if err != nil {
+				if premaster, err = priv.ECDH(peer); err != nil {
 					return err
-				}
-				if fixed {
-					clientPub = fixedECDHEPub()
-					clientPremasterPutECDHE(ske.Public, premaster, clientPub)
-				} else {
-					clientPub = priv.PublicKey().Bytes()
 				}
 			}
 		} else {
+			p := new(big.Int).SetBytes(ske.P)
+			g := new(big.Int).SetBytes(ske.G)
+			var x *big.Int
 			if fixed {
-				premaster, clientPub = clientPremasterDHE(ske.P, ske.G, ske.Public)
+				x, clientPub = fixedDHEKey(p, g)
+			} else {
+				var xb [32]byte
+				if _, err := io.ReadFull(cfg.rand(), xb[:]); err != nil {
+					return err
+				}
+				x = new(big.Int).SetBytes(xb[:])
+				clientPub = new(big.Int).Exp(g, x, p).Bytes()
 			}
-			if premaster == nil {
-				p := new(big.Int).SetBytes(ske.P)
-				g := new(big.Int).SetBytes(ske.G)
-				var x *big.Int
-				var ycb []byte
-				if fixed {
-					x, _, ycb = fixedDHEKey(p, g)
-				} else {
-					var xb [32]byte
-					if _, err := io.ReadFull(cfg.rand(), xb[:]); err != nil {
-						return err
-					}
-					x = new(big.Int).SetBytes(xb[:])
-					ycb = new(big.Int).Exp(g, x, p).Bytes()
-				}
-				ys := new(big.Int).SetBytes(ske.Public)
-				if ys.Sign() <= 0 || ys.Cmp(p) >= 0 {
-					return errors.New("tls: server DH value out of range")
-				}
-				premaster = new(big.Int).Exp(ys, x, p).Bytes()
-				clientPub = ycb
-				if fixed {
-					clientPremasterPutDHE(ske.P, ske.G, ske.Public, premaster, clientPub)
-				}
+			ys := new(big.Int).SetBytes(ske.Public)
+			if !ffdh.ValidPublic(p, ys) {
+				return errors.New("tls: server DH value out of range")
 			}
+			premaster = new(big.Int).Exp(ys, x, p).Bytes()
 		}
 	default:
 		return fmt.Errorf("tls: unsupported key exchange %v", kex)
@@ -480,9 +451,7 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 	// these bytes from its private half, and the store-before-write order
 	// means its lookup hits. cap.ServerKEXValue carries the same bytes as
 	// the SKE public value, and the map keys copy them.
-	if premaster != nil {
-		keyex.PremasterStore(cap.ServerKEXValue, clientPub, premaster)
-	}
+	keyex.PremasterStore(cap.ServerKEXValue, clientPub, premaster)
 	hc.mbuf = wire.AppendCKE(hc.mbuf[:0], kex, clientPub)
 	if err := hc.writeFramed(hc.mbuf); err != nil {
 		return err
@@ -645,135 +614,35 @@ func appData(hc *hsConn, cfg *Config, cap *Capture) error {
 	return nil
 }
 
-// fixedECDHEKey returns the process-wide fixed client P-256 key, now
-// hosted by internal/keyex so the server side can prime the premaster
-// exchange cache against it (the derivation, and therefore every
-// campaign byte, is unchanged).
-func fixedECDHEKey() *ecdh.PrivateKey {
-	k, _ := keyex.FixedClientECDHE()
-	return k
-}
-
-// fixedECDHEPub returns the fixed key's marshaled public point, which is
-// written into the CKE (AppendCKE copies it) but never mutated.
-func fixedECDHEPub() []byte {
-	_, pub := keyex.FixedClientECDHE()
-	return pub
-}
-
-// fixedDHEKey returns the fixed client DH exponent and the memoized g^x
-// (as big.Int and marshaled bytes) for the given group: the population
-// uses one group, so this is a single modexp per process instead of one
-// per scan.
+// fixedDHEKey returns the fixed client DH exponent and the memoized
+// marshaled g^x for the given group: the population uses one group, so
+// this is a single modexp per process instead of one per scan.
 type dheKey struct {
-	x, yc *big.Int
-	ycb   []byte
+	x   *big.Int
+	pub []byte
 }
 
 var fixedDHE struct {
 	mu sync.Mutex
-	m  map[string]dheKey // P||G -> {x, g^x, bytes(g^x)}
+	m  map[string]dheKey // P||G -> {x, bytes(g^x)}
 }
 
-func fixedDHEKey(p, g *big.Int) (x, yc *big.Int, ycb []byte) {
+func fixedDHEKey(p, g *big.Int) (x *big.Int, pub []byte) {
 	key := string(p.Bytes()) + "|" + string(g.Bytes())
 	fixedDHE.mu.Lock()
 	defer fixedDHE.mu.Unlock()
 	if v, ok := fixedDHE.m[key]; ok {
-		return v.x, v.yc, v.ycb
+		return v.x, v.pub
 	}
 	var xb [32]byte
 	_, _ = io.ReadFull(drbg.NewString("tlsclient|fixed-dhe"), xb[:])
 	x = new(big.Int).SetBytes(xb[:])
-	yc = new(big.Int).Exp(g, x, p)
-	ycb = yc.Bytes()
+	pub = new(big.Int).Exp(g, x, p).Bytes()
 	if fixedDHE.m == nil {
 		fixedDHE.m = make(map[string]dheKey)
 	}
-	fixedDHE.m[key] = dheKey{x: x, yc: yc, ycb: ycb}
-	return x, yc, ycb
-}
-
-// clientPM caches the premaster secret (and the matching marshaled client
-// public) per server KEX value, usable only with the fixed client key.
-// Reuse-policy servers repeat their KEX value across connections, so each
-// such server costs one ECDH/modexp for the whole campaign. Entries are
-// returned by reference: premasters feed the PRF and publics the CKE, both
-// read-only. Hit counts depend on which worker probes a server first, so
-// the telemetry counter is wall-prefixed (excluded from determinism
-// comparisons). Bounded by wholesale clear, like the server-side caches.
-type pmEntry struct{ pm, pub []byte }
-
-var clientPM struct {
-	mu sync.RWMutex
-	ec map[string]pmEntry                       // server ECDHE point -> entry
-	dh map[string]map[string]map[string]pmEntry // P -> G -> Ys -> entry
-	n  int
-}
-
-const maxClientPMEntries = 8192
-
-func clientPremasterECDHE(pub []byte) (pm, cpub []byte) {
-	clientPM.mu.RLock()
-	e, ok := clientPM.ec[string(pub)]
-	clientPM.mu.RUnlock()
-	if !ok {
-		return nil, nil
-	}
-	telemetry.Global().Counter("wall/tlsclient/premaster_hit").Inc()
-	return e.pm, e.pub
-}
-
-func clientPremasterPutECDHE(pub, pm, cpub []byte) {
-	clientPM.mu.Lock()
-	defer clientPM.mu.Unlock()
-	if clientPM.n >= maxClientPMEntries {
-		clientPM.ec, clientPM.dh, clientPM.n = nil, nil, 0
-	}
-	if clientPM.ec == nil {
-		clientPM.ec = make(map[string]pmEntry)
-	}
-	// No defensive copies: pm is the fresh slice the key agreement just
-	// returned (only ever read — the PRF copies it into its HMAC pads)
-	// and cpub is the immutable fixed-key public.
-	clientPM.ec[string(pub)] = pmEntry{pm: pm, pub: cpub}
-	clientPM.n++
-}
-
-func clientPremasterDHE(p, g, ys []byte) (pm, cpub []byte) {
-	clientPM.mu.RLock()
-	e, ok := clientPM.dh[string(p)][string(g)][string(ys)]
-	clientPM.mu.RUnlock()
-	if !ok {
-		return nil, nil
-	}
-	telemetry.Global().Counter("wall/tlsclient/premaster_hit").Inc()
-	return e.pm, e.pub
-}
-
-func clientPremasterPutDHE(p, g, ys, pm, cpub []byte) {
-	clientPM.mu.Lock()
-	defer clientPM.mu.Unlock()
-	if clientPM.n >= maxClientPMEntries {
-		clientPM.ec, clientPM.dh, clientPM.n = nil, nil, 0
-	}
-	if clientPM.dh == nil {
-		clientPM.dh = make(map[string]map[string]map[string]pmEntry)
-	}
-	gm := clientPM.dh[string(p)]
-	if gm == nil {
-		gm = make(map[string]map[string]pmEntry)
-		clientPM.dh[string(p)] = gm
-	}
-	ym := gm[string(g)]
-	if ym == nil {
-		ym = make(map[string]pmEntry)
-		gm[string(g)] = ym
-	}
-	// Same ownership argument as the ECDHE put: both slices are
-	// fresh-or-immutable and only ever read.
-	ym[string(ys)] = pmEntry{pm: pm, pub: cpub}
-	clientPM.n++
+	fixedDHE.m[key] = dheKey{x: x, pub: pub}
+	return x, pub
 }
 
 // leafCache memoizes x509.ParseCertificate by leaf fingerprint: the

@@ -26,7 +26,6 @@ import (
 	"tlsshortcuts/internal/record"
 	"tlsshortcuts/internal/session"
 	"tlsshortcuts/internal/simclock"
-	"tlsshortcuts/internal/telemetry"
 	"tlsshortcuts/internal/ticket"
 	"tlsshortcuts/internal/wire"
 )
@@ -443,42 +442,19 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) (*sessio
 	// before its CKE was written, keyed by the two public values — one
 	// lookup replaces the scalar multiplication / modexp for both Fresh
 	// and Reuse policies. A miss (cache cleared, or a client outside this
-	// process) falls through to the caches and computation below.
+	// process) computes the agreement.
 	premaster := keyex.PremasterLookup(ske.Public, clientPub)
-	if ecdhePriv != nil {
-		// Under a Reuse policy the epoch private key's pointer is stable,
-		// and the scanning client's public value repeats, so the agreement
-		// is a pure function of (priv, clientPub) — cacheable.
-		reuse := cfg.ECDHEPolicy != nil && cfg.ECDHEPolicy.Mode == keyex.Reuse
-		if reuse && premaster == nil {
-			premaster = srvPremasterECDHE(ecdhePriv, clientPub)
-		}
-		if premaster == nil {
+	if premaster == nil {
+		if ecdhePriv != nil {
 			pk, err := ecdh.P256().NewPublicKey(clientPub)
 			if err != nil {
 				return nil, err
 			}
-			premaster, err = ecdhePriv.ECDH(pk)
-			if err != nil {
+			if premaster, err = ecdhePriv.ECDH(pk); err != nil {
 				return nil, err
 			}
-			if reuse {
-				srvPremasterPutECDHE(ecdhePriv, clientPub, premaster)
-			}
-		}
-	} else {
-		reuse := cfg.DHEPolicy != nil && cfg.DHEPolicy.Mode == keyex.Reuse
-		if reuse && premaster == nil {
-			premaster = srvPremasterDHE(dhePriv, clientPub)
-		}
-		if premaster == nil {
-			premaster, err = dheGroup.Shared(dhePriv, new(big.Int).SetBytes(clientPub))
-			if err != nil {
-				return nil, err
-			}
-			if reuse {
-				srvPremasterPutDHE(dhePriv, clientPub, premaster)
-			}
+		} else if premaster, err = dheGroup.Shared(dhePriv, new(big.Int).SetBytes(clientPub)); err != nil {
+			return nil, err
 		}
 	}
 	hc.ex.SetSecret(premaster)
@@ -594,122 +570,16 @@ func sendTicket(hc *hsConn, cfg *Config, st *session.State, now time.Time, rnd i
 	if hint == 0 {
 		hint = 2 * time.Hour
 	}
-	// The message prefix is constant per (key, hint) — sealed tickets
-	// have one fixed length — and the ticket is sealed directly into the
-	// outgoing buffer, so the abbreviated flight's serialization costs no
-	// allocations at all.
-	hc.mbuf = append(hc.mbuf[:0], nstPrefix(k, hint)...)
+	// Sealed tickets have one fixed length per key, so the message prefix
+	// is written first and the ticket sealed directly behind it in the
+	// outgoing buffer: the flight's serialization allocates nothing.
+	hc.mbuf = wire.AppendNSTPrefix(hc.mbuf[:0], hint, k.SealedLen())
 	var err error
 	hc.mbuf, err = k.AppendSeal(hc.mbuf, st, rnd)
 	if err != nil {
 		return err
 	}
 	return hc.writeRaw(hc.mbuf)
-}
-
-// nstPrefixes caches the NewSessionTicket message prefix per issuing key
-// and hint (see wire.AppendNSTPrefix). A plain mutex-guarded map rather
-// than sync.Map: struct keys would be boxed on every Load.
-var nstPrefixes struct {
-	mu sync.RWMutex
-	m  map[nstPrefixKey][]byte
-}
-
-type nstPrefixKey struct {
-	k    *ticket.STEK
-	hint time.Duration
-}
-
-func nstPrefix(k *ticket.STEK, hint time.Duration) []byte {
-	key := nstPrefixKey{k: k, hint: hint}
-	nstPrefixes.mu.RLock()
-	b, ok := nstPrefixes.m[key]
-	nstPrefixes.mu.RUnlock()
-	if ok {
-		return b
-	}
-	b = wire.AppendNSTPrefix(nil, hint, k.SealedLen())
-	nstPrefixes.mu.Lock()
-	if nstPrefixes.m == nil || len(nstPrefixes.m) >= maxPremasterEntries {
-		nstPrefixes.m = make(map[nstPrefixKey][]byte, 16)
-	}
-	nstPrefixes.m[key] = b
-	nstPrefixes.mu.Unlock()
-	return b
-}
-
-// srvPM caches premasters per (epoch private value, client public). The
-// outer maps are keyed by the policy-reused private values' pointers —
-// stable for a whole epoch — and the inner map by the raw public bytes
-// (string-keyed, so lookups convert without allocating). Bounded by
-// wholesale clearing, like the keyex epoch cache.
-var srvPM struct {
-	mu sync.RWMutex
-	ec map[*ecdh.PrivateKey]map[string][]byte
-	dh map[*big.Int]map[string][]byte
-	n  int
-}
-
-const maxPremasterEntries = 4096
-
-func srvPremasterECDHE(priv *ecdh.PrivateKey, pub []byte) []byte {
-	srvPM.mu.RLock()
-	pm := srvPM.ec[priv][string(pub)]
-	srvPM.mu.RUnlock()
-	if pm != nil {
-		telemetry.Global().Counter("wall/tlsserver/premaster_hit").Inc()
-	}
-	return pm
-}
-
-func srvPremasterPutECDHE(priv *ecdh.PrivateKey, pub, pm []byte) {
-	srvPM.mu.Lock()
-	if srvPM.n >= maxPremasterEntries {
-		srvPM.ec, srvPM.dh, srvPM.n = nil, nil, 0
-	}
-	if srvPM.ec == nil {
-		srvPM.ec = make(map[*ecdh.PrivateKey]map[string][]byte)
-	}
-	inner := srvPM.ec[priv]
-	if inner == nil {
-		inner = make(map[string][]byte, 1)
-		srvPM.ec[priv] = inner
-	}
-	if _, ok := inner[string(pub)]; !ok {
-		inner[string(pub)] = append([]byte(nil), pm...)
-		srvPM.n++
-	}
-	srvPM.mu.Unlock()
-}
-
-func srvPremasterDHE(priv *big.Int, pub []byte) []byte {
-	srvPM.mu.RLock()
-	pm := srvPM.dh[priv][string(pub)]
-	srvPM.mu.RUnlock()
-	if pm != nil {
-		telemetry.Global().Counter("wall/tlsserver/premaster_hit").Inc()
-	}
-	return pm
-}
-
-func srvPremasterPutDHE(priv *big.Int, pub, pm []byte) {
-	srvPM.mu.Lock()
-	if srvPM.n >= maxPremasterEntries {
-		srvPM.ec, srvPM.dh, srvPM.n = nil, nil, 0
-	}
-	if srvPM.dh == nil {
-		srvPM.dh = make(map[*big.Int]map[string][]byte)
-	}
-	inner := srvPM.dh[priv]
-	if inner == nil {
-		inner = make(map[string][]byte, 1)
-		srvPM.dh[priv] = inner
-	}
-	if _, ok := inner[string(pub)]; !ok {
-		inner[string(pub)] = append([]byte(nil), pm...)
-		srvPM.n++
-	}
-	srvPM.mu.Unlock()
 }
 
 func finishServer(hc *hsConn, kb []byte) error {

@@ -14,7 +14,7 @@ import (
 )
 
 // TestSendTicketMatchesSeal checks the NewSessionTicket flight the
-// server sends — a cached message prefix with the ticket sealed in place
+// server sends — the message prefix with the ticket sealed in place
 // behind it — against the straightforward construction: the framed
 // wire.NewSessionTicket around k.Seal under the same entropy, for every
 // ticket format and both the default and an explicit lifetime hint.
@@ -40,7 +40,7 @@ func TestSendTicketMatchesSeal(t *testing.T) {
 			}
 			want := (&wire.NewSessionTicket{LifetimeHint: wantHint, Ticket: tkt}).AppendTo(nil)
 
-			for conn := 0; conn < 3; conn++ { // later connections hit the prefix cache
+			for conn := 0; conn < 3; conn++ { // later connections reuse a pooled buffer
 				if got := sentTicket(t, cfg, st, now, entropy()); !bytes.Equal(got, want) {
 					t.Fatalf("%s hint %v conn %d: sent\n  %x\nwant\n  %x", f, hint, conn, got, want)
 				}

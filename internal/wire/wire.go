@@ -344,10 +344,6 @@ func MarshalCertificate(chain [][]byte) *Msg {
 	return &Msg{Type: TypeCertificate, Body: b.bytes()}
 }
 
-func ParseCertificate(body []byte) ([][]byte, error) {
-	return ParseCertificateInto(nil, body)
-}
-
 // ParseCertificateInto parses the chain into dst's backing array (grown as
 // needed); certificates alias body. With a pooled dst of sufficient
 // capacity the parse is allocation-free. Pass dst[:0] to reuse.
@@ -543,8 +539,8 @@ func (t *NewSessionTicket) AppendTo(dst []byte) []byte {
 // AppendNSTPrefix appends the fixed NewSessionTicket message prefix —
 // handshake header, lifetime hint, ticket length — for a ticket of known
 // length. Appending exactly ticketLen ticket bytes afterwards yields the
-// same bytes as NewSessionTicket.AppendTo; the server caches this prefix
-// per (STEK, hint) and seals the ticket directly behind it.
+// same bytes as NewSessionTicket.AppendTo; the server seals the ticket
+// directly behind it.
 func AppendNSTPrefix(dst []byte, hint time.Duration, ticketLen int) []byte {
 	n := 4 + 2 + ticketLen
 	dst = append(dst, TypeNewSessionTicket, byte(n>>16), byte(n>>8), byte(n))
