@@ -93,6 +93,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifySKE$$' -fuzztime 20s ./internal/pki
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInto$$' -fuzztime 20s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzSpansJSON$$' -fuzztime 20s ./internal/study
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=$(BENCHTIME) ./...

@@ -66,14 +66,14 @@ func printOnce(section, text string) {
 	}
 }
 
-// benchSection times one report section and prints its rows once.
+// benchSection times one report section's render from a report built
+// before the timed loop, and prints its rows once.
 func benchSection(b *testing.B, name string, f func(r *study.Report) string) string {
-	ds := benchDataset(b)
+	rep := study.BuildReport(benchDataset(b))
 	b.ResetTimer()
 	b.ReportAllocs()
 	var out string
 	for i := 0; i < b.N; i++ {
-		rep := study.BuildReport(ds)
 		out = f(rep)
 	}
 	b.StopTimer()

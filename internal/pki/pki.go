@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"tlsshortcuts/internal/telemetry"
+	"tlsshortcuts/internal/wire"
 )
 
 // Alg selects the leaf/CA signature algorithm.
@@ -43,6 +44,18 @@ type Certificate struct {
 	Leaf  *x509.Certificate
 	Chain [][]byte // DER, leaf first
 	Key   crypto.Signer
+
+	msgOnce sync.Once
+	msg     []byte
+}
+
+// Message returns the framed TLS Certificate handshake message that
+// carries Chain, marshaled on first use. The chain never changes, so
+// every full handshake serving the certificate sends these bytes, and
+// they live exactly as long as the certificate does.
+func (c *Certificate) Message() []byte {
+	c.msgOnce.Do(func() { c.msg = wire.MarshalCertificate(c.Chain).Marshal() })
+	return c.msg
 }
 
 // SignSKE signs the SHA-256 digest of a ServerKeyExchange's signed
@@ -402,11 +415,14 @@ func (r *RootCA) IssueLeaf(names []string, alg Alg, nb, na time.Time, rnd io.Rea
 	return &Certificate{Leaf: leaf, Chain: [][]byte{der, r.Cert.Raw}, Key: key}, nil
 }
 
-// RootStore is the simulated browser trust store.
+// RootStore is the simulated browser trust store. It also keeps the
+// parsed leaves its world serves, so they live exactly as long as the
+// world does.
 type RootStore struct {
 	pool   *x509.CertPool
 	nb, na time.Time // the window in which every root is valid
 	cache  sync.Map  // [32]byte leaf+name fingerprint -> *trust
+	leaves sync.Map  // [32]byte leaf DER fingerprint -> *x509.Certificate
 }
 
 // trust is a memoized verdict and the window [nb, na] in which it holds.
@@ -427,6 +443,29 @@ func NewRootStore(roots ...*RootCA) *RootStore {
 		s.nb, s.na = narrow(s.nb, s.na, r.Cert)
 	}
 	return s
+}
+
+// AddLeaf records a certificate the store's world serves, so Leaf
+// returns the issuer's own parse of it instead of a second one.
+func (s *RootStore) AddLeaf(c *Certificate) {
+	s.leaves.Store(sha256.Sum256(c.Chain[0]), c.Leaf)
+}
+
+// Leaf returns the parsed certificate for a leaf's DER: the issuer's
+// parse for a leaf added with AddLeaf, otherwise a parse the store keeps
+// for its lifetime. The scanner checks ServerKeyExchange signatures
+// against the same few hundred leaves tens of thousands of times.
+func (s *RootStore) Leaf(der []byte) (*x509.Certificate, error) {
+	key := sha256.Sum256(der)
+	if v, ok := s.leaves.Load(key); ok {
+		return v.(*x509.Certificate), nil
+	}
+	leaf, err := x509.ParseCertificate(der)
+	if err != nil {
+		return nil, err
+	}
+	v, _ := s.leaves.LoadOrStore(key, leaf)
+	return v.(*x509.Certificate), nil
 }
 
 // narrow intersects the window [nb, na] with c's validity period.
@@ -471,7 +510,7 @@ func (t *trust) holdsAt(now time.Time) bool { return !now.Before(t.nb) && !now.A
 
 func (s *RootStore) verify(chain [][]byte, name string, now time.Time) *trust {
 	t := &trust{nb: s.nb, na: s.na}
-	leaf, err := x509.ParseCertificate(chain[0])
+	leaf, err := s.Leaf(chain[0])
 	if err != nil {
 		return t
 	}

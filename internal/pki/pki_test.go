@@ -6,6 +6,7 @@ import (
 	"crypto/elliptic"
 	"crypto/rsa"
 	"crypto/sha256"
+	"crypto/x509"
 	"encoding/asn1"
 	"encoding/binary"
 	"math/big"
@@ -13,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tlsshortcuts/internal/wire"
 )
 
 var (
@@ -172,5 +175,64 @@ func BenchmarkSignSKE(b *testing.B) {
 			b.Fatal(err)
 		}
 		sigSink = sig
+	}
+}
+
+// TestRootStoreLeafConcurrent has scanner-like workers ask one store for
+// a leaf it was given and one it was not, and ask one certificate for its
+// Certificate message, all at once: every worker must get the issuer's
+// own parse for the added leaf, one shared parse for the other, and one
+// message equal to a fresh marshaling.
+func TestRootStoreLeafConcurrent(t *testing.T) {
+	root, err := NewRootCA("test root", ECDSAP256, DefaultRand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added, err := root.IssueLeaf([]string{"added.example"}, ECDSAP256, nb, na, DefaultRand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := root.IssueLeaf([]string{"other.example"}, ECDSAP256, nb, na, DefaultRand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewRootStore(root)
+	s.AddLeaf(added)
+	const workers = 8
+	type got struct {
+		added, other *x509.Certificate
+		msg          []byte
+	}
+	results := make([]got, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var err error
+			if results[w].added, err = s.Leaf(added.Chain[0]); err != nil {
+				t.Error(err)
+			}
+			if results[w].other, err = s.Leaf(other.Chain[0]); err != nil {
+				t.Error(err)
+			}
+			results[w].msg = other.Message()
+		}(w)
+	}
+	wg.Wait()
+	want := wire.MarshalCertificate(other.Chain).Marshal()
+	for w, r := range results {
+		if r.added != added.Leaf {
+			t.Fatalf("worker %d: the added leaf was parsed again", w)
+		}
+		if r.other == nil || r.other != results[0].other || !bytes.Equal(r.other.Raw, other.Chain[0]) {
+			t.Fatalf("worker %d: the other leaf parse is not the store's one copy", w)
+		}
+		if !bytes.Equal(r.msg, want) || &r.msg[0] != &results[0].msg[0] {
+			t.Fatalf("worker %d: Certificate message differs from MarshalCertificate or was marshaled twice", w)
+		}
+	}
+	if _, err := s.Leaf([]byte("not a certificate")); err == nil {
+		t.Fatal("a malformed leaf parsed")
 	}
 }

@@ -369,6 +369,7 @@ func (b *builder) issueLeaves() error {
 			errs[i] = err
 			return
 		}
+		b.w.Roots.AddLeaf(cert)
 		for _, cfg := range l.cfgs {
 			cfg.DefaultCert = cert
 		}

@@ -16,19 +16,32 @@ type failKey struct {
 }
 
 // aggregator folds scan results into the Dataset as they are produced,
-// so a campaign retains only per-domain aggregates — secret-ID day
+// so a campaign retains only per-secret aggregates — secret-ID day
 // bitmasks, failure tallies, attendance records — instead of per-day
-// observation slices. Resident memory is O(domains), not O(domains ×
-// days): each day's Observation buffer is reused by the next day (see
-// Scanner.DailyInto), and everything BuildReport and the §6
-// vulnerability-window model need survives in the aggregates.
+// observation slices. Each day's Observation buffer is reused by the
+// next day (see Scanner.DailyInto), and everything BuildReport and the
+// §6 vulnerability-window model need survives in the aggregates. These
+// grow with the secrets observed, not with the observations: a secret
+// seen on every day is one row, but a server that draws a fresh
+// key-exchange value daily adds one row per scan day.
+//
+// The span tables fold into one map per mechanism, keyed by (domain,
+// ID), and finish sorts each into the Dataset's Spans once.
 type aggregator struct {
 	ds    *Dataset
 	fails map[failKey]int
+
+	stek, dhe, ecdhe map[spanKey]uint64
 }
 
 func newAggregator(ds *Dataset) *aggregator {
-	return &aggregator{ds: ds, fails: make(map[failKey]int)}
+	return &aggregator{
+		ds:    ds,
+		fails: make(map[failKey]int),
+		stek:  make(map[spanKey]uint64),
+		dhe:   make(map[spanKey]uint64),
+		ecdhe: make(map[spanKey]uint64),
+	}
 }
 
 // addFail tallies one failed connection; ClassNone (success) is ignored
@@ -63,17 +76,17 @@ func (a *aggregator) foldTicketDay(obs []scanner.Observation, day int) (dayFails
 			pairFails++
 		}
 		if ob.OK && ob.Trusted && len(ob.STEKID) > 0 {
-			mark(a.ds.STEKSpans, ob.Domain, hex.EncodeToString(ob.STEKID), day)
+			a.stek[spanKey{ob.Domain, hex.EncodeToString(ob.STEKID)}] |= 1 << uint(day)
 		}
 	}
 	return dayFails, pairFails
 }
 
 // foldKexDay folds one day's forced-suite key-exchange scan into the
-// given span map. Only transient first-connection classes count as
+// given fold table. Only transient first-connection classes count as
 // failures: a forced-suite alert from a server that does not speak the
 // suite is a measurement, not a failure.
-func (a *aggregator) foldKexDay(obs []scanner.Observation, scan string, kex wire.Kex, spans map[string]map[string]uint64, day int) (dayFails, pairFails int) {
+func (a *aggregator) foldKexDay(obs []scanner.Observation, scan string, kex wire.Kex, spans map[spanKey]uint64, day int) (dayFails, pairFails int) {
 	for _, ob := range obs {
 		if faults.Transient(ob.ErrClass) {
 			a.addFail(scan, ob.ErrClass)
@@ -84,24 +97,32 @@ func (a *aggregator) foldKexDay(obs []scanner.Observation, scan string, kex wire
 			pairFails++
 		}
 		if ob.OK && ob.Kex == kex && len(ob.KEXValue) > 0 {
-			mark(spans, ob.Domain, valueID(ob.KEXValue), day)
+			spans[spanKey{ob.Domain, valueID(ob.KEXValue)}] |= 1 << uint(day)
 		}
 	}
 	return dayFails, pairFails
 }
 
-// finish materializes the failure tally as the Dataset's sorted table.
+// finish materializes the failure tally and the span folds as the
+// Dataset's sorted tables.
 func (a *aggregator) finish() {
-	if len(a.fails) == 0 {
-		return
+	a.ds.Failures = failureTable(a.fails)
+	a.ds.STEKSpans = sortedSpans(a.stek)
+	a.ds.DHESpans = sortedSpans(a.dhe)
+	a.ds.ECDHESpans = sortedSpans(a.ecdhe)
+}
+
+// failureTable sorts a failure tally by (scan, class); nil when empty.
+func failureTable(fails map[failKey]int) []FailureCount {
+	var out []FailureCount
+	for k, n := range fails {
+		out = append(out, FailureCount{Scan: k.scan, Class: string(k.class), Count: n})
 	}
-	for k, n := range a.fails {
-		a.ds.Failures = append(a.ds.Failures, FailureCount{Scan: k.scan, Class: string(k.class), Count: n})
-	}
-	sort.Slice(a.ds.Failures, func(i, j int) bool {
-		if a.ds.Failures[i].Scan != a.ds.Failures[j].Scan {
-			return a.ds.Failures[i].Scan < a.ds.Failures[j].Scan
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Scan != out[j].Scan {
+			return out[i].Scan < out[j].Scan
 		}
-		return a.ds.Failures[i].Class < a.ds.Failures[j].Class
+		return out[i].Class < out[j].Class
 	})
+	return out
 }

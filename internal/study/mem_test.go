@@ -42,13 +42,14 @@ func samplePeakHeap(fn func()) uint64 {
 	return peak.Load()
 }
 
-// TestCampaignMemoryBounded pins the incremental aggregator's O(domains)
-// residency: quadrupling the campaign's day count must not grow peak
-// live heap proportionally, because each day's observations are folded
-// into per-domain aggregates and their buffers reused. Per-domain state
-// (span maps, lifetime rows) grows mildly with days, so the bound is a
-// 2x ratio against a 4x day increase — a regression back to retaining
-// per-day slices would blow well past it.
+// TestCampaignMemoryBounded pins the incremental aggregator's residency:
+// quadrupling the campaign's day count must not grow peak live heap
+// proportionally, because each day's observations are folded into
+// aggregates and their buffers reused. The aggregates grow with the
+// distinct secrets seen — a server drawing a fresh key-exchange value
+// daily adds a span row per day — so the bound is a 2x ratio against a
+// 4x day increase; a regression back to retaining per-day slices would
+// blow well past it.
 func TestCampaignMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two campaigns")

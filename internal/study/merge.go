@@ -20,7 +20,7 @@ import (
 // keyed on the domain, never on global dial order), each domain belongs
 // to exactly one shard, and every cross-shard structure is either a sum
 // (snapshots, failure tallies, XD denominators), a disjoint union
-// (span maps, missed days), an order-canonicalized sort (lifetime rows
+// (span tables, missed days), an order-canonicalized sort (lifetime rows
 // by rank, failure rows by scan/class), or a union-find closure whose
 // edges are fully owned by the initiating domain's shard (cache groups).
 // The groups derived purely from spans (STEK/DH groups) are simply
@@ -65,10 +65,17 @@ func MergeDatasets(shards ...*Dataset) (*Dataset, error) {
 		TrustedCore: first.TrustedCore,
 		Operators:   first.Operators,
 		Ranks:       first.Ranks,
-		STEKSpans:   make(map[string]map[string]uint64),
-		DHESpans:    make(map[string]map[string]uint64),
-		ECDHESpans:  make(map[string]map[string]uint64),
 		FaultPlan:   first.FaultPlan,
+	}
+	var err error
+	if out.STEKSpans, err = mergeSpans(ordered, "STEK", func(d *Dataset) Spans { return d.STEKSpans }); err != nil {
+		return nil, err
+	}
+	if out.DHESpans, err = mergeSpans(ordered, "DHE", func(d *Dataset) Spans { return d.DHESpans }); err != nil {
+		return nil, err
+	}
+	if out.ECDHESpans, err = mergeSpans(ordered, "ECDHE", func(d *Dataset) Spans { return d.ECDHESpans }); err != nil {
+		return nil, err
 	}
 
 	fails := make(map[failKey]int)
@@ -78,15 +85,6 @@ func MergeDatasets(shards ...*Dataset) (*Dataset, error) {
 		out.TicketSnapshot = addSnapshot(out.TicketSnapshot, sd.TicketSnapshot)
 		out.DHESnapshot = addSnapshot(out.DHESnapshot, sd.DHESnapshot)
 		out.ECDHESnapshot = addSnapshot(out.ECDHESnapshot, sd.ECDHESnapshot)
-		if err := unionSpans(out.STEKSpans, sd.STEKSpans, sd.Shard.Index, "STEK"); err != nil {
-			return nil, err
-		}
-		if err := unionSpans(out.DHESpans, sd.DHESpans, sd.Shard.Index, "DHE"); err != nil {
-			return nil, err
-		}
-		if err := unionSpans(out.ECDHESpans, sd.ECDHESpans, sd.Shard.Index, "ECDHE"); err != nil {
-			return nil, err
-		}
 		for domain, mask := range sd.MissedDays {
 			if out.MissedDays == nil {
 				out.MissedDays = make(map[string]uint64)
@@ -119,10 +117,7 @@ func MergeDatasets(shards ...*Dataset) (*Dataset, error) {
 	sortByRank(out.IDLifetime, out.Ranks)
 	sortByRank(out.TicketLifetime, out.Ranks)
 
-	if len(fails) > 0 {
-		a := &aggregator{ds: out, fails: fails}
-		a.finish()
-	}
+	out.Failures = failureTable(fails)
 
 	// A shard run always records its XD denominators; the monolithic run
 	// records them only when some connection failed. Merge reproduces the
@@ -247,18 +242,48 @@ func compatibleShards(a, b *Dataset) error {
 	return nil
 }
 
-// unionSpans moves one shard's span map into the merged map, rejecting
-// domains already claimed by another shard — complementary shards never
-// observe the same domain, so overlap means the inputs are not a
-// partition of one campaign.
-func unionSpans(dst, src map[string]map[string]uint64, shard int, kind string) error {
-	for domain, ids := range src {
-		if _, dup := dst[domain]; dup {
-			return fmt.Errorf("study: merge: %s spans for %q in two shards (second: shard %d)", kind, domain, shard)
-		}
-		dst[domain] = ids
+// mergeSpans merges one table of every shard (in shard order) into one
+// sorted table in a single pass. Each step copies the block of rows of
+// the least head domain. Complementary shards never observe the same
+// domain, so two heads on one domain mean the inputs are not a
+// partition of one campaign; a shard table out of order is rejected too.
+func mergeSpans(shards []*Dataset, kind string, table func(*Dataset) Spans) (Spans, error) {
+	tables := make([]Spans, len(shards))
+	n := 0
+	for i, sd := range shards {
+		tables[i] = table(sd)
+		n += len(tables[i])
 	}
-	return nil
+	out := make(Spans, 0, n)
+	next := make([]int, len(tables))
+	for len(out) < n {
+		least := -1
+		for i, t := range tables {
+			if next[i] == len(t) {
+				continue
+			}
+			if least >= 0 && t[next[i]].Domain == tables[least][next[least]].Domain {
+				return nil, fmt.Errorf("study: merge: %s spans for %q in shards %d and %d", kind, t[next[i]].Domain, least, i)
+			}
+			if least < 0 || t[next[i]].Domain < tables[least][next[least]].Domain {
+				least = i
+			}
+		}
+		t, j := tables[least], next[least]
+		domain := t[j].Domain
+		if j > 0 && t[j-1].Domain >= domain {
+			return nil, fmt.Errorf("study: merge: shard %d %s spans not sorted at row %d", least, kind, j)
+		}
+		out = append(out, t[j])
+		for j++; j < len(t) && t[j].Domain == domain; j++ {
+			if t[j-1].ID >= t[j].ID {
+				return nil, fmt.Errorf("study: merge: shard %d %s spans not sorted at row %d", least, kind, j)
+			}
+			out = append(out, t[j])
+		}
+		next[least] = j
+	}
+	return out, nil
 }
 
 func addSnapshot(a, b Snapshot) Snapshot {

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"tlsshortcuts/internal/telemetry"
@@ -15,59 +14,50 @@ import (
 // Tracker answers span/run questions for one mechanism's secret
 // observations (the paper's first-seen/last-seen span metric versus the
 // naive consecutive-run metric). Construction precomputes both metrics
-// per domain — the report layer queries the same domain once per table,
-// figure, and exposure pass.
+// per domain, scanning each domain's contiguous rows of the sorted table
+// — the report layer queries the same domain once per table, figure,
+// and exposure pass.
 type Tracker struct {
-	spans   map[string]map[string]uint64
 	maxSpan map[string]int
 	maxRun  map[string]int
 }
 
-func newTracker(spans map[string]map[string]uint64) *Tracker {
-	t := &Tracker{
-		spans:   spans,
-		maxSpan: make(map[string]int, len(spans)),
-		maxRun:  make(map[string]int, len(spans)),
+func newTracker(spans Spans) *Tracker {
+	domains := 0
+	for i := range spans {
+		if i == 0 || spans[i].Domain != spans[i-1].Domain {
+			domains++
+		}
 	}
-	for d, ids := range spans {
-		t.maxSpan[d] = maxSpanOf(ids)
-		t.maxRun[d] = maxRunOf(ids)
+	t := &Tracker{maxSpan: make(map[string]int, domains), maxRun: make(map[string]int, domains)}
+	for i := 0; i < len(spans); {
+		domain, span, run := spans[i].Domain, -1, -1
+		for ; i < len(spans) && spans[i].Domain == domain; i++ {
+			span = max(span, spanOf(spans[i].Days))
+			run = max(run, runOf(spans[i].Days))
+		}
+		t.maxSpan[domain], t.maxRun[domain] = span, run
 	}
 	return t
 }
 
-func maxSpanOf(ids map[string]uint64) int {
-	best := -1
-	for _, b := range ids {
-		if b == 0 {
-			continue
-		}
-		first := bits.TrailingZeros64(b)
-		last := 63 - bits.LeadingZeros64(b)
-		if span := last - first; span > best {
-			best = span
-		}
+// spanOf is last-seen minus first-seen day (-1 for an empty mask).
+func spanOf(b uint64) int {
+	if b == 0 {
+		return -1
 	}
-	return best
+	return 63 - bits.LeadingZeros64(b) - bits.TrailingZeros64(b)
 }
 
-func maxRunOf(ids map[string]uint64) int {
-	best := -1
-	for _, b := range ids {
-		if b == 0 {
-			continue
-		}
-		// x &= x<<1 clears the tail of every run; the iteration count is
-		// the longest run length.
-		run := 0
-		for x := b; x != 0; x &= x << 1 {
-			run++
-		}
-		if run-1 > best {
-			best = run - 1
-		}
+// runOf is the longest consecutive-day run minus one (-1 for an empty
+// mask): x &= x<<1 clears the tail of every run, so the iteration count
+// is the longest run length.
+func runOf(b uint64) int {
+	run := 0
+	for x := b; x != 0; x &= x << 1 {
+		run++
 	}
-	return best
+	return run - 1
 }
 
 // MaxSpanDays is the longest last-seen minus first-seen span, in days,
@@ -76,7 +66,7 @@ func (t *Tracker) MaxSpanDays(domain string) int {
 	if v, ok := t.maxSpan[domain]; ok {
 		return v
 	}
-	return maxSpanOf(t.spans[domain])
+	return -1
 }
 
 // MaxRunDays is the longest consecutive-day run minus one, over the
@@ -85,7 +75,7 @@ func (t *Tracker) MaxRunDays(domain string) int {
 	if v, ok := t.maxRun[domain]; ok {
 		return v
 	}
-	return maxRunOf(t.spans[domain])
+	return -1
 }
 
 // CountAtLeast counts domains in pop whose max span is at least days.
@@ -112,37 +102,9 @@ type Report struct {
 	core         []string                 // consistent core (see ConsistentCore)
 }
 
-// reportMemo caches the Report built for a Dataset pointer: analysis
-// binaries call BuildReport once per rendering pass, and the build walks
-// every span map. Bounded; reset when full.
-var (
-	reportMu   sync.Mutex
-	reportMemo = map[*Dataset]*Report{}
-)
-
-const maxReportMemo = 16
-
-// BuildReport computes exposures and windows from a dataset. Repeat calls
-// with the same *Dataset return the memoized Report, so callers must not
-// mutate the dataset afterwards.
+// BuildReport computes exposures and windows from a dataset. Every call
+// builds afresh; rendering reads r.DS at render time.
 func BuildReport(ds *Dataset) *Report {
-	reportMu.Lock()
-	r, ok := reportMemo[ds]
-	reportMu.Unlock()
-	if ok {
-		return r
-	}
-	r = buildReport(ds)
-	reportMu.Lock()
-	if len(reportMemo) >= maxReportMemo {
-		reportMemo = map[*Dataset]*Report{}
-	}
-	reportMemo[ds] = r
-	reportMu.Unlock()
-	return r
-}
-
-func buildReport(ds *Dataset) *Report {
 	r := &Report{
 		DS: ds,
 		trackers: map[string]*Tracker{

@@ -2,6 +2,7 @@ package study
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"tlsshortcuts/internal/population"
@@ -105,9 +106,9 @@ func mkShard(index, count int) *Dataset {
 		TrustedCore: []string{"a.example", "b.example"},
 		Operators:   map[string]string{"a.example": "opA", "b.example": "opB"},
 		Ranks:       map[string]int{"a.example": 1, "b.example": 2},
-		STEKSpans:   map[string]map[string]uint64{},
-		DHESpans:    map[string]map[string]uint64{},
-		ECDHESpans:  map[string]map[string]uint64{},
+		STEKSpans:   Spans{},
+		DHESpans:    Spans{},
+		ECDHESpans:  Spans{},
 		Shard:       &ShardSpec{Index: index, Count: count},
 	}
 }
@@ -115,7 +116,7 @@ func mkShard(index, count int) *Dataset {
 func TestMergeDatasetsEdgeCases(t *testing.T) {
 	t.Run("empty shard", func(t *testing.T) {
 		a, b := mkShard(0, 2), mkShard(1, 2)
-		a.STEKSpans["a.example"] = map[string]uint64{"k1": 0b11}
+		a.STEKSpans = Spans{{"a.example", "k1", 0b11}}
 		a.TicketSnapshot = Snapshot{Scanned: 1, Trusted: 1, Support: 1}
 		// b observed nothing at all — merge must still succeed and carry
 		// a's data through unchanged.
@@ -123,7 +124,7 @@ func TestMergeDatasetsEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("merge with empty shard: %v", err)
 		}
-		if m.TicketSnapshot.Scanned != 1 || m.STEKSpans["a.example"]["k1"] != 0b11 {
+		if m.TicketSnapshot.Scanned != 1 || !slices.Equal(m.STEKSpans, Spans{{"a.example", "k1", 0b11}}) {
 			t.Fatalf("empty shard perturbed merge: %+v", m.TicketSnapshot)
 		}
 		if m.Shard != nil {
@@ -147,8 +148,8 @@ func TestMergeDatasetsEdgeCases(t *testing.T) {
 
 	t.Run("overlapping domains rejected", func(t *testing.T) {
 		a, b := mkShard(0, 2), mkShard(1, 2)
-		a.DHESpans["a.example"] = map[string]uint64{"v": 1}
-		b.DHESpans["a.example"] = map[string]uint64{"v": 2}
+		a.DHESpans = Spans{{"a.example", "v", 1}}
+		b.DHESpans = Spans{{"a.example", "v", 2}}
 		if _, err := MergeDatasets(a, b); err == nil {
 			t.Fatal("want overlap rejection, got nil error")
 		}
@@ -176,8 +177,8 @@ func TestMergeDatasetsEdgeCases(t *testing.T) {
 		// STEK groups recompute from merged spans: the same secret ID on
 		// domains in different shards must union.
 		a, b = mkShard(0, 2), mkShard(1, 2)
-		a.STEKSpans["a.example"] = map[string]uint64{"shared": 1}
-		b.STEKSpans["b.example"] = map[string]uint64{"shared": 1}
+		a.STEKSpans = Spans{{"a.example", "shared", 1}}
+		b.STEKSpans = Spans{{"b.example", "shared", 1}}
 		m, err = MergeDatasets(a, b)
 		if err != nil {
 			t.Fatal(err)

@@ -180,10 +180,12 @@ type Dataset struct {
 	ECDHESnapshot  Snapshot
 
 	// Per-domain, per-secret-ID bitmask of the days the secret was
-	// observed (bit d = virtual day d; campaigns are capped at 64 days).
-	STEKSpans  map[string]map[string]uint64
-	DHESpans   map[string]map[string]uint64
-	ECDHESpans map[string]map[string]uint64
+	// observed (bit d = virtual day d; campaigns are capped at 64 days),
+	// one sorted table per mechanism. Each serializes as the nested
+	// object {"domain":{"id":days}} (see Spans).
+	STEKSpans  Spans
+	DHESpans   Spans
+	ECDHESpans Spans
 
 	IDLifetime     []scanner.ProbeResult
 	TicketLifetime []scanner.ProbeResult
@@ -347,9 +349,6 @@ func Run(o Options) (*Dataset, error) {
 		TrustedCore: core,
 		Operators:   make(map[string]string, len(world.Domains)),
 		Ranks:       make(map[string]int, len(world.Domains)),
-		STEKSpans:   make(map[string]map[string]uint64),
-		DHESpans:    make(map[string]map[string]uint64),
-		ECDHESpans:  make(map[string]map[string]uint64),
 	}
 	for name, d := range world.Domains {
 		ds.Operators[name] = d.Operator
@@ -400,10 +399,10 @@ func Run(o Options) (*Dataset, error) {
 	agg.foldLifetime("lifetime-id", ds.IDLifetime)
 	agg.foldLifetime("lifetime-ticket", ds.TicketLifetime)
 
-	// Daily scans, folded into per-domain aggregates as each day
+	// Daily scans, folded into per-secret aggregates as each day
 	// completes. The three observation buffers are reused across the
-	// whole campaign, so the daily loop's resident memory is O(domains)
-	// regardless of Days.
+	// whole campaign, so the daily loop retains no observation; what it
+	// keeps grows with the distinct secrets seen (see aggregator).
 	var tBuf, dBuf, eBuf []scanner.Observation
 	for day := 0; day < o.Days; day++ {
 		clock.Set(start.Add(time.Duration(day) * 24 * time.Hour))
@@ -419,9 +418,9 @@ func Run(o Options) (*Dataset, error) {
 			ds.ECDHESnapshot = kexSnapshot(eBuf, wire.KexECDHE)
 		}
 		dayFails, pairFails := agg.foldTicketDay(tBuf, day)
-		df, pf := agg.foldKexDay(dBuf, "dhe", wire.KexDHE, ds.DHESpans, day)
+		df, pf := agg.foldKexDay(dBuf, "dhe", wire.KexDHE, agg.dhe, day)
 		dayFails, pairFails = dayFails+df, pairFails+pf
-		df, pf = agg.foldKexDay(eBuf, "ecdhe", wire.KexECDHE, ds.ECDHESpans, day)
+		df, pf = agg.foldKexDay(eBuf, "ecdhe", wire.KexECDHE, agg.ecdhe, day)
 		dayFails, pairFails = dayFails+df, pairFails+pf
 		reg.Counter(telemetry.CounterDaysCompleted).Inc()
 		if err := sp.end("day", day, len(scanAll), dayFails, pairFails); err != nil {
@@ -668,15 +667,6 @@ func allByRank(w *population.World) []string {
 	return out
 }
 
-func mark(spans map[string]map[string]uint64, domain, id string, day int) {
-	m := spans[domain]
-	if m == nil {
-		m = make(map[string]uint64)
-		spans[domain] = m
-	}
-	m[id] |= 1 << uint(day)
-}
-
 // missDay records that the domain's daily ticket scan failed on day —
 // the attendance record the consistent core is derived from.
 func missDay(ds *Dataset, domain string, day int) {
@@ -743,54 +733,50 @@ func multiSets(uf *scanner.UnionFind) [][]string {
 
 // secretGroups unions domains that were ever observed using the same
 // secret ID (Table 6's STEK groups).
-func secretGroups(spans map[string]map[string]uint64) [][]string {
+func secretGroups(spans Spans) [][]string {
 	uf := scanner.NewUnionFind()
-	first := make(map[string]string)
-	for domain, ids := range spans {
-		for id := range ids {
-			if prev, ok := first[id]; ok {
-				uf.Union(prev, domain)
-			} else {
-				first[id] = domain
-				uf.Find(domain)
-			}
+	first := make(map[string]string, len(spans))
+	for _, r := range spans {
+		if prev, ok := first[r.ID]; ok {
+			uf.Union(prev, r.Domain)
+		} else {
+			first[r.ID] = r.Domain
 		}
 	}
 	return multiSets(uf)
 }
 
 // dhGroups unions domains sharing a reused key-exchange value and counts
-// reused values confined to one domain (Table 7's singletons).
-func dhGroups(spanSets ...map[string]map[string]uint64) ([][]string, int) {
+// reused values confined to one domain (Table 7's singletons). A value
+// is keyed by its ID across all the tables given.
+func dhGroups(tables ...Spans) ([][]string, int) {
+	type value struct {
+		domain string // first domain seen with the value
+		shared bool   // seen on a second domain
+		reused bool   // seen on two days by some domain
+	}
+	n := 0
+	for _, spans := range tables {
+		n += len(spans)
+	}
 	uf := scanner.NewUnionFind()
-	domainsByID := make(map[string]map[string]bool)
-	reused := make(map[string]bool)
-	for _, spans := range spanSets {
-		for domain, ids := range spans {
-			for id, b := range ids {
-				m := domainsByID[id]
-				if m == nil {
-					m = make(map[string]bool)
-					domainsByID[id] = m
-				}
-				m[domain] = true
-				if bits.OnesCount64(b) >= 2 {
-					reused[id] = true
-				}
+	values := make(map[string]value, n)
+	for _, spans := range tables {
+		for _, r := range spans {
+			v, ok := values[r.ID]
+			if !ok {
+				v.domain = r.Domain
+			} else if r.Domain != v.domain {
+				uf.Union(v.domain, r.Domain)
+				v.shared = true
 			}
+			v.reused = v.reused || bits.OnesCount64(r.Days) >= 2
+			values[r.ID] = v
 		}
 	}
 	singles := 0
-	for id, domains := range domainsByID {
-		if len(domains) > 1 {
-			var prev string
-			for d := range domains {
-				if prev != "" {
-					uf.Union(prev, d)
-				}
-				prev = d
-			}
-		} else if reused[id] {
+	for _, v := range values {
+		if !v.shared && v.reused {
 			singles++
 		}
 	}

@@ -381,7 +381,7 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		if cfg.KexOnly {
 			return nil
 		}
-		if err := verifySKE(hc, chain, ske, ch.Random[:], sh.Random[:]); err != nil {
+		if err := verifySKE(hc, cfg.Roots, chain, ske, ch.Random[:], sh.Random[:]); err != nil {
 			return err
 		}
 		// The fixed-key path draws no randomness, so however the premaster
@@ -645,29 +645,20 @@ func fixedDHEKey(p, g *big.Int) (x *big.Int, pub []byte) {
 	return x, pub
 }
 
-// leafCache memoizes x509.ParseCertificate by leaf fingerprint: the
-// scanner re-parses the same few hundred leaves tens of thousands of
-// times to check ServerKeyExchange signatures.
-var leafCache sync.Map // [32]byte -> *x509.Certificate
-
-func parseLeaf(der []byte) (*x509.Certificate, error) {
-	key := sha256.Sum256(der)
-	if v, ok := leafCache.Load(key); ok {
-		return v.(*x509.Certificate), nil
-	}
-	leaf, err := x509.ParseCertificate(der)
-	if err != nil {
-		return nil, err
-	}
-	leafCache.Store(key, leaf)
-	return leaf, nil
-}
-
-func verifySKE(hc *hsConn, chain [][]byte, ske *wire.SKE, clientRandom, serverRandom []byte) error {
+// verifySKE checks the ServerKeyExchange signature against the chain's
+// leaf. The root store, when there is one, keeps each parsed leaf for
+// its world's lifetime; without one the leaf is parsed afresh.
+func verifySKE(hc *hsConn, roots *pki.RootStore, chain [][]byte, ske *wire.SKE, clientRandom, serverRandom []byte) error {
 	if len(chain) == 0 {
 		return errors.New("tls: no certificate to verify ServerKeyExchange")
 	}
-	leaf, err := parseLeaf(chain[0])
+	var leaf *x509.Certificate
+	var err error
+	if roots != nil {
+		leaf, err = roots.Leaf(chain[0])
+	} else {
+		leaf, err = x509.ParseCertificate(chain[0])
+	}
 	if err != nil {
 		return err
 	}

@@ -364,7 +364,7 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) (*sessio
 	if err := hc.writeRaw(hc.mbuf); err != nil {
 		return nil, err
 	}
-	if err := hc.writeRaw(certMsgBytes(crt)); err != nil {
+	if err := hc.writeRaw(crt.Message()); err != nil {
 		return nil, err
 	}
 
@@ -592,20 +592,6 @@ func finishServer(hc *hsConn, kb []byte) error {
 	}
 	fin := wire.Msg{Type: wire.TypeFinished, Body: hc.ex.AppendPRF(hc.fin[:0], "server finished", preFinished, 12)}
 	return hc.writeMsg(&fin)
-}
-
-// certMsgCache memoizes the marshaled Certificate handshake message per
-// certificate pointer. The chain never changes after pki builds it, so
-// the bytes are identical on every full handshake that serves it.
-var certMsgCache sync.Map // *pki.Certificate -> []byte
-
-func certMsgBytes(crt *pki.Certificate) []byte {
-	if v, ok := certMsgCache.Load(crt); ok {
-		return v.([]byte)
-	}
-	b := wire.MarshalCertificate(crt.Chain).Marshal()
-	certMsgCache.Store(crt, b)
-	return b
 }
 
 func bytesEqual(a, b []byte) bool {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -163,5 +164,49 @@ func TestParseIntoTruncatedInputs(t *testing.T) {
 	scratch := make([][]byte, 0, 4)
 	for n := 0; n <= len(certBody); n++ {
 		_, _ = ParseCertificateInto(scratch[:0], certBody[:n])
+	}
+}
+
+// TestFailedParseAllocationBounded feeds each parser a body whose length
+// prefix claims far more than the body holds — a 3-byte Certificate
+// claiming a 16 MiB chain among them — and bounds the bytes one failed
+// parse allocates: a truncated vector must fail without materializing
+// its claimed length.
+func TestFailedParseAllocationBounded(t *testing.T) {
+	random := make([]byte, 32)
+	hello := append([]byte{3, 3}, random...)
+	cases := []struct {
+		name  string
+		parse func() error
+	}{
+		{"certificate list", func() error { _, err := ParseCertificateInto(nil, []byte{0xff, 0xff, 0xff}); return err }},
+		{"certificate entry", func() error {
+			_, err := ParseCertificateInto(nil, []byte{0, 0, 3, 0xff, 0xff, 0xff})
+			return err
+		}},
+		{"client hello suites", func() error {
+			return ParseClientHelloInto(&ClientHello{}, append(append([]byte(nil), hello...), 0, 0xff, 0xfe))
+		}},
+		{"server hello extensions", func() error {
+			return ParseServerHelloInto(&ServerHello{}, append(append([]byte(nil), hello...), 0, 0xc0, 0x2f, 0, 0xff, 0xff))
+		}},
+		{"ske dhe", func() error { return ParseSKEInto(&SKE{}, KexDHE, []byte{0xff, 0xff}) }},
+		{"cke dhe", func() error { _, err := ParseCKE(KexDHE, []byte{0xff, 0xff}); return err }},
+		{"new session ticket", func() error { _, err := ParseNewSessionTicket([]byte{0, 0, 0, 1, 0xff, 0xff}); return err }},
+	}
+	const runs, bound = 50, 1024
+	for _, c := range cases {
+		if c.parse() == nil {
+			t.Fatalf("%s: truncated body parsed without error", c.name)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			_ = c.parse()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > bound {
+			t.Errorf("%s: one failed parse allocates %d bytes (bound %d)", c.name, per, bound)
+		}
 	}
 }

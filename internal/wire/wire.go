@@ -228,10 +228,10 @@ func ParseClientHelloInto(h *ClientHello, body []byte) error {
 	if p.u16() != VersionTLS12 {
 		return fmt.Errorf("wire: bad client version")
 	}
-	copy(h.Random[:], p.raw(32))
+	copy(h.Random[:], p.fixed(32))
 	h.SessionID = p.vec8()
 	ns := int(p.u16()) / 2
-	for i := 0; i < ns; i++ {
+	for i := 0; i < ns && p.err == nil; i++ {
 		h.Suites = append(h.Suites, p.u16())
 	}
 	p.vec8() // compression
@@ -245,7 +245,7 @@ func ParseClientHelloInto(h *ClientHello, body []byte) error {
 			sp := &parser{b: data}
 			list := sp.vec16()
 			lp := &parser{b: list}
-			lp.raw(1)
+			lp.fixed(1)
 			h.ServerName = internName(lp.vec16())
 		case ExtSessionTicket:
 			h.OfferTicket = true
@@ -316,10 +316,10 @@ func ParseServerHelloInto(h *ServerHello, body []byte) error {
 	if p.u16() != VersionTLS12 {
 		return fmt.Errorf("wire: bad server version")
 	}
-	copy(h.Random[:], p.raw(32))
+	copy(h.Random[:], p.fixed(32))
 	h.SessionID = p.vec8()
 	h.Suite = p.u16()
-	p.raw(1)
+	p.fixed(1)
 	exts := p.vec16()
 	ep := &parser{b: exts}
 	for len(ep.b) > 0 && ep.err == nil {
@@ -467,7 +467,7 @@ func ParseSKEInto(s *SKE, kex Kex, body []byte) error {
 		s.G = p.vec16()
 		s.Public = p.vec16()
 	} else {
-		p.raw(3)
+		p.fixed(3)
 		s.Public = p.vec8()
 	}
 	p.u16() // sig alg
@@ -611,14 +611,30 @@ type parser struct {
 	err error
 }
 
+// raw consumes an n-byte vector. On a truncated message it fails the
+// parse and returns nil, so a length prefix claiming more than the
+// message holds allocates nothing.
 func (p *parser) raw(n int) []byte {
 	if p.err != nil || len(p.b) < n {
 		p.fail()
-		return make([]byte, n)
+		return nil
 	}
 	out := p.b[:n]
 	p.b = p.b[n:]
 	return out
+}
+
+// zeros backs the fixed-width fields of a failed parse.
+var zeros [32]byte
+
+// fixed consumes a fixed-width field of n <= len(zeros) bytes. On a
+// truncated message it fails the parse and returns n shared zero bytes,
+// which callers decode or copy but never write or retain.
+func (p *parser) fixed(n int) []byte {
+	if b := p.raw(n); b != nil {
+		return b
+	}
+	return zeros[:n]
 }
 func (p *parser) fail() {
 	if p.err == nil {
@@ -626,8 +642,8 @@ func (p *parser) fail() {
 	}
 	p.b = nil
 }
-func (p *parser) u16() uint16   { return binary.BigEndian.Uint16(p.raw(2)) }
-func (p *parser) u32() uint32   { return binary.BigEndian.Uint32(p.raw(4)) }
-func (p *parser) vec8() []byte  { return p.raw(int(p.raw(1)[0])) }
+func (p *parser) u16() uint16   { return binary.BigEndian.Uint16(p.fixed(2)) }
+func (p *parser) u32() uint32   { return binary.BigEndian.Uint32(p.fixed(4)) }
+func (p *parser) vec8() []byte  { return p.raw(int(p.fixed(1)[0])) }
 func (p *parser) vec16() []byte { return p.raw(int(p.u16())) }
-func (p *parser) vec24() []byte { return p.raw(uint24(p.raw(3))) }
+func (p *parser) vec24() []byte { return p.raw(uint24(p.fixed(3))) }
