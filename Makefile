@@ -94,6 +94,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifySKE$$' -fuzztime 20s ./internal/pki
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInto$$' -fuzztime 20s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzSpansJSON$$' -fuzztime 20s ./internal/study
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime 20s ./internal/record
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=$(BENCHTIME) ./...

@@ -130,9 +130,7 @@ func runDemo(outPath string) {
 		log.Fatal(err)
 	}
 	mgr := ticket.NewStatic([]byte("demo-stek"), ticket.FormatRFC5077)
-	scfg := &tlsserver.Config{
-		Clock: clock, DefaultCert: leaf, Tickets: mgr, RestartBase: simclock.Epoch,
-	}
+	scfg := &tlsserver.Config{Clock: clock, DefaultCert: leaf, Tickets: mgr}
 	cli, srv := net.Pipe()
 	go tlsserver.Serve(srv, scfg)
 	tap := attacker.NewTap(cli)

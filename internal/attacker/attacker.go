@@ -225,15 +225,15 @@ func Parse(conv *Conversation) (*Recovered, error) {
 		for _, m := range msgs {
 			switch m.Type {
 			case wire.TypeClientHello:
-				ch, err := wire.ParseClientHello(m.Body)
-				if err != nil {
+				var ch wire.ClientHello
+				if err := wire.ParseClientHelloInto(&ch, m.Body); err != nil {
 					return nil, err
 				}
 				rec.ClientRandom = ch.Random[:]
 				rec.OfferedTicket = ch.Ticket
 			case wire.TypeServerHello:
-				sh, err := wire.ParseServerHello(m.Body)
-				if err != nil {
+				var sh wire.ServerHello
+				if err := wire.ParseServerHelloInto(&sh, m.Body); err != nil {
 					return nil, err
 				}
 				rec.ServerRandom = sh.Random[:]
@@ -245,8 +245,8 @@ func Parse(conv *Conversation) (*Recovered, error) {
 				// The ServerHello precedes the SKE in the same direction,
 				// so rec.Suite is already populated here.
 				if wire.SuiteKex(rec.Suite) == wire.KexDHE {
-					ske, err := wire.ParseSKE(wire.KexDHE, m.Body)
-					if err != nil {
+					var ske wire.SKE
+					if err := wire.ParseSKEInto(&ske, wire.KexDHE, m.Body); err != nil {
 						return nil, err
 					}
 					rec.DHPrime = append([]byte(nil), ske.P...)

@@ -26,16 +26,24 @@ type Reader struct {
 // New derives a stream from the given seed parts. Parts are
 // length-prefixed before hashing so ("ab","c") and ("a","bc") differ.
 func New(parts ...[]byte) *Reader {
-	h := sha256.New()
-	var l [8]byte
+	return &Reader{key: key(parts...), off: 32} // empty buffer: first Read derives block 0
+}
+
+// key hashes the length-prefixed parts, in a stack buffer when they fit.
+func key(parts ...[]byte) [32]byte {
+	n := 0
 	for _, p := range parts {
-		binary.BigEndian.PutUint64(l[:], uint64(len(p)))
-		h.Write(l[:])
-		h.Write(p)
+		n += 8 + len(p)
 	}
-	r := &Reader{off: 32} // empty buffer: first Read derives block 0
-	h.Sum(r.key[:0])
-	return r
+	var arr [192]byte
+	b := arr[:0]
+	if n > len(arr) {
+		b = make([]byte, 0, n)
+	}
+	for _, p := range parts {
+		b = appendPart(b, p)
+	}
+	return sha256.Sum256(b)
 }
 
 // NewString is New over string parts.
@@ -55,8 +63,8 @@ func appendPart(b, p []byte) []byte {
 
 // NewParts derives the stream for (p0, s1, s2), byte-identical to
 // New(p0, []byte(s1), []byte(s2)). This fixed-arity form is the
-// scanner's per-probe hot path: it skips the variadic slice, the two
-// string conversions, and the streaming hash state.
+// scanner's per-probe hot path: it skips the variadic slice and the two
+// string conversions.
 func NewParts(p0 []byte, s1, s2 string) *Reader {
 	r := &Reader{off: 32}
 	r.key = partsKey(p0, s1, s2)
@@ -84,17 +92,7 @@ func partsKey(p0 []byte, s1, s2 string) [32]byte {
 // replacing it with New(p0, p1). Terminators keep one Reader per pooled
 // connection and reseed it per ClientHello instead of allocating.
 func (r *Reader) Reseed(p0, p1 []byte) {
-	n := 16 + len(p0) + len(p1)
-	var arr [192]byte
-	var b []byte
-	if n <= len(arr) {
-		b = arr[:0]
-	} else {
-		b = make([]byte, 0, n)
-	}
-	b = appendPart(b, p0)
-	b = appendPart(b, p1)
-	r.key = sha256.Sum256(b)
+	r.key = key(p0, p1)
 	r.ctr = 0
 	r.off = 32
 }

@@ -148,17 +148,12 @@ func deriveECDHE(seed []byte) (*ecdh.PrivateKey, error) {
 	return nil, fmt.Errorf("keyex: could not derive P-256 key")
 }
 
-// ECDHEKey returns the server's P-256 private key for this handshake under
-// the policy; rand supplies entropy for Fresh mode.
-func ECDHEKey(p *Policy, now time.Time, rand interface{ Read([]byte) (int, error) }) (*ecdh.PrivateKey, error) {
-	k, _, err := ECDHEKeyPub(p, now, rand)
-	return k, err
-}
-
-// ECDHEKeyPub is ECDHEKey plus the serialized public value (the bytes the
-// ServerKeyExchange carries). In Reuse mode both come from the epoch
-// cache, so neither the derivation loop nor the point serialization runs
-// more than once per epoch. The returned slice must not be modified.
+// ECDHEKeyPub returns the server's P-256 private key for this handshake
+// under the policy, plus the serialized public value (the bytes the
+// ServerKeyExchange carries); rand supplies entropy for Fresh mode. In
+// Reuse mode both come from the epoch cache, so neither the derivation
+// loop nor the point serialization runs more than once per epoch. The
+// returned slice must not be modified.
 func ECDHEKeyPub(p *Policy, now time.Time, rand interface{ Read([]byte) (int, error) }) (*ecdh.PrivateKey, []byte, error) {
 	if p == nil || p.Mode == Fresh {
 		telemetry.Global().Counter("keyex/fresh_keys").Inc()

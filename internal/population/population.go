@@ -402,7 +402,6 @@ func (b *builder) config(beh Behavior, mgr ticket.Manager, cache *session.Cache,
 		Cache:        cache,
 		DisableDHE:   !beh.SupportDHE,
 		DisableECDHE: !beh.SupportECDHE,
-		RestartBase:  b.start,
 		TicketHint:   hint,
 		// Deterministic per-connection server entropy (the client random
 		// salts each stream), so a campaign replays byte-identically.

@@ -64,13 +64,6 @@ type Expander struct {
 	ls           []byte
 }
 
-// NewExpander returns an Expander keyed with secret.
-func NewExpander(secret []byte) *Expander {
-	e := &Expander{}
-	e.SetSecret(secret)
-	return e
-}
-
 // SetSecret re-keys the expander in place.
 func (e *Expander) SetSecret(secret []byte) {
 	if e.h == nil {
@@ -179,9 +172,4 @@ func KeyBlock(master, serverRandom, clientRandom []byte, n int) []byte {
 	seed = append(seed, serverRandom...)
 	seed = append(seed, clientRandom...)
 	return PRF(master, "key expansion", seed, n)
-}
-
-// FinishedHash computes the 12-byte verify_data for a Finished message.
-func FinishedHash(master []byte, label string, transcriptHash []byte) []byte {
-	return PRF(master, label, transcriptHash, 12)
 }

@@ -50,50 +50,39 @@ type halfConn struct {
 }
 
 // Conn frames records over an underlying net.Conn and applies AEAD
-// protection once each direction's keys are armed.
+// protection once each direction's keys are armed. Outgoing records
+// queue in pend until the next ReadRecord, WriteAlert or Flush hands
+// them to the transport in one write: one pipe lock and one peer wakeup
+// per flight instead of per record, with the byte stream unchanged.
 type Conn struct {
 	c       net.Conn
 	in, out halfConn
 	// hdr is the reusable frame-header scratch for ReadRecord (reads
 	// through the net.Conn interface escape their buffer).
 	hdr [5]byte
-	// wbuf is the reusable outgoing-record scratch. Both in-memory pipe
-	// flavors (net.Pipe and simnet's buffered pipe) consume the bytes
-	// before Write returns, so the buffer is free again at the next call.
-	wbuf []byte
 	// rbuf is the reusable incoming-record scratch: a Record's Payload is
 	// only valid until the next ReadRecord on the same Conn.
 	rbuf []byte
-	// coalesce batches outgoing records in pend until Flush — one
-	// transport write (one pipe lock + wakeup) per flight instead of one
-	// per record. ReadRecord flushes first, so the peer always sees every
-	// pending byte before this side blocks on it; the byte stream is
-	// identical to per-record writes.
-	coalesce bool
-	pend     []byte
+	pend []byte // queued outgoing records
 }
 
-// maxPend bounds the coalescing buffer; a pending flight larger than
-// this is flushed eagerly. Handshake flights run ~2 KB, so steady state
-// never hits the bound.
+// maxPend bounds the pending flight; one larger than this is flushed
+// eagerly. Handshake flights run ~2 KB, so steady state never hits the
+// bound.
 const maxPend = 8 << 10
 
-// NewConn wraps c; both directions start in plaintext and writes are
-// unbuffered (callers that never read again would otherwise need an
-// explicit Flush).
+// NewConn wraps c; both directions start in plaintext. Writes queue
+// until the next read, so a caller that never reads again must Flush.
 func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
 
 // Reset rebinds the connection to c and clears both directions' crypto
 // state, keeping the frame scratch buffers. The engines pool their
 // handshake state across connections; nothing a caller retains aliases
-// these buffers (payloads are copied out before the next read). A reset
-// connection coalesces each flight: the pooled engines flush before
-// every read and at connection exit.
+// these buffers (payloads are copied out before the next read).
 func (rc *Conn) Reset(c net.Conn) {
 	rc.c = c
 	rc.in = halfConn{}
 	rc.out = halfConn{}
-	rc.coalesce = true
 	rc.pend = rc.pend[:0]
 }
 
@@ -160,23 +149,15 @@ func trafficAEAD(key []byte) (cipher.AEAD, error) {
 	return a, nil
 }
 
-func aad(seq uint64, typ uint8, n int) []byte {
-	var b [13]byte
+// aad builds one record's additional data in b's storage: the sequence
+// number, then the record header (type, version) with the plaintext
+// length (RFC 5246 §6.2.3.3).
+func aad(b *[13]byte, seq uint64, typ uint8, vers uint16, n int) []byte {
 	binary.BigEndian.PutUint64(b[:8], seq)
 	b[8] = typ
-	binary.BigEndian.PutUint16(b[9:11], recordVersion)
+	binary.BigEndian.PutUint16(b[9:11], vers)
 	binary.BigEndian.PutUint16(b[11:13], uint16(n))
 	return b[:]
-}
-
-// aad is the connection-scratch flavor of the free function above: the
-// returned slice aliases the halfConn and is valid until the next call.
-func (h *halfConn) aad(seq uint64, typ uint8, n int) []byte {
-	binary.BigEndian.PutUint64(h.aadBuf[:8], seq)
-	h.aadBuf[8] = typ
-	binary.BigEndian.PutUint16(h.aadBuf[9:11], recordVersion)
-	binary.BigEndian.PutUint16(h.aadBuf[11:13], uint16(n))
-	return h.aadBuf[:]
 }
 
 // sealInto appends the protected payload (explicit nonce || ciphertext ||
@@ -187,7 +168,7 @@ func sealInto(dst []byte, h *halfConn, typ uint8, plain []byte) []byte {
 	var seq [8]byte
 	binary.BigEndian.PutUint64(seq[:], h.seq)
 	dst = append(dst, seq[:]...)
-	dst = h.aead.Seal(dst, h.nonce[:], plain, h.aad(h.seq, typ, len(plain)))
+	dst = h.aead.Seal(dst, h.nonce[:], plain, aad(&h.aadBuf, h.seq, typ, recordVersion, len(plain)))
 	h.seq++
 	return dst
 }
@@ -204,8 +185,8 @@ func OpenPayload(aead cipher.AEAD, salt []byte, typ uint8, payload []byte) ([]by
 	var nonce [12]byte
 	copy(nonce[:4], salt)
 	copy(nonce[4:], payload[:8])
-	plainLen := len(payload) - 8 - 16
-	return aead.Open(nil, nonce[:], payload[8:], aad(seq, typ, plainLen))
+	var ad [13]byte
+	return aead.Open(nil, nonce[:], payload[8:], aad(&ad, seq, typ, recordVersion, len(payload)-8-16))
 }
 
 // NewAEAD builds the AES-128-GCM AEAD for a write key (attacker use).
@@ -217,51 +198,31 @@ func NewAEAD(key []byte) (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-// WriteRecord writes one record, protecting it if the direction is armed.
-// The frame is assembled in the connection's reusable scratch buffer so
-// steady-state writes allocate nothing. On a coalescing (Reset) Conn
-// the frame is queued in pend instead and handed to the transport by the
-// next Flush (which ReadRecord and WriteAlert perform implicitly); a
-// transport error then surfaces at that flush.
+// WriteRecord queues one record, protecting it if the direction is
+// armed. The next Flush (which ReadRecord and WriteAlert perform
+// implicitly) hands it to the transport, and a transport error surfaces
+// there.
 func (rc *Conn) WriteRecord(typ uint8, payload []byte) error {
-	if rc.coalesce {
-		start := len(rc.pend)
-		buf := append(rc.pend, 0, 0, 0, 0, 0)
-		if rc.out.aead != nil {
-			buf = sealInto(buf, &rc.out, typ, payload)
-		} else {
-			buf = append(buf, payload...)
-		}
-		buf[start] = typ
-		binary.BigEndian.PutUint16(buf[start+1:start+3], recordVersion)
-		binary.BigEndian.PutUint16(buf[start+3:start+5], uint16(len(buf)-start-5))
-		rc.pend = buf
-		if len(rc.pend) >= maxPend {
-			return rc.Flush()
-		}
-		return nil
-	}
-	if need := 5 + len(payload) + 8 + 16; cap(rc.wbuf) < need {
-		rc.wbuf = make([]byte, 0, need+256)
-	}
-	buf := rc.wbuf[:5]
+	start := len(rc.pend)
+	buf := append(rc.pend, 0, 0, 0, 0, 0)
 	if rc.out.aead != nil {
 		buf = sealInto(buf, &rc.out, typ, payload)
 	} else {
 		buf = append(buf, payload...)
 	}
-	buf[0] = typ
-	binary.BigEndian.PutUint16(buf[1:3], recordVersion)
-	binary.BigEndian.PutUint16(buf[3:5], uint16(len(buf)-5))
-	rc.wbuf = buf[:0]
-	_, err := rc.c.Write(buf)
-	return err
+	buf[start] = typ
+	binary.BigEndian.PutUint16(buf[start+1:start+3], recordVersion)
+	binary.BigEndian.PutUint16(buf[start+3:start+5], uint16(len(buf)-start-5))
+	rc.pend = buf
+	if len(rc.pend) >= maxPend {
+		return rc.Flush()
+	}
+	return nil
 }
 
-// Flush hands every pending coalesced record to the transport in one
-// write. It is a no-op when nothing is pending (or the Conn does not
-// coalesce), so callers sprinkle it at read boundaries and connection
-// exit without tracking state.
+// Flush hands every pending record to the transport in one write. It is
+// a no-op when nothing is pending, so callers sprinkle it at read
+// boundaries and connection exit without tracking state.
 func (rc *Conn) Flush() error {
 	if len(rc.pend) == 0 {
 		return nil
@@ -309,8 +270,10 @@ func (rc *Conn) ReadRecord() (Record, error) {
 		plainLen := len(payload) - 8 - 16
 		// Decrypt in place: dst payload[8:8] aliases the ciphertext start,
 		// the exact-overlap case crypto/cipher's GCM supports, so the
-		// plaintext needs no second allocation.
-		plain, err := h.aead.Open(payload[8:8], h.nonce[:], payload[8:], h.aad(seq, typ, plainLen))
+		// plaintext needs no second allocation. The additional data takes
+		// the version as received, so a changed header fails to open.
+		vers := binary.BigEndian.Uint16(rc.hdr[1:3])
+		plain, err := h.aead.Open(payload[8:8], h.nonce[:], payload[8:], aad(&h.aadBuf, seq, typ, vers, plainLen))
 		if err != nil {
 			return Record{}, fmt.Errorf("record: decrypt: %w", err)
 		}

@@ -1,7 +1,6 @@
 package scanner
 
 import (
-	"net"
 	"time"
 
 	"tlsshortcuts/internal/attacker"
@@ -74,15 +73,7 @@ func (s *Scanner) captureDomain(domain string, appData []byte) CryptCapture {
 // single post-campaign sweep, and a retried probe would be a different
 // recorded conversation anyway.
 func (s *Scanner) tapProbe(domain, label string, cfg *tlsclient.Config) (*attacker.Conversation, *tlsclient.Capture, error) {
-	var conn net.Conn
-	var err error
-	if sd, ok := s.Dialer.(StableDialer); ok {
-		conn, err = sd.DialProbeStable(domain, label)
-	} else if pd, ok := s.Dialer.(ProbeDialer); ok {
-		conn, err = pd.DialProbe(domain, label)
-	} else {
-		conn, err = s.Dialer.Dial(domain)
-	}
+	conn, err := s.Dialer.DialProbeStable(domain, label)
 	if err != nil {
 		return nil, nil, err
 	}

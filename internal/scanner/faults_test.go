@@ -12,6 +12,13 @@ import (
 	"tlsshortcuts/internal/simclock"
 )
 
+// dialFunc adapts a fake's dial method to Dialer. The fakes ignore the
+// probe label, so both dial paths are the one function.
+type dialFunc func(domain string) (net.Conn, error)
+
+func (f dialFunc) DialProbe(domain, _ string) (net.Conn, error)       { return f(domain) }
+func (f dialFunc) DialProbeStable(domain, _ string) (net.Conn, error) { return f(domain) }
+
 // stallDialer returns connections whose server side swallows every byte
 // and never answers — the pathology that used to deadlock a worker.
 // Unlike simnet's Stall fault, which fails the read at once, its pipe
@@ -53,7 +60,7 @@ func (d *resetDialer) Dial(domain string) (net.Conn, error) {
 // flakyDialer fails the first failures dials, then delegates to a real
 // network.
 type flakyDialer struct {
-	inner    Dialer
+	inner    func(domain string) (net.Conn, error)
 	failures int64
 	dials    atomic.Int64
 }
@@ -62,7 +69,7 @@ func (d *flakyDialer) Dial(domain string) (net.Conn, error) {
 	if d.dials.Add(1) <= d.failures {
 		return nil, &faults.DialError{Domain: domain, Reason: "transient refusal"}
 	}
-	return d.inner.Dial(domain)
+	return d.inner(domain)
 }
 
 // runDaily runs one single-domain ticket scan under a watchdog: the whole
@@ -88,7 +95,7 @@ func runDaily(t *testing.T, s *Scanner, domain string, timeout time.Duration) Ob
 // is what keeps a real hang (tlsscan over TCP) from stopping a scan.
 func TestStalledBackendScanCompletesWithTimeout(t *testing.T) {
 	s := &Scanner{
-		Dialer:  &stallDialer{},
+		Dialer:  dialFunc((&stallDialer{}).Dial),
 		Clock:   simclock.NewManual(simclock.Epoch),
 		Workers: 1,
 		Timeout: 100 * time.Millisecond,
@@ -106,7 +113,7 @@ func TestStalledBackendScanCompletesWithTimeout(t *testing.T) {
 func TestRefusedScanRetriesThenGivesUp(t *testing.T) {
 	d := &refuseDialer{}
 	s := &Scanner{
-		Dialer:  d,
+		Dialer:  dialFunc(d.Dial),
 		Clock:   simclock.NewManual(simclock.Epoch),
 		Workers: 1,
 		Retries: 2,
@@ -125,7 +132,7 @@ func TestRefusedScanRetriesThenGivesUp(t *testing.T) {
 
 func TestMidHandshakeDropClassifiesReset(t *testing.T) {
 	s := &Scanner{
-		Dialer:  &resetDialer{},
+		Dialer:  dialFunc((&resetDialer{}).Dial),
 		Clock:   simclock.NewManual(simclock.Epoch),
 		Workers: 1,
 		Timeout: time.Second,
@@ -145,9 +152,9 @@ func TestTransientFailureRecoveredByRetry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("building world: %v", err)
 	}
-	d := &flakyDialer{inner: w.Net, failures: 2}
+	d := &flakyDialer{inner: w.Net.Dial, failures: 2}
 	s := &Scanner{
-		Dialer:  d,
+		Dialer:  dialFunc(d.Dial),
 		Roots:   w.Roots,
 		Clock:   w.Clock,
 		Workers: 1,

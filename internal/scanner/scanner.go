@@ -27,26 +27,17 @@ import (
 	"tlsshortcuts/internal/wire"
 )
 
-// Dialer is anything that can open a connection to a domain (in the
-// simulation, *simnet.Net).
-type Dialer interface {
-	Dial(domain string) (net.Conn, error)
-}
-
-// ProbeDialer is a Dialer that also accepts the probe's identity label,
-// letting the network key per-dial decisions (fault injection, balancer
-// choice under a fault plan) on the probe rather than on racy global
-// dial order. The scanner uses it when available.
-type ProbeDialer interface {
-	DialProbe(domain, label string) (net.Conn, error)
-}
-
-// StableDialer keys the balancer choice on (domain, label) even with no
-// fault plan active. Post-campaign passes use it so the backend they
+// Dialer opens connections to domains (in the simulation, *simnet.Net).
+// Both methods carry the probe's identity label. DialProbe lets the
+// network key per-dial decisions (fault injection, balancer choice under
+// a fault plan) on the probe rather than on racy global dial order.
+// DialProbeStable keys the balancer choice on (domain, label) even with
+// no fault plan active; post-campaign passes use it so the backend they
 // land on does not depend on how many dials the campaign already issued
 // to the domain — a count that differs between monolithic and sharded
 // runs of the same campaign.
-type StableDialer interface {
+type Dialer interface {
+	DialProbe(domain, label string) (net.Conn, error)
 	DialProbeStable(domain, label string) (net.Conn, error)
 }
 
@@ -246,13 +237,7 @@ func metricLabel(label string) string {
 // would race against other workers and shift every concurrent probe), the
 // attempt sees a per-connection offset view of virtual time.
 func (s *Scanner) connectOnce(ar *workerArena, dst *tlsclient.Capture, domain, label string, cfg *tlsclient.Config, callerRand io.Reader, wait time.Duration) (faults.ErrClass, error) {
-	var conn net.Conn
-	var err error
-	if pd, ok := s.Dialer.(ProbeDialer); ok {
-		conn, err = pd.DialProbe(domain, label)
-	} else {
-		conn, err = s.Dialer.Dial(domain)
-	}
+	conn, err := s.Dialer.DialProbe(domain, label)
 	if err != nil {
 		return faults.ClassDial, err
 	}

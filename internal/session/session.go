@@ -24,11 +24,6 @@ type State struct {
 
 const stateLen = 2 + 2 + 8 + 48
 
-// Marshal serializes the state for sealing into a ticket.
-func (s *State) Marshal() []byte {
-	return s.AppendMarshal(make([]byte, 0, stateLen))
-}
-
 // AppendMarshal appends the serialized state to dst, so a ticket seal
 // can marshal straight into the outgoing message buffer.
 func (s *State) AppendMarshal(dst []byte) []byte {
@@ -43,17 +38,8 @@ func (s *State) AppendMarshal(dst []byte) []byte {
 // MarshaledLen is the fixed serialized length of a State.
 const MarshaledLen = stateLen
 
-// Unmarshal reverses Marshal.
-func Unmarshal(b []byte) (*State, error) {
-	s := &State{}
-	if err := UnmarshalInto(s, b); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// UnmarshalInto is Unmarshal decoding into caller-owned storage, for the
-// server's pooled per-connection ticket scratch.
+// UnmarshalInto reverses AppendMarshal, decoding into caller-owned
+// storage (the server's pooled per-connection ticket scratch).
 func UnmarshalInto(dst *State, b []byte) error {
 	if len(b) != stateLen {
 		return fmt.Errorf("session: bad state length %d", len(b))

@@ -266,7 +266,7 @@ var errReset = errors.New("simnet: connection reset by peer")
 // the client sees the handshake cut off mid-flight. The budget counts
 // record frames inside the written bytes, not Write calls, so the
 // client-visible cut point is independent of how the record layer
-// batches records into writes (per-record or flight-coalesced).
+// batches records into writes.
 type resetConn struct {
 	net.Conn
 	allow int

@@ -232,13 +232,11 @@ func (r *Report) TLS13Classification(earlyData bool) vulnwindow.Classification {
 		return r.Classification
 	}
 	var exps []vulnwindow.Exposure
-	seen := make(map[string]bool)
 	for _, e := range r.Exposures {
 		if e.Mechanism == vulnwindow.MechTicket {
 			e.Window = 0
 		}
 		exps = append(exps, e)
-		seen[e.Domain] = true
 	}
 	return vulnwindow.Classify(exps)
 }

@@ -529,8 +529,10 @@ func (r *Rotating) LookupKey(tkt []byte, now time.Time) *STEK {
 func (r *Rotating) OpenTicketInto(dst *session.State, tkt []byte, now time.Time) bool {
 	for _, k := range r.ActiveKeys(now) {
 		if k.OpenInto(dst, tkt) {
+			countOpen(true)
 			return true
 		}
 	}
+	countOpen(false)
 	return false
 }

@@ -8,6 +8,7 @@ import (
 
 	"tlsshortcuts/internal/session"
 	"tlsshortcuts/internal/simclock"
+	"tlsshortcuts/internal/telemetry"
 )
 
 func testState() *session.State {
@@ -180,5 +181,41 @@ func TestRotatingDeterminism(t *testing.T) {
 	at := base.Add(90 * time.Minute)
 	if !bytes.Equal(a.IssuingKey(at).Name, b.IssuingKey(at).Name) {
 		t.Error("identically-seeded managers derived different keys")
+	}
+}
+
+// TestOpenTicketIntoCountsOutcomes requires every STEK manager to report
+// each resumption decrypt outcome on the process registry: a ticket it
+// sealed counts one ticket/open_ok, a foreign ticket one ticket/open_miss.
+func TestOpenTicketIntoCountsOutcomes(t *testing.T) {
+	st := testState()
+	now := simclock.Epoch.Add(90 * time.Minute)
+	foreign, err := Derive([]byte("count-foreign"), FormatRFC5077).Seal(st, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mgr  Manager
+	}{
+		{"static", NewStatic([]byte("count-static"), FormatRFC5077)},
+		{"rotating", &Rotating{Seed: []byte("count-rotating"), Base: simclock.Epoch, Period: time.Hour, AcceptPrevious: 1, Format: FormatRFC5077}},
+	} {
+		own, err := tc.mgr.IssuingKey(now).Seal(st, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		restore := telemetry.SetGlobal(reg)
+		var dst session.State
+		opened := tc.mgr.OpenTicketInto(&dst, own, now)
+		rejected := !tc.mgr.OpenTicketInto(&dst, foreign, now)
+		restore()
+		if !opened || !rejected {
+			t.Fatalf("%s: own ticket opened %v, foreign ticket rejected %v", tc.name, opened, rejected)
+		}
+		if ok, miss := reg.Value("ticket/open_ok"), reg.Value("ticket/open_miss"); ok != 1 || miss != 1 {
+			t.Errorf("%s: counted %d ok and %d miss, want 1 and 1", tc.name, ok, miss)
+		}
 	}
 }

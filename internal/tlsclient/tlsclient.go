@@ -6,6 +6,7 @@ package tlsclient
 
 import (
 	"crypto/ecdh"
+	"crypto/hmac"
 	crand "crypto/rand"
 	"crypto/sha256"
 	"crypto/x509"
@@ -503,7 +504,7 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		return err
 	}
 	want := hc.ex.AppendPRF(hc.fin[:0], "server finished", preServer, 12)
-	if msg.Type != wire.TypeFinished || !equal(msg.Body, want) {
+	if msg.Type != wire.TypeFinished || !hmac.Equal(msg.Body, want) {
 		return errors.New("tls: bad server Finished")
 	}
 
@@ -545,7 +546,7 @@ func finishResumed(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, 
 		return err
 	}
 	want := hc.ex.AppendPRF(hc.fin[:0], "server finished", preServer, 12)
-	if fin.Type != wire.TypeFinished || !equal(fin.Body, want) {
+	if fin.Type != wire.TypeFinished || !hmac.Equal(fin.Body, want) {
 		return errors.New("tls: bad server Finished on resumption")
 	}
 
@@ -665,15 +666,4 @@ func verifySKE(hc *hsConn, roots *pki.RootStore, chain [][]byte, ske *wire.SKE, 
 	hc.sp = ske.AppendSignedParams(hc.sp[:0], clientRandom, serverRandom)
 	digest := sha256.Sum256(hc.sp)
 	return pki.VerifySKE(leaf.PublicKey, digest[:], ske.Sig)
-}
-
-func equal(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	var v byte
-	for i := range a {
-		v |= a[i] ^ b[i]
-	}
-	return v == 0
 }

@@ -7,6 +7,7 @@ package tlsserver
 
 import (
 	"crypto/ecdh"
+	"crypto/hmac"
 	crand "crypto/rand"
 	"crypto/sha256"
 	"errors"
@@ -59,9 +60,6 @@ type Config struct {
 	// points this at the shared export-grade group.
 	DHEGroup *ffdh.Group
 
-	// RestartBase anchors process-lifetime state (informational).
-	RestartBase time.Time
-
 	// Rand supplies all server entropy (hello randoms, IVs, session
 	// IDs); nil means crypto/rand.
 	Rand io.Reader
@@ -82,26 +80,6 @@ func (c *Config) now() time.Time {
 		return c.Clock.Now()
 	}
 	return time.Now()
-}
-
-func (c *Config) rand() io.Reader {
-	if c.Rand != nil {
-		return c.Rand
-	}
-	return crand.Reader
-}
-
-// connRand returns the entropy source for one connection. With RandSeed
-// set it is a fresh deterministic stream per ClientHello (the client
-// random salts it, so concurrent connections never share a stream).
-func (c *Config) connRand(clientRandom []byte) io.Reader {
-	if c.Rand != nil {
-		return c.Rand
-	}
-	if c.RandSeed != nil {
-		return drbg.New(c.RandSeed, clientRandom)
-	}
-	return crand.Reader
 }
 
 func (c *Config) certFor(sni string) *pki.Certificate {
@@ -156,15 +134,19 @@ func getHsConn(conn net.Conn) *hsConn {
 	return h
 }
 
-// connRand is Config.connRand using the pooled connection's reader in
-// the deterministic RandSeed mode, so the per-connection stream costs no
-// allocation. The stream bytes are identical either way.
+// connRand returns the entropy source for one connection: Rand when
+// set, else with RandSeed a fresh deterministic stream per ClientHello
+// in the pooled connection's reader (the client random salts it, so
+// concurrent connections never share a stream), else crypto/rand.
 func (h *hsConn) connRand(cfg *Config, clientRandom []byte) io.Reader {
-	if cfg.Rand == nil && cfg.RandSeed != nil {
+	switch {
+	case cfg.Rand != nil:
+		return cfg.Rand
+	case cfg.RandSeed != nil:
 		h.rng.Reseed(cfg.RandSeed, clientRandom)
 		return &h.rng
 	}
-	return cfg.connRand(clientRandom)
+	return crand.Reader
 }
 
 // transcript returns the hash of the handshake messages so far, in the
@@ -480,7 +462,7 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) (*sessio
 		return nil, err
 	}
 	want := hc.ex.AppendPRF(hc.fin[:0], "client finished", preFinished, 12)
-	if fin.Type != wire.TypeFinished || !bytesEqual(fin.Body, want) {
+	if fin.Type != wire.TypeFinished || !hmac.Equal(fin.Body, want) {
 		hc.rc.WriteAlert(record.AlertHandshakeFailure)
 		return nil, errors.New("tls: bad client Finished")
 	}
@@ -558,7 +540,7 @@ func resume(hc *hsConn, cfg *Config, ch *wire.ClientHello, st *session.State, no
 		return err
 	}
 	want := hc.ex.AppendPRF(hc.fin[:0], "client finished", preClient, 12)
-	if fin.Type != wire.TypeFinished || !bytesEqual(fin.Body, want) {
+	if fin.Type != wire.TypeFinished || !hmac.Equal(fin.Body, want) {
 		return errors.New("tls: bad client Finished on resumption")
 	}
 	return nil
@@ -592,15 +574,4 @@ func finishServer(hc *hsConn, kb []byte) error {
 	}
 	fin := wire.Msg{Type: wire.TypeFinished, Body: hc.ex.AppendPRF(hc.fin[:0], "server finished", preFinished, 12)}
 	return hc.writeMsg(&fin)
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	var v byte
-	for i := range a {
-		v |= a[i] ^ b[i]
-	}
-	return v == 0
 }

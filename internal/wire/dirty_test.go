@@ -169,12 +169,18 @@ func TestParseIntoTruncatedInputs(t *testing.T) {
 
 // TestFailedParseAllocationBounded feeds each parser a body whose length
 // prefix claims far more than the body holds — a 3-byte Certificate
-// claiming a 16 MiB chain among them — and bounds the bytes one failed
-// parse allocates: a truncated vector must fail without materializing
-// its claimed length.
+// claiming a 16 MiB chain among them, and hellos whose only flaw is
+// inside one extension — and bounds the bytes one failed parse
+// allocates: a truncated vector must fail without materializing its
+// claimed length.
 func TestFailedParseAllocationBounded(t *testing.T) {
 	random := make([]byte, 32)
 	hello := append([]byte{3, 3}, random...)
+	// A ClientHello offering one suite, followed by its extensions block.
+	clientHello := func(exts ...byte) []byte {
+		b := append(append([]byte(nil), hello...), 0, 0, 2, 0xc0, 0x2b, 1, 0, 0, byte(len(exts)))
+		return append(b, exts...)
+	}
 	cases := []struct {
 		name  string
 		parse func() error
@@ -189,6 +195,18 @@ func TestFailedParseAllocationBounded(t *testing.T) {
 		}},
 		{"server hello extensions", func() error {
 			return ParseServerHelloInto(&ServerHello{}, append(append([]byte(nil), hello...), 0, 0xc0, 0x2f, 0, 0xff, 0xff))
+		}},
+		{"client hello sni host name", func() error {
+			// The host_name claims 200 bytes; the 11 of "example.com" remain.
+			return ParseClientHelloInto(&ClientHello{}, clientHello(append([]byte{0, 0, 0, 16, 0, 14, 0, 0, 200}, "example.com"...)...))
+		}},
+		{"client hello ticket extension", func() error {
+			// The session_ticket extension claims 10 bytes; 5 remain.
+			return ParseClientHelloInto(&ClientHello{}, clientHello(0, 35, 0, 10, 1, 2, 3, 4, 5))
+		}},
+		{"server hello ticket extension", func() error {
+			// The session_ticket extension claims 5 bytes; none remain.
+			return ParseServerHelloInto(&ServerHello{}, append(append([]byte(nil), hello...), 0, 0xc0, 0x2b, 0, 0, 4, 0, 35, 0, 5))
 		}},
 		{"ske dhe", func() error { return ParseSKEInto(&SKE{}, KexDHE, []byte{0xff, 0xff}) }},
 		{"cke dhe", func() error { _, err := ParseCKE(KexDHE, []byte{0xff, 0xff}); return err }},

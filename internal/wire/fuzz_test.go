@@ -13,8 +13,8 @@ import (
 // parser must return into a dirtied destination exactly what it returns
 // into a zero one, error included — the property
 // TestParseIntoDirtyDestinations checks by table. The committed seeds in
-// testdata/fuzz/FuzzParseInto hold one valid body per message and one
-// truncation.
+// testdata/fuzz/FuzzParseInto hold one valid body per message, one
+// truncation, and three hellos whose only flaw is inside an extension.
 func FuzzParseInto(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var ch ClientHello

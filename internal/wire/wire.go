@@ -210,14 +210,6 @@ func (h *ClientHello) AppendTo(dst []byte) []byte {
 	return endMsg(dst, msg)
 }
 
-func ParseClientHello(body []byte) (*ClientHello, error) {
-	h := &ClientHello{}
-	if err := ParseClientHelloInto(h, body); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
 // ParseClientHelloInto parses into a caller-owned ClientHello, reusing
 // its Suites backing array. Terminators parse one ClientHello per
 // connection; with a pooled destination the parse allocates nothing but
@@ -235,18 +227,23 @@ func ParseClientHelloInto(h *ClientHello, body []byte) error {
 		h.Suites = append(h.Suites, p.u16())
 	}
 	p.vec8() // compression
-	exts := p.vec16()
-	ep := &parser{b: exts}
-	for len(ep.b) > 0 && ep.err == nil {
-		typ := ep.u16()
-		data := ep.vec16()
+	// The extensions block ends the message: narrowing p to it makes a
+	// malformed extension fail the whole parse.
+	p.b = p.vec16()
+	for len(p.b) > 0 {
+		typ := p.u16()
+		data := p.vec16()
 		switch typ {
 		case ExtSNI:
+			// server_name_list, whose first entry is the host_name.
 			sp := &parser{b: data}
-			list := sp.vec16()
-			lp := &parser{b: list}
-			lp.fixed(1)
-			h.ServerName = internName(lp.vec16())
+			sp.b = sp.vec16()
+			sp.fixed(1) // name_type
+			name := sp.vec16()
+			if sp.err != nil {
+				return sp.err
+			}
+			h.ServerName = internName(name)
 		case ExtSessionTicket:
 			h.OfferTicket = true
 			h.Ticket = data
@@ -299,14 +296,6 @@ func (h *ServerHello) AppendTo(dst []byte) []byte {
 	return endMsg(dst, msg)
 }
 
-func ParseServerHello(body []byte) (*ServerHello, error) {
-	h := &ServerHello{}
-	if err := ParseServerHelloInto(h, body); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
 // ParseServerHelloInto parses into a caller-owned ServerHello; with a
 // pooled destination the parse is allocation-free (SessionID aliases
 // body).
@@ -319,12 +308,12 @@ func ParseServerHelloInto(h *ServerHello, body []byte) error {
 	copy(h.Random[:], p.fixed(32))
 	h.SessionID = p.vec8()
 	h.Suite = p.u16()
-	p.fixed(1)
-	exts := p.vec16()
-	ep := &parser{b: exts}
-	for len(ep.b) > 0 && ep.err == nil {
-		typ := ep.u16()
-		ep.vec16()
+	p.fixed(1) // compression
+	// The extensions block ends the message, as in ParseClientHelloInto.
+	p.b = p.vec16()
+	for len(p.b) > 0 {
+		typ := p.u16()
+		p.vec16()
 		if typ == ExtSessionTicket {
 			h.TicketAck = true
 		}
@@ -419,12 +408,8 @@ func (s *SKE) appendParams(dst []byte) []byte {
 	return append(dst, s.Public...)
 }
 
-// SignedParams is the blob the server signs (and the client verifies).
-func (s *SKE) SignedParams(clientRandom, serverRandom []byte) []byte {
-	return s.AppendSignedParams(make([]byte, 0, 64+len(s.Public)+len(s.P)+len(s.G)+16), clientRandom, serverRandom)
-}
-
-// AppendSignedParams appends the to-be-signed blob to dst.
+// AppendSignedParams appends the blob the server signs (and the client
+// verifies) to dst.
 func (s *SKE) AppendSignedParams(dst, clientRandom, serverRandom []byte) []byte {
 	dst = append(dst, clientRandom...)
 	dst = append(dst, serverRandom...)
@@ -447,14 +432,6 @@ func (s *SKE) AppendTo(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, 0x0403)
 	dst = appendVec16(dst, s.Sig)
 	return endMsg(dst, msg)
-}
-
-func ParseSKE(kex Kex, body []byte) (*SKE, error) {
-	s := &SKE{}
-	if err := ParseSKEInto(s, kex, body); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // ParseSKEInto parses into a caller-owned SKE; every field aliases body,

@@ -46,10 +46,6 @@ func TestAppendMatchesMarshal(t *testing.T) {
 		if got, want := ske.AppendTo(nil), ske.Marshal().Marshal(); !bytes.Equal(got, want) {
 			t.Errorf("SKE(%v).AppendTo differs from Marshal:\n  got  %x\n  want %x", ske.Kex, got, want)
 		}
-		cr, sr := []byte("client-random-32................"), []byte("server-random-32................")
-		if got, want := ske.AppendSignedParams(nil, cr, sr), ske.SignedParams(cr, sr); !bytes.Equal(got, want) {
-			t.Errorf("SKE(%v).AppendSignedParams differs from SignedParams", ske.Kex)
-		}
 	}
 
 	for _, kex := range []Kex{KexECDHE, KexDHE} {
