@@ -94,7 +94,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifySKE$$' -fuzztime 20s ./internal/pki
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInto$$' -fuzztime 20s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzSpansJSON$$' -fuzztime 20s ./internal/study
+	$(GO) test -run '^$$' -fuzz '^FuzzDatasetJSON$$' -fuzztime 20s ./internal/study
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime 20s ./internal/record
+	$(GO) test -run '^$$' -fuzz '^FuzzAttackerLoad$$' -fuzztime 20s ./internal/attacker
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=$(BENCHTIME) ./...

@@ -3,7 +3,6 @@ package study
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"tlsshortcuts/internal/cryptanalysis"
 	"tlsshortcuts/internal/faults"
@@ -20,9 +19,9 @@ import (
 // keyed on the domain, never on global dial order), each domain belongs
 // to exactly one shard, and every cross-shard structure is either a sum
 // (snapshots, failure tallies, XD denominators), a disjoint union
-// (span tables, missed days), an order-canonicalized sort (lifetime rows
-// by rank, failure rows by scan/class), or a union-find closure whose
-// edges are fully owned by the initiating domain's shard (cache groups).
+// (span tables, missed days), a merge into rank order (lifetime rows), a
+// sort (failure rows by scan/class), or a union-find closure whose edges
+// are fully owned by the initiating domain's shard (cache groups).
 // The groups derived purely from spans (STEK/DH groups) are simply
 // recomputed from the merged spans with the same functions Run uses.
 func MergeDatasets(shards ...*Dataset) (*Dataset, error) {
@@ -77,6 +76,12 @@ func MergeDatasets(shards ...*Dataset) (*Dataset, error) {
 	if out.ECDHESpans, err = mergeSpans(ordered, "ECDHE", func(d *Dataset) Spans { return d.ECDHESpans }); err != nil {
 		return nil, err
 	}
+	if out.IDLifetime, err = mergeLifetimes(ordered, "ID", out.Ranks, func(d *Dataset) []scanner.ProbeResult { return d.IDLifetime }); err != nil {
+		return nil, err
+	}
+	if out.TicketLifetime, err = mergeLifetimes(ordered, "ticket", out.Ranks, func(d *Dataset) []scanner.ProbeResult { return d.TicketLifetime }); err != nil {
+		return nil, err
+	}
 
 	fails := make(map[failKey]int)
 	var xd scanner.XDStats
@@ -97,8 +102,6 @@ func MergeDatasets(shards ...*Dataset) (*Dataset, error) {
 		for _, fc := range sd.Failures {
 			fails[failKey{fc.Scan, faults.ErrClass(fc.Class)}] += fc.Count
 		}
-		out.IDLifetime = append(out.IDLifetime, sd.IDLifetime...)
-		out.TicketLifetime = append(out.TicketLifetime, sd.TicketLifetime...)
 		if sd.XDStats != nil {
 			xd.Probed += sd.XDStats.Probed
 			xd.Sessioned += sd.XDStats.Sessioned
@@ -110,12 +113,6 @@ func MergeDatasets(shards ...*Dataset) (*Dataset, error) {
 		}
 		out.Dials += sd.Dials
 	}
-
-	// Monolithic order for the lifetime tables is the trusted core's —
-	// rank ascending — and ranks are unique, so sorting the concatenated
-	// shard rows reproduces it exactly.
-	sortByRank(out.IDLifetime, out.Ranks)
-	sortByRank(out.TicketLifetime, out.Ranks)
 
 	out.Failures = failureTable(fails)
 
@@ -296,8 +293,65 @@ func addSnapshot(a, b Snapshot) Snapshot {
 	}
 }
 
-func sortByRank(prs []scanner.ProbeResult, ranks map[string]int) {
-	sort.Slice(prs, func(i, j int) bool {
-		return ranks[prs[i].Domain] < ranks[prs[j].Domain]
-	})
+// mergeLifetimes merges one lifetime table of every shard (in shard
+// order) into the monolithic run's order, which is the trusted core's:
+// rank ascending. Each shard's rows arrive in that order, so each step
+// takes the head row of least rank, and each row's rank is looked up
+// once, when it becomes its shard's head. A row whose domain has no rank,
+// a shard out of rank order, and two heads of one rank (a domain in two
+// shards) are rejected. No rows at all merge to nil, as concatenating
+// the shards' rows did.
+func mergeLifetimes(shards []*Dataset, kind string, ranks map[string]int, table func(*Dataset) []scanner.ProbeResult) ([]scanner.ProbeResult, error) {
+	tables := make([][]scanner.ProbeResult, len(shards))
+	n := 0
+	for i, sd := range shards {
+		tables[i] = table(sd)
+		n += len(tables[i])
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	next := make([]int, len(tables))
+	head := make([]int, len(tables)) // rank of each table's next row
+	lookup := func(i int) error {
+		t, j := tables[i], next[i]
+		if j == len(t) {
+			return nil
+		}
+		r, ok := ranks[t[j].Domain]
+		switch {
+		case !ok:
+			return fmt.Errorf("study: merge: shard %d %s lifetime row %d: %q has no rank", i, kind, j, t[j].Domain)
+		case j > 0 && r <= head[i]:
+			return fmt.Errorf("study: merge: shard %d %s lifetime rows not in rank order at row %d", i, kind, j)
+		}
+		head[i] = r
+		return nil
+	}
+	for i := range tables {
+		if err := lookup(i); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]scanner.ProbeResult, 0, n)
+	for len(out) < n {
+		least := -1
+		for i, t := range tables {
+			if next[i] == len(t) {
+				continue
+			}
+			if least >= 0 && head[i] == head[least] {
+				return nil, fmt.Errorf("study: merge: %s lifetime rows of rank %d in shards %d and %d", kind, head[i], least, i)
+			}
+			if least < 0 || head[i] < head[least] {
+				least = i
+			}
+		}
+		out = append(out, tables[least][next[least]])
+		next[least]++
+		if err := lookup(least); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

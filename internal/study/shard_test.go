@@ -1,6 +1,7 @@
 package study
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -143,6 +144,40 @@ func TestMergeDatasetsEdgeCases(t *testing.T) {
 		// Rank order, not shard order.
 		if m.IDLifetime[0].Domain != "a.example" || m.IDLifetime[1].Domain != "b.example" {
 			t.Fatalf("lifetime rows not in rank order: %+v", m.IDLifetime)
+		}
+	})
+
+	t.Run("lifetime rows out of rank order rejected", func(t *testing.T) {
+		a, b := mkShard(0, 2), mkShard(1, 2)
+		a.Ranks["c.example"] = 3
+		b.Ranks["c.example"] = 3
+		a.TicketLifetime = []scanner.ProbeResult{{Domain: "c.example"}, {Domain: "a.example"}}
+		if _, err := MergeDatasets(a, b); err == nil {
+			t.Fatal("want rejection of a shard whose lifetime rows are out of rank order")
+		}
+		a.TicketLifetime = []scanner.ProbeResult{{Domain: "a.example"}, {Domain: "c.example"}}
+		b.TicketLifetime = []scanner.ProbeResult{{Domain: "c.example"}}
+		if _, err := MergeDatasets(a, b); err == nil {
+			t.Fatal("want rejection of a lifetime row in two shards")
+		}
+		b.TicketLifetime = []scanner.ProbeResult{{Domain: "unranked.example"}}
+		if _, err := MergeDatasets(a, b); err == nil {
+			t.Fatal("want rejection of a lifetime row with no rank")
+		}
+	})
+
+	t.Run("no lifetime rows merge to nil", func(t *testing.T) {
+		a, b := mkShard(0, 2), mkShard(1, 2)
+		a.IDLifetime = []scanner.ProbeResult{}
+		m, err := MergeDatasets(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.IDLifetime != nil || m.TicketLifetime != nil {
+			t.Fatalf("empty lifetime tables merged to %#v and %#v, want nil", m.IDLifetime, m.TicketLifetime)
+		}
+		if js := marshal(t, m); !bytes.Contains(js, []byte(`"IDLifetime":null,"TicketLifetime":null`)) {
+			t.Fatalf("merged dataset does not write null lifetime tables: %s", js)
 		}
 	})
 

@@ -117,7 +117,7 @@ func appendKey(b []byte, s string) []byte {
 
 // plain reports whether encoding/json writes s verbatim: printable ASCII
 // without the quote, the backslash, or the HTML-escaped <, > and &.
-func plain[T string | []byte](s T) bool {
+func plain(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if !plainByte[s[i]] {
 			return false
@@ -135,11 +135,12 @@ var plainByte = func() (t [256]bool) {
 
 // UnmarshalJSON replaces the table with the rows of a nested object. The
 // bytes Save writes — no whitespace or escapes, keys strictly increasing,
-// plain decimal days — are read in one pass; any other input is decoded
-// by encoding/json as a map and sorted, so whatever it accepts or
-// rejects, the table does too.
+// plain decimal days — are read in one pass by the dataset reader; any
+// other input is decoded by encoding/json as a map and sorted, so
+// whatever it accepts or rejects, the table does too.
 func (s *Spans) UnmarshalJSON(data []byte) error {
-	if rows, ok := scanSpans(data); ok {
+	p := &reader{b: data}
+	if rows := p.spans(); p.done() {
 		*s = rows
 		return nil
 	}
@@ -165,104 +166,44 @@ func (s *Spans) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// scanSpans parses the exact bytes MarshalJSON writes for a sorted table,
-// reporting false on anything else.
-func scanSpans(data []byte) (Spans, bool) {
-	if string(data) == "null" {
-		return nil, true
+// spans reads the bytes MarshalJSON writes for a sorted table, failing
+// on a domain or an ID out of order.
+func (p *reader) spans() Spans {
+	if p.opt("null") {
+		return nil
 	}
-	p := &spanScanner{b: data}
-	if !p.lit('{') {
-		return nil, false
-	}
-	// Save's bytes hold one colon per domain and per row, and one opening
-	// brace per domain plus the outer one: size the table exactly.
-	n := bytes.Count(data, []byte{':'}) - bytes.Count(data, []byte{'{'}) + 1
-	rows := make(Spans, 0, max(n, 0))
+	p.want("{")
 	if p.lit('}') {
-		return rows, p.done()
+		return Spans{}
 	}
-	for {
-		domain, ok := p.key()
-		if !ok || !p.lit(':') || !p.lit('{') {
-			return nil, false
-		}
+	// Up to the "}}" that closes the last domain and the table, Save's
+	// bytes hold one colon per domain and per row and one opening brace
+	// per domain: size the table exactly.
+	rest := p.ahead("}}")
+	rows := make(Spans, 0, max(bytes.Count(rest, []byte{':'})-bytes.Count(rest, []byte{'{'}), 0))
+	for !p.bad {
+		domain := p.name()
 		if len(rows) > 0 && rows[len(rows)-1].Domain >= domain {
-			return nil, false
+			p.fail()
 		}
-		first := true
-		for {
-			id, ok := p.key()
-			if !ok || !p.lit(':') {
-				return nil, false
+		p.want(":{")
+		for first := true; !p.bad; first = false {
+			id := p.str()
+			p.want(":")
+			days := p.uint()
+			if !first && rows[len(rows)-1].ID >= id {
+				p.fail()
 			}
-			days, ok := p.uint()
-			if !ok || !first && rows[len(rows)-1].ID >= id {
-				return nil, false
-			}
-			first = false
 			rows = append(rows, Span{Domain: domain, ID: id, Days: days})
 			if p.lit('}') {
 				break
 			}
-			if !p.lit(',') {
-				return nil, false
-			}
+			p.want(",")
 		}
 		if p.lit('}') {
-			return rows, p.done()
+			return rows
 		}
-		if !p.lit(',') {
-			return nil, false
-		}
+		p.want(",")
 	}
-}
-
-type spanScanner struct {
-	b   []byte
-	off int
-}
-
-func (p *spanScanner) done() bool { return p.off == len(p.b) }
-
-func (p *spanScanner) lit(c byte) bool {
-	if p.off < len(p.b) && p.b[p.off] == c {
-		p.off++
-		return true
-	}
-	return false
-}
-
-// key reads a quoted string that encoding/json would have written
-// verbatim (see plain).
-func (p *spanScanner) key() (string, bool) {
-	if !p.lit('"') {
-		return "", false
-	}
-	start := p.off
-	for p.off < len(p.b) && p.b[p.off] != '"' {
-		p.off++
-	}
-	if p.off == len(p.b) || !plain(p.b[start:p.off]) {
-		return "", false
-	}
-	p.off++
-	return string(p.b[start : p.off-1]), true
-}
-
-// uint reads a decimal uint64 without sign, fraction, exponent or
-// leading zero.
-func (p *spanScanner) uint() (uint64, bool) {
-	start := p.off
-	var v uint64
-	for p.off < len(p.b) && '0' <= p.b[p.off] && p.b[p.off] <= '9' {
-		d := uint64(p.b[p.off] - '0')
-		if v > (1<<64-1-d)/10 {
-			return 0, false
-		}
-		v = v*10 + d
-		p.off++
-	}
-	n := p.off - start
-	return v, n == 1 || n > 1 && p.b[start] != '0'
+	return nil
 }

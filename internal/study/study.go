@@ -253,8 +253,8 @@ func Load(path string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := &Dataset{}
-	if err := json.Unmarshal(b, ds); err != nil {
+	ds, err := decodeDataset(b)
+	if err != nil {
 		return nil, fmt.Errorf("study: bad dataset %s: %w", path, err)
 	}
 	return ds, nil
