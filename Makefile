@@ -97,6 +97,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDatasetJSON$$' -fuzztime 20s ./internal/study
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime 20s ./internal/record
 	$(GO) test -run '^$$' -fuzz '^FuzzAttackerLoad$$' -fuzztime 20s ./internal/attacker
+	$(GO) test -run '^$$' -fuzz '^FuzzTicketOpen$$' -fuzztime 20s ./internal/ticket
+	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime 20s ./internal/obsv
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=$(BENCHTIME) ./...

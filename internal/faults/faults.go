@@ -299,7 +299,7 @@ type DialError struct {
 // Error formats the failure like a net dialer would.
 func (e *DialError) Error() string { return "dial " + e.Domain + ": " + e.Reason }
 
-// alertCoder is implemented by tlsclient.AlertError; an interface keeps
+// alertCoder is implemented by record.AlertError; an interface keeps
 // this package free of a TLS-engine dependency.
 type alertCoder interface{ AlertCode() uint8 }
 

@@ -5,6 +5,7 @@
 package pki
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/ecdh"
 	"crypto/ecdsa"
@@ -454,13 +455,15 @@ func (s *RootStore) AddLeaf(c *Certificate) {
 // Leaf returns the parsed certificate for a leaf's DER: the issuer's
 // parse for a leaf added with AddLeaf, otherwise a parse the store keeps
 // for its lifetime. The scanner checks ServerKeyExchange signatures
-// against the same few hundred leaves tens of thousands of times.
+// against the same few hundred leaves tens of thousands of times. The
+// caller may reuse der afterwards: a kept parse is of a copy, because
+// x509.ParseCertificate aliases its input.
 func (s *RootStore) Leaf(der []byte) (*x509.Certificate, error) {
 	key := sha256.Sum256(der)
 	if v, ok := s.leaves.Load(key); ok {
 		return v.(*x509.Certificate), nil
 	}
-	leaf, err := x509.ParseCertificate(der)
+	leaf, err := x509.ParseCertificate(bytes.Clone(der))
 	if err != nil {
 		return nil, err
 	}

@@ -236,3 +236,25 @@ func TestRootStoreLeafConcurrent(t *testing.T) {
 		t.Fatal("a malformed leaf parsed")
 	}
 }
+
+// TestRootStoreLeafOwnsItsDER gives a store a leaf it was not given with
+// AddLeaf in a buffer the caller then reuses, as the client does with its
+// pooled handshake buffer: the parse the store keeps must not change.
+func TestRootStoreLeafOwnsItsDER(t *testing.T) {
+	crt := p256Cert(t)
+	s := NewRootStore()
+	buf := append([]byte(nil), crt.Chain[0]...)
+	leaf, err := s.Leaf(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xff
+	}
+	if !bytes.Equal(leaf.Raw, crt.Chain[0]) {
+		t.Fatal("the store's kept leaf changed when the caller reused its buffer")
+	}
+	if again, err := s.Leaf(crt.Chain[0]); err != nil || again != leaf {
+		t.Fatalf("second lookup: %p, %v; want the kept parse %p", again, err, leaf)
+	}
+}

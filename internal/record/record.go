@@ -266,17 +266,19 @@ func (rc *Conn) ReadRecord() (Record, error) {
 			return Record{}, fmt.Errorf("record: short protected record")
 		}
 		copy(h.nonce[4:], payload[:8])
-		seq := binary.BigEndian.Uint64(payload[:8])
 		plainLen := len(payload) - 8 - 16
 		// Decrypt in place: dst payload[8:8] aliases the ciphertext start,
 		// the exact-overlap case crypto/cipher's GCM supports, so the
 		// plaintext needs no second allocation. The additional data takes
+		// this direction's own sequence number, not the explicit nonce,
+		// so a replayed, reordered or dropped record fails to open, and
 		// the version as received, so a changed header fails to open.
 		vers := binary.BigEndian.Uint16(rc.hdr[1:3])
-		plain, err := h.aead.Open(payload[8:8], h.nonce[:], payload[8:], aad(&h.aadBuf, seq, typ, vers, plainLen))
+		plain, err := h.aead.Open(payload[8:8], h.nonce[:], payload[8:], aad(&h.aadBuf, h.seq, typ, vers, plainLen))
 		if err != nil {
 			return Record{}, fmt.Errorf("record: decrypt: %w", err)
 		}
+		h.seq++
 		payload = plain
 	}
 	return Record{Type: typ, Payload: payload}, nil
@@ -288,6 +290,18 @@ const (
 	AlertHandshakeFailure uint8 = 40
 	AlertBadCertificate   uint8 = 42
 )
+
+// AlertError is a fatal alert received from the peer, typed so callers
+// (the scanner's failure taxonomy among them, through the AlertCode
+// method) classify it without string matching.
+type AlertError struct {
+	Code uint8
+}
+
+func (e *AlertError) Error() string { return fmt.Sprintf("tls: received alert %d", e.Code) }
+
+// AlertCode returns the alert description byte.
+func (e *AlertError) AlertCode() uint8 { return e.Code }
 
 // WriteAlert sends a fatal alert, flushing it (and any pending flight)
 // immediately: alert writers are about to tear the connection down.

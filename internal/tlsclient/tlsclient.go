@@ -6,13 +6,11 @@ package tlsclient
 
 import (
 	"crypto/ecdh"
-	"crypto/hmac"
 	crand "crypto/rand"
 	"crypto/sha256"
 	"crypto/x509"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"math/big"
 	"net"
@@ -21,27 +19,14 @@ import (
 
 	"tlsshortcuts/internal/drbg"
 	"tlsshortcuts/internal/ffdh"
+	"tlsshortcuts/internal/handshake"
 	"tlsshortcuts/internal/keyex"
 	"tlsshortcuts/internal/pki"
-	"tlsshortcuts/internal/prf"
 	"tlsshortcuts/internal/record"
 	"tlsshortcuts/internal/simclock"
 	"tlsshortcuts/internal/ticket"
 	"tlsshortcuts/internal/wire"
 )
-
-// AlertError is a fatal TLS alert received from the server, typed so the
-// scanner's failure taxonomy can classify it (via the AlertCode method)
-// without string matching.
-type AlertError struct {
-	Code uint8
-}
-
-// Error keeps the historical message format.
-func (e *AlertError) Error() string { return fmt.Sprintf("tls: server alert %d", e.Code) }
-
-// AlertCode returns the alert description byte.
-func (e *AlertError) AlertCode() uint8 { return e.Code }
 
 // Session is the client-side resumable state from a completed handshake.
 // A Session owns its ID and Ticket bytes outright (they are copied out of
@@ -116,10 +101,9 @@ type Config struct {
 }
 
 // Capture is everything the scanner records about one connection. Every
-// retained byte field except Chain is backed by the Capture's own inline
-// arrays (heap fallback for oversized values): the handshake buffer they
-// were parsed from is pooled and reused by the next connection on the
-// same worker. Captures are reused via HandshakeInto and must not be
+// retained byte field is backed by the Capture's own inline arrays (heap
+// fallback for oversized values): the handshake buffer they were parsed
+// from is pooled and reused by the next connection on the same worker. Captures are reused via HandshakeInto and must not be
 // copied by value while their slices are live (the slices would keep
 // pointing at the source Capture's arrays).
 type Capture struct {
@@ -146,10 +130,6 @@ type Capture struct {
 	Resumed          bool
 	ResumedViaTicket bool
 
-	// Chain aliases the pooled handshake buffer and is only valid until
-	// the next handshake on the same worker; nothing in the study retains
-	// it (trust is evaluated inline into Trusted).
-	Chain   [][]byte
 	Session *Session
 	AppResp []byte
 }
@@ -168,107 +148,24 @@ func (c *Config) rand() io.Reader {
 	return crand.Reader
 }
 
-// hsConn is one connection's handshake state. Instances are pooled: the
-// record layer, transcript hash, PRF expander, buf, and the fixed scratch
-// arrays all reset cheaply between connections. Everything retained past
-// the handshake (session IDs, tickets, KEX values, master secrets) is
-// copied into Capture- or Session-owned storage before buf is reused;
-// only Capture.Chain still aliases buf, under the validity contract
-// documented on that field.
+// hsConn is one connection's handshake state, pooled. Everything retained
+// past the handshake (session IDs, tickets, KEX values, master secrets) is
+// copied into Capture- or Session-owned storage, so nothing aliases the
+// handshake buffer or this scratch across connections.
 type hsConn struct {
-	rc   record.Conn
-	buf  []byte
-	off  int       // consumed prefix of buf
-	hash hash.Hash // running transcript digest
-	ex   prf.Expander
+	handshake.Conn
 	mbuf []byte // outgoing handshake-message marshal scratch
 	sp   []byte // SKE signed-params scratch
-	// Per-connection hello structs, reused across pooled connections.
-	// Nothing that outlives the handshake aliases them: the Capture
-	// copies the server random it retains, and its other retained fields
-	// alias buf (fresh per connection), never these structs.
-	ch wire.ClientHello
-	sh wire.ServerHello
-	// Parse scratch reused across pooled connections: the certificate
-	// chain's top-level slice (elements alias buf, same validity contract
-	// as Capture.Chain) and the ServerKeyExchange (all fields alias buf).
+	ch   wire.ClientHello
+	sh   wire.ServerHello
+	// Parse scratch: the certificate chain's top-level slice and the
+	// ServerKeyExchange, whose elements and fields alias the handshake
+	// buffer.
 	chain [][]byte
 	skeM  wire.SKE
-	// Fixed-size derivation scratch. The PRF appends whole 32-byte
-	// blocks before truncating, so capacities round up to a block.
-	seed   [64]byte // client_random || server_random (either order)
-	kb     [64]byte // key block (40 bytes used)
-	master [64]byte // master secret (48 bytes used; copied into Session)
-	fin    [32]byte // Finished verify_data (12 bytes used)
-	pre    [32]byte // transcript digest
 }
 
-var hsPool = sync.Pool{New: func() any { return &hsConn{hash: sha256.New()} }}
-
-func getHsConn(conn net.Conn) *hsConn {
-	h := hsPool.Get().(*hsConn)
-	h.rc.Reset(conn)
-	h.hash.Reset()
-	h.off = 0
-	if cap(h.buf) >= 2048 {
-		// Reuse the previous connection's buffer: every retained parse
-		// result is copied into Capture/Session storage before the hsConn
-		// returns to the pool, so nothing aliases it across connections.
-		h.buf = h.buf[:0]
-	} else {
-		// Sized for a full server flight so it grows at most once.
-		h.buf = make([]byte, 0, 2048)
-	}
-	return h
-}
-
-// transcript returns the hash of the handshake messages so far, in the
-// connection's digest scratch (valid until the next transcript call).
-func (h *hsConn) transcript() []byte {
-	return h.hash.Sum(h.pre[:0])
-}
-
-func (h *hsConn) writeMsg(m *wire.Msg) error {
-	h.mbuf = m.AppendTo(h.mbuf[:0])
-	return h.writeFramed(h.mbuf)
-}
-
-// writeFramed sends an already-framed handshake message.
-func (h *hsConn) writeFramed(frame []byte) error {
-	h.hash.Write(frame)
-	return h.rc.WriteRecord(record.TypeHandshake, frame)
-}
-
-func (h *hsConn) readMsg() (wire.Msg, bool, error) {
-	for {
-		if b := h.buf[h.off:]; len(b) >= 4 {
-			n := int(b[1])<<16 | int(b[2])<<8 | int(b[3])
-			if len(b) >= 4+n {
-				raw := b[:4+n]
-				h.off += 4 + n
-				h.hash.Write(raw)
-				return wire.Msg{Type: raw[0], Body: raw[4:]}, false, nil
-			}
-		}
-		rec, err := h.rc.ReadRecord()
-		if err != nil {
-			return wire.Msg{}, false, err
-		}
-		switch rec.Type {
-		case record.TypeHandshake:
-			h.buf = append(h.buf, rec.Payload...)
-		case record.TypeChangeCipherSpec:
-			return wire.Msg{}, true, nil
-		case record.TypeAlert:
-			if len(rec.Payload) == 2 {
-				return wire.Msg{}, false, &AlertError{Code: rec.Payload[1]}
-			}
-			return wire.Msg{}, false, errors.New("tls: malformed server alert")
-		default:
-			return wire.Msg{}, false, fmt.Errorf("tls: unexpected record type %d", rec.Type)
-		}
-	}
-}
+var hsPool = sync.Pool{New: func() any { return new(hsConn) }}
 
 // defaultSuites is the offer when Config.Suites is nil.
 var defaultSuites = []uint16{wire.SuiteECDHE, wire.SuiteDHE}
@@ -286,13 +183,14 @@ func Handshake(conn net.Conn, cfg *Config) (*Capture, error) {
 // of allocating one per connection.
 func HandshakeInto(cap *Capture, conn net.Conn, cfg *Config) error {
 	*cap = Capture{}
-	hc := getHsConn(conn)
+	hc := hsPool.Get().(*hsConn)
+	hc.Reset(conn)
 	defer hsPool.Put(hc)
 	// Flush any record bytes still coalesced when a path returns without a
 	// subsequent read (the resumed handshake's final Finished). Runs before
 	// the pool Put (LIFO). Paths whose callers must see the write error
 	// flush explicitly first, making this a no-op backstop.
-	defer hc.rc.Flush()
+	defer hc.Record.Flush()
 
 	suites := cfg.Suites
 	if suites == nil {
@@ -312,11 +210,11 @@ func HandshakeInto(cap *Capture, conn net.Conn, cfg *Config) error {
 		}
 	}
 	hc.mbuf = ch.AppendTo(hc.mbuf[:0])
-	if err := hc.writeFramed(hc.mbuf); err != nil {
+	if err := hc.WriteMsg(hc.mbuf); err != nil {
 		return err
 	}
 
-	msg, _, err := hc.readMsg()
+	msg, _, err := hc.ReadMsg()
 	if err != nil {
 		return err
 	}
@@ -336,7 +234,7 @@ func HandshakeInto(cap *Capture, conn net.Conn, cfg *Config) error {
 	// What follows decides full versus abbreviated handshake: a
 	// Certificate message means full; NewSessionTicket or CCS means the
 	// server accepted resumption.
-	msg, ccs, err := hc.readMsg()
+	msg, ccs, err := hc.ReadMsg()
 	if err != nil {
 		return err
 	}
@@ -358,7 +256,6 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		return err
 	}
 	hc.chain = chain
-	cap.Chain = chain
 	if cfg.Roots != nil {
 		cap.Trusted = cfg.Roots.Verify(chain, cfg.ServerName, cfg.now())
 	}
@@ -367,7 +264,7 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 	var premaster, clientPub []byte
 	switch kex {
 	case wire.KexECDHE, wire.KexDHE:
-		msg, _, err = hc.readMsg()
+		msg, _, err = hc.ReadMsg()
 		if err != nil {
 			return err
 		}
@@ -439,7 +336,7 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 	}
 
 	// ServerHelloDone.
-	msg, _, err = hc.readMsg()
+	msg, _, err = hc.ReadMsg()
 	if err != nil {
 		return err
 	}
@@ -454,32 +351,16 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 	// the SKE public value, and the map keys copy them.
 	keyex.PremasterStore(cap.ServerKEXValue, clientPub, premaster)
 	hc.mbuf = wire.AppendCKE(hc.mbuf[:0], kex, clientPub)
-	if err := hc.writeFramed(hc.mbuf); err != nil {
+	if err := hc.WriteMsg(hc.mbuf); err != nil {
 		return err
 	}
-	// Master secret and key block, derived in the pooled expander and the
-	// connection's scratch (only the Session copy of the master survives).
-	hc.ex.SetSecret(premaster)
-	msSeed := append(append(hc.seed[:0], ch.Random[:]...), sh.Random[:]...)
-	master := hc.ex.AppendPRF(hc.master[:0], "master secret", msSeed, 48)
-	hc.ex.SetSecret(master)
-	kbs := append(append(hc.seed[:0], sh.Random[:]...), ch.Random[:]...)
-	kb := hc.ex.AppendPRF(hc.kb[:0], "key expansion", kbs, 40)
-
-	preFinished := hc.transcript()
-	if err := hc.rc.WriteRecord(record.TypeChangeCipherSpec, []byte{1}); err != nil {
-		return err
-	}
-	if err := hc.rc.ArmWrite(kb[0:16], kb[32:36]); err != nil {
-		return err
-	}
-	fin := wire.Msg{Type: wire.TypeFinished, Body: hc.ex.AppendPRF(hc.fin[:0], "client finished", preFinished, 12)}
-	if err := hc.writeMsg(&fin); err != nil {
+	master := hc.DeriveMaster(premaster, ch.Random[:], sh.Random[:])
+	if err := hc.SendFinished(handshake.Client); err != nil {
 		return err
 	}
 
 	// Server side: optional NewSessionTicket (plaintext), CCS, Finished.
-	msg, ccs, err := hc.readMsg()
+	msg, ccs, err := hc.ReadMsg()
 	if err != nil {
 		return err
 	}
@@ -487,7 +368,7 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		if err := recordTicket(cap, msg); err != nil {
 			return err
 		}
-		msg, ccs, err = hc.readMsg()
+		msg, ccs, err = hc.ReadMsg()
 		if err != nil {
 			return err
 		}
@@ -495,17 +376,8 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 	if !ccs {
 		return fmt.Errorf("tls: expected server ChangeCipherSpec")
 	}
-	if err := hc.rc.ArmRead(kb[16:32], kb[36:40]); err != nil {
+	if err := hc.ReadFinished(handshake.Server); err != nil {
 		return err
-	}
-	preServer := hc.transcript()
-	msg, _, err = hc.readMsg()
-	if err != nil {
-		return err
-	}
-	want := hc.ex.AppendPRF(hc.fin[:0], "server finished", preServer, 12)
-	if msg.Type != wire.TypeFinished || !hmac.Equal(msg.Body, want) {
-		return errors.New("tls: bad server Finished")
 	}
 
 	sess := &Session{Suite: sh.Suite, CreatedAt: cfg.now()}
@@ -520,16 +392,14 @@ func finishResumed(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, 
 	cap.Resumed = true
 	cap.ResumedViaTicket = cfg.ResumeViaTicket
 	master := cfg.Resume.Master[:]
-	hc.ex.SetSecret(master)
-	kbs := append(append(hc.seed[:0], sh.Random[:]...), ch.Random[:]...)
-	kb := hc.ex.AppendPRF(hc.kb[:0], "key expansion", kbs, 40)
+	hc.UseMaster(master, ch.Random[:], sh.Random[:])
 
 	if !ccs { // msg is NewSessionTicket (reissue)
 		if err := recordTicket(cap, msg); err != nil {
 			return err
 		}
 		var err error
-		_, ccs, err = hc.readMsg()
+		_, ccs, err = hc.ReadMsg()
 		if err != nil {
 			return err
 		}
@@ -537,33 +407,15 @@ func finishResumed(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, 
 			return errors.New("tls: expected CCS after reissued ticket")
 		}
 	}
-	if err := hc.rc.ArmRead(kb[16:32], kb[36:40]); err != nil {
+	if err := hc.ReadFinished(handshake.Server); err != nil {
 		return err
 	}
-	preServer := hc.transcript()
-	fin, _, err := hc.readMsg()
-	if err != nil {
-		return err
-	}
-	want := hc.ex.AppendPRF(hc.fin[:0], "server finished", preServer, 12)
-	if fin.Type != wire.TypeFinished || !hmac.Equal(fin.Body, want) {
-		return errors.New("tls: bad server Finished on resumption")
-	}
-
-	preClient := hc.transcript()
-	if err := hc.rc.WriteRecord(record.TypeChangeCipherSpec, []byte{1}); err != nil {
-		return err
-	}
-	if err := hc.rc.ArmWrite(kb[0:16], kb[32:36]); err != nil {
-		return err
-	}
-	cfin := wire.Msg{Type: wire.TypeFinished, Body: hc.ex.AppendPRF(hc.fin[:0], "client finished", preClient, 12)}
-	if err := hc.writeMsg(&cfin); err != nil {
+	if err := hc.SendFinished(handshake.Client); err != nil {
 		return err
 	}
 	// Nothing is read after the final Finished, so flush here — its write
 	// error must surface from this call, not vanish in the deferred flush.
-	if err := hc.rc.Flush(); err != nil {
+	if err := hc.Record.Flush(); err != nil {
 		return err
 	}
 
@@ -597,10 +449,10 @@ func appData(hc *hsConn, cfg *Config, cap *Capture) error {
 	if len(cfg.AppData) == 0 {
 		return nil
 	}
-	if err := hc.rc.WriteRecord(record.TypeAppData, cfg.AppData); err != nil {
+	if err := hc.Record.WriteRecord(record.TypeAppData, cfg.AppData); err != nil {
 		return err
 	}
-	rec, err := hc.rc.ReadRecord()
+	rec, err := hc.Record.ReadRecord()
 	if err != nil {
 		return err
 	}

@@ -7,12 +7,10 @@ package tlsserver
 
 import (
 	"crypto/ecdh"
-	"crypto/hmac"
 	crand "crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"math/big"
 	"net"
@@ -21,9 +19,9 @@ import (
 
 	"tlsshortcuts/internal/drbg"
 	"tlsshortcuts/internal/ffdh"
+	"tlsshortcuts/internal/handshake"
 	"tlsshortcuts/internal/keyex"
 	"tlsshortcuts/internal/pki"
-	"tlsshortcuts/internal/prf"
 	"tlsshortcuts/internal/record"
 	"tlsshortcuts/internal/session"
 	"tlsshortcuts/internal/simclock"
@@ -91,48 +89,23 @@ func (c *Config) certFor(sni string) *pki.Certificate {
 	return c.DefaultCert
 }
 
-// hsConn couples the record layer with a handshake-message reader and the
-// running transcript hash. Instances are pooled and everything resets
-// cheaply between connections — including buf: unlike the client, the
-// server retains nothing that aliases it past the handshake (cache keys
-// are copied via string conversion, ticket state is decoded into fresh
-// session.State), so the accumulation buffer is reused too.
+// hsConn is one connection's handshake state, pooled. The server retains
+// nothing that aliases it past the handshake: the session cache copies
+// its key, and session.State holds only values.
 type hsConn struct {
-	rc     record.Conn
-	buf    []byte
-	off    int       // consumed prefix of buf (keeps the base pointer pooled)
-	hash   hash.Hash // running transcript digest
-	ex     prf.Expander
+	handshake.Conn
 	rng    drbg.Reader // per-connection deterministic entropy (RandSeed mode)
 	sigRng drbg.Reader // separate stream for SKE signing (see full())
 	mbuf   []byte      // outgoing handshake-message marshal scratch
 	sp     []byte      // SKE signed-params scratch
-	// Per-connection wire structs, reused across pooled connections;
-	// nothing that outlives the handshake aliases them (the session cache
-	// copies its key, session.State holds only values).
-	ch  wire.ClientHello
-	sh  wire.ServerHello
-	ske wire.SKE
-	st  session.State // ticket-resume state scratch (see OpenTicketInto)
-	sid [32]byte      // session-ID scratch for sh.SessionID
-	// Fixed derivation scratch; capacities round up to PRF blocks.
-	seed   [64]byte // server_random || client_random
-	kb     [64]byte // key block (40 bytes used)
-	master [64]byte // master secret (48 bytes used; copied into State)
-	fin    [32]byte // Finished verify_data (12 bytes used)
-	pre    [32]byte // transcript digest
+	ch     wire.ClientHello
+	sh     wire.ServerHello
+	ske    wire.SKE
+	st     session.State // ticket-resume state scratch (see OpenTicketInto)
+	sid    [32]byte      // session-ID scratch for sh.SessionID
 }
 
-var hsPool = sync.Pool{New: func() any { return &hsConn{hash: sha256.New()} }}
-
-func getHsConn(conn net.Conn) *hsConn {
-	h := hsPool.Get().(*hsConn)
-	h.rc.Reset(conn)
-	h.hash.Reset()
-	h.buf = h.buf[:0]
-	h.off = 0
-	return h
-}
+var hsPool = sync.Pool{New: func() any { return new(hsConn) }}
 
 // connRand returns the entropy source for one connection: Rand when
 // set, else with RandSeed a fresh deterministic stream per ClientHello
@@ -149,87 +122,19 @@ func (h *hsConn) connRand(cfg *Config, clientRandom []byte) io.Reader {
 	return crand.Reader
 }
 
-// transcript returns the hash of the handshake messages so far, in the
-// connection's digest scratch (valid until the next transcript call).
-func (h *hsConn) transcript() []byte {
-	return h.hash.Sum(h.pre[:0])
-}
-
-func (h *hsConn) writeMsg(m *wire.Msg) error {
-	h.mbuf = m.AppendTo(h.mbuf[:0])
-	return h.writeRaw(h.mbuf)
-}
-
-// writeRaw sends pre-marshaled handshake bytes (the cert-chain message is
-// marshaled once per certificate, not once per connection).
-func (h *hsConn) writeRaw(b []byte) error {
-	h.hash.Write(b)
-	return h.rc.WriteRecord(record.TypeHandshake, b)
-}
-
-// readMsg returns the next handshake message; ccs is true when a
-// ChangeCipherSpec record arrived instead.
-//
-// Contract: the returned Body (and anything parsed out of it — the
-// ClientHello's Ticket/SessionID, a CKE public) aliases the pooled buf
-// and is only valid until the next readMsg that pulls a handshake
-// record off the wire; consume aliased bytes before reading on.
-// (ClientHello.Random is a value array and survives.)
-func (h *hsConn) readMsg() (m wire.Msg, ccs bool, err error) {
-	for {
-		if pend := h.buf[h.off:]; len(pend) >= 4 {
-			n := int(pend[1])<<16 | int(pend[2])<<8 | int(pend[3])
-			if len(pend) >= 4+n {
-				raw := pend[:4+n]
-				h.off += 4 + n
-				h.hash.Write(raw)
-				return wire.Msg{Type: raw[0], Body: raw[4:]}, false, nil
-			}
-		}
-		rec, err := h.rc.ReadRecord()
-		if err != nil {
-			return wire.Msg{}, false, err
-		}
-		switch rec.Type {
-		case record.TypeHandshake:
-			if h.off == len(h.buf) {
-				// Fully consumed: rewind instead of appending past the
-				// dead prefix, so the pooled buffer's capacity survives.
-				h.buf = h.buf[:0]
-				h.off = 0
-			}
-			h.buf = append(h.buf, rec.Payload...)
-		case record.TypeChangeCipherSpec:
-			return wire.Msg{}, true, nil
-		case record.TypeAlert:
-			return wire.Msg{}, false, alertError(rec.Payload)
-		default:
-			return wire.Msg{}, false, fmt.Errorf("tls: unexpected record type %d during handshake", rec.Type)
-		}
-	}
-}
-
-func alertError(p []byte) error {
-	if len(p) == 2 {
-		return fmt.Errorf("tls: received alert %d", p[1])
-	}
-	return errors.New("tls: received malformed alert")
-}
-
 // Serve runs one server-side connection to completion: handshake, then an
 // application-data echo loop until the peer closes.
 func Serve(conn net.Conn, cfg *Config) error {
-	hc := getHsConn(conn)
+	hc := hsPool.Get().(*hsConn)
+	hc.Reset(conn)
 	defer hsPool.Put(hc)
 	// Reads flush pending coalesced flights, so this only delivers bytes
 	// on paths that exit without reading again.
-	defer hc.rc.Flush()
-	st, err := handshake(hc, cfg)
-	if err != nil {
+	defer hc.Record.Flush()
+	if err := serverHandshake(hc, cfg); err != nil {
 		return err
 	}
-	_ = st
-	return appLoop(&hc.rc, cfg)
+	return appLoop(&hc.Record, cfg)
 }
 
 func appLoop(rc *record.Conn, cfg *Config) error {
@@ -258,17 +163,17 @@ func appLoop(rc *record.Conn, cfg *Config) error {
 	}
 }
 
-func handshake(hc *hsConn, cfg *Config) (*session.State, error) {
-	msg, _, err := hc.readMsg()
+func serverHandshake(hc *hsConn, cfg *Config) error {
+	msg, _, err := hc.ReadMsg()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if msg.Type != wire.TypeClientHello {
-		return nil, fmt.Errorf("tls: expected ClientHello, got %d", msg.Type)
+		return fmt.Errorf("tls: expected ClientHello, got %d", msg.Type)
 	}
 	ch := &hc.ch
 	if err := wire.ParseClientHelloInto(ch, msg.Body); err != nil {
-		return nil, err
+		return err
 	}
 	now := cfg.now()
 
@@ -278,13 +183,13 @@ func handshake(hc *hsConn, cfg *Config) (*session.State, error) {
 		// state is transient (never stored), so a per-ticket State and
 		// decrypt buffer would be pure overhead.
 		if cfg.Tickets.OpenTicketInto(&hc.st, ch.Ticket, now) && suiteOffered(ch.Suites, hc.st.Suite) {
-			return &hc.st, resume(hc, cfg, ch, &hc.st, now)
+			return resume(hc, cfg, ch, &hc.st, now)
 		}
 	}
 	// Session-ID resumption?
 	if len(ch.SessionID) > 0 && cfg.Cache != nil {
 		if st := cfg.Cache.Get(ch.SessionID, now); st != nil && suiteOffered(ch.Suites, st.Suite) {
-			return st, resume(hc, cfg, ch, st, now)
+			return resume(hc, cfg, ch, st, now)
 		}
 	}
 	return full(hc, cfg, ch, now)
@@ -315,39 +220,42 @@ func (c *Config) pickSuite(offer []uint16) uint16 {
 	return 0
 }
 
-func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) (*session.State, error) {
+// serverHelloDone is the framed ServerHelloDone message; it has no body.
+var serverHelloDone = []byte{wire.TypeServerHelloDone, 0, 0, 0}
+
+func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 	suite := cfg.pickSuite(ch.Suites)
 	if suite == 0 {
-		hc.rc.WriteAlert(record.AlertHandshakeFailure)
-		return nil, errors.New("tls: no mutually supported cipher suite")
+		hc.Record.WriteAlert(record.AlertHandshakeFailure)
+		return errors.New("tls: no mutually supported cipher suite")
 	}
 	crt := cfg.certFor(ch.ServerName)
 	if crt == nil {
-		hc.rc.WriteAlert(record.AlertHandshakeFailure)
-		return nil, errors.New("tls: no certificate configured")
+		hc.Record.WriteAlert(record.AlertHandshakeFailure)
+		return errors.New("tls: no certificate configured")
 	}
 	rnd := hc.connRand(cfg, ch.Random[:])
 
 	sh := &hc.sh
 	*sh = wire.ServerHello{Suite: suite}
 	if _, err := io.ReadFull(rnd, sh.Random[:]); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Cache != nil {
 		// Scratch-backed: the cache copies its key, so nothing retains it.
 		sh.SessionID = hc.sid[:]
 		if _, err := io.ReadFull(rnd, sh.SessionID); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	issueTicket := cfg.Tickets != nil && ch.OfferTicket
 	sh.TicketAck = issueTicket
 	hc.mbuf = sh.AppendTo(hc.mbuf[:0])
-	if err := hc.writeRaw(hc.mbuf); err != nil {
-		return nil, err
+	if err := hc.WriteMsg(hc.mbuf); err != nil {
+		return err
 	}
-	if err := hc.writeRaw(crt.Message()); err != nil {
-		return nil, err
+	if err := hc.WriteMsg(crt.Message()); err != nil {
+		return err
 	}
 
 	// ServerKeyExchange with the policy-selected ephemeral value. The
@@ -362,7 +270,7 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) (*sessio
 	case wire.KexECDHE:
 		priv, pub, err := keyex.ECDHEKeyPub(cfg.ECDHEPolicy, now, rnd)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ske.Public = pub
 		ecdhePriv = priv
@@ -373,14 +281,14 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) (*sessio
 		}
 		priv, pub, err := keyex.DHEKey(g, cfg.DHEPolicy, now, rnd)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ske.P, ske.G = g.ParamBytes()
 		ske.Public = pub
 		dheGroup, dhePriv = g, priv
 	default:
-		hc.rc.WriteAlert(record.AlertHandshakeFailure)
-		return nil, fmt.Errorf("tls: unsupported key exchange for suite %04x", suite)
+		hc.Record.WriteAlert(record.AlertHandshakeFailure)
+		return fmt.Errorf("tls: unsupported key exchange for suite %04x", suite)
 	}
 	hc.sp = ske.AppendSignedParams(hc.sp[:0], ch.Random[:], sh.Random[:])
 	digest := sha256.Sum256(hc.sp)
@@ -396,29 +304,28 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) (*sessio
 	}
 	sig, err := crt.SignSKE(sigRand, digest[:])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ske.Sig = sig
 	hc.mbuf = ske.AppendTo(hc.mbuf[:0])
-	if err := hc.writeRaw(hc.mbuf); err != nil {
-		return nil, err
+	if err := hc.WriteMsg(hc.mbuf); err != nil {
+		return err
 	}
-	done := wire.Msg{Type: wire.TypeServerHelloDone}
-	if err := hc.writeMsg(&done); err != nil {
-		return nil, err
+	if err := hc.WriteMsg(serverHelloDone); err != nil {
+		return err
 	}
 
 	// ClientKeyExchange.
-	msg, _, err := hc.readMsg()
+	msg, _, err := hc.ReadMsg()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if msg.Type != wire.TypeClientKeyExchange {
-		return nil, fmt.Errorf("tls: expected ClientKeyExchange, got %d", msg.Type)
+		return fmt.Errorf("tls: expected ClientKeyExchange, got %d", msg.Type)
 	}
 	clientPub, err := wire.ParseCKE(ske.Kex, msg.Body)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// The in-process client computed and published this exact agreement
 	// before its CKE was written, keyed by the two public values — one
@@ -430,41 +337,24 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) (*sessio
 		if ecdhePriv != nil {
 			pk, err := ecdh.P256().NewPublicKey(clientPub)
 			if err != nil {
-				return nil, err
+				return fmt.Errorf("tls: bad client ECDHE value: %w", err)
 			}
 			if premaster, err = ecdhePriv.ECDH(pk); err != nil {
-				return nil, err
+				return err
 			}
 		} else if premaster, err = dheGroup.Shared(dhePriv, new(big.Int).SetBytes(clientPub)); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	hc.ex.SetSecret(premaster)
-	msSeed := append(append(hc.seed[:0], ch.Random[:]...), sh.Random[:]...)
-	master := hc.ex.AppendPRF(hc.master[:0], "master secret", msSeed, 48)
-	hc.ex.SetSecret(master)
+	master := hc.DeriveMaster(premaster, ch.Random[:], sh.Random[:])
 
 	// Client CCS + Finished. Only the read direction is armed here: the
 	// NewSessionTicket must still go out in plaintext before our CCS.
-	kbs := append(append(hc.seed[:0], sh.Random[:]...), ch.Random[:]...)
-	kb := hc.ex.AppendPRF(hc.kb[:0], "key expansion", kbs, 40)
-	preFinished := hc.transcript()
-	if _, ccs, err := hc.readMsg(); err != nil {
-		return nil, err
-	} else if !ccs {
-		return nil, errors.New("tls: expected ChangeCipherSpec")
+	if err := readCCS(hc); err != nil {
+		return err
 	}
-	if err := hc.rc.ArmRead(kb[0:16], kb[32:36]); err != nil {
-		return nil, err
-	}
-	fin, _, err := hc.readMsg()
-	if err != nil {
-		return nil, err
-	}
-	want := hc.ex.AppendPRF(hc.fin[:0], "client finished", preFinished, 12)
-	if fin.Type != wire.TypeFinished || !hmac.Equal(fin.Body, want) {
-		hc.rc.WriteAlert(record.AlertHandshakeFailure)
-		return nil, errors.New("tls: bad client Finished")
+	if err := hc.ReadFinished(handshake.Client); err != nil {
+		return err
 	}
 
 	st := &session.State{Version: wire.VersionTLS12, Suite: suite, CreatedAt: now}
@@ -472,7 +362,7 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) (*sessio
 
 	if issueTicket {
 		if err := sendTicket(hc, cfg, st, now, rnd); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if cfg.Cache != nil {
@@ -480,15 +370,12 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) (*sessio
 		// mutating the cache, preserving the per-record-write ordering: a
 		// connection cut during the ticket flight must not leave a
 		// resumable cache entry behind.
-		if err := hc.rc.Flush(); err != nil {
-			return nil, err
+		if err := hc.Record.Flush(); err != nil {
+			return err
 		}
 		cfg.Cache.Put(sh.SessionID, st, now)
 	}
-	if err := finishServer(hc, kb); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return hc.SendFinished(handshake.Server)
 }
 
 // resume completes an abbreviated handshake from cached/ticket state.
@@ -502,7 +389,7 @@ func resume(hc *hsConn, cfg *Config, ch *wire.ClientHello, st *session.State, no
 	reissue := cfg.Tickets != nil && ch.OfferTicket
 	sh.TicketAck = reissue
 	hc.mbuf = sh.AppendTo(hc.mbuf[:0])
-	if err := hc.writeRaw(hc.mbuf); err != nil {
+	if err := hc.WriteMsg(hc.mbuf); err != nil {
 		return err
 	}
 	if reissue {
@@ -510,40 +397,24 @@ func resume(hc *hsConn, cfg *Config, ch *wire.ClientHello, st *session.State, no
 			return err
 		}
 	}
-	hc.ex.SetSecret(st.MasterSecret[:])
 	// Server Finished first on resumption.
-	preFinished := hc.transcript()
-	if err := hc.rc.WriteRecord(record.TypeChangeCipherSpec, []byte{1}); err != nil {
+	hc.UseMaster(st.MasterSecret[:], ch.Random[:], sh.Random[:])
+	if err := hc.SendFinished(handshake.Server); err != nil {
 		return err
 	}
-	kbs := append(append(hc.seed[:0], sh.Random[:]...), ch.Random[:]...)
-	kb := hc.ex.AppendPRF(hc.kb[:0], "key expansion", kbs, 40)
-	if err := hc.rc.ArmWrite(kb[16:32], kb[36:40]); err != nil {
+	if err := readCCS(hc); err != nil {
 		return err
 	}
-	finMsg := wire.Msg{Type: wire.TypeFinished, Body: hc.ex.AppendPRF(hc.fin[:0], "server finished", preFinished, 12)}
-	if err := hc.writeMsg(&finMsg); err != nil {
-		return err
+	return hc.ReadFinished(handshake.Client)
+}
+
+// readCCS reads the client's ChangeCipherSpec.
+func readCCS(hc *hsConn) error {
+	_, ccs, err := hc.ReadMsg()
+	if err == nil && !ccs {
+		err = errors.New("tls: expected ChangeCipherSpec")
 	}
-	// Client CCS + Finished.
-	if _, ccs, err := hc.readMsg(); err != nil {
-		return err
-	} else if !ccs {
-		return errors.New("tls: expected ChangeCipherSpec")
-	}
-	if err := hc.rc.ArmRead(kb[0:16], kb[32:36]); err != nil {
-		return err
-	}
-	preClient := hc.transcript()
-	fin, _, err := hc.readMsg()
-	if err != nil {
-		return err
-	}
-	want := hc.ex.AppendPRF(hc.fin[:0], "client finished", preClient, 12)
-	if fin.Type != wire.TypeFinished || !hmac.Equal(fin.Body, want) {
-		return errors.New("tls: bad client Finished on resumption")
-	}
-	return nil
+	return err
 }
 
 func sendTicket(hc *hsConn, cfg *Config, st *session.State, now time.Time, rnd io.Reader) error {
@@ -561,17 +432,5 @@ func sendTicket(hc *hsConn, cfg *Config, st *session.State, now time.Time, rnd i
 	if err != nil {
 		return err
 	}
-	return hc.writeRaw(hc.mbuf)
-}
-
-func finishServer(hc *hsConn, kb []byte) error {
-	preFinished := hc.transcript()
-	if err := hc.rc.WriteRecord(record.TypeChangeCipherSpec, []byte{1}); err != nil {
-		return err
-	}
-	if err := hc.rc.ArmWrite(kb[16:32], kb[36:40]); err != nil {
-		return err
-	}
-	fin := wire.Msg{Type: wire.TypeFinished, Body: hc.ex.AppendPRF(hc.fin[:0], "server finished", preFinished, 12)}
-	return hc.writeMsg(&fin)
+	return hc.WriteMsg(hc.mbuf)
 }

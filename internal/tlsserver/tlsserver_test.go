@@ -56,7 +56,8 @@ func sentTicket(t *testing.T, cfg *Config, st *session.State, now time.Time, rnd
 	srv, cli := net.Pipe()
 	defer srv.Close()
 	defer cli.Close()
-	hc := getHsConn(srv)
+	hc := hsPool.Get().(*hsConn)
+	hc.Reset(srv)
 	defer hsPool.Put(hc)
 	got := make(chan []byte, 1)
 	go func() {
@@ -70,7 +71,7 @@ func sentTicket(t *testing.T, cfg *Config, st *session.State, now time.Time, rnd
 	if err := sendTicket(hc, cfg, st, now, rnd); err != nil {
 		t.Fatal(err)
 	}
-	if err := hc.rc.Flush(); err != nil {
+	if err := hc.Record.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return <-got
