@@ -23,8 +23,10 @@
 package cryptanalysis
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -47,15 +49,26 @@ func WeakSeed(i int) []byte {
 	return []byte(fmt.Sprintf("weak-stek-%05d", i))
 }
 
-// Dictionary maps every key name derivable from the weak seed space to
-// its candidate STEKs, across all three wire formats. Lookup is by key
-// name, then confirmed by an authenticated Open — a name collision
-// without the real key cannot produce a false crack. Candidates are a
-// list because one seed's RFC 5077 and SChannel keys share their 16-byte
-// name while sealing with different headers.
+// Dictionary indexes every key name derivable from the weak seed space,
+// in all three wire formats, by the seed that derives it: per format, a
+// table of (name, seed) rows sorted by name, 221 KB in all, so no key is
+// kept. Crack derives a key only for a row whose name the ticket carries
+// and confirms it by an authenticated Open, so a name collision without
+// the real key cannot produce a false crack. A name can have several
+// rows (the 4-byte mbedTLS names may collide), which Crack tries in
+// seed order.
 type Dictionary struct {
-	byName map[string][]*ticket.STEK
+	byFormat map[ticket.Format][]weakName
 }
+
+// weakName is one dictionary row: a key name, zero-padded to 16 bytes,
+// and the index of the weak seed it derives from.
+type weakName struct {
+	name [16]byte
+	seed uint16
+}
+
+func (r weakName) compare(name [16]byte) int { return bytes.Compare(r.name[:], name[:]) }
 
 var (
 	dictOnce sync.Once
@@ -63,17 +76,19 @@ var (
 )
 
 // Dict returns the process-wide weak-seed dictionary, built once
-// (WeakSeedSpace seeds x 3 formats; a few hundred milliseconds of
-// SHA-256, the modeled "offline" phase of the attack).
+// (WeakSeedSpace seeds x 3 formats of key derivation, the modeled
+// "offline" phase of the attack).
 func Dict() *Dictionary {
 	dictOnce.Do(func() {
-		d := &Dictionary{byName: make(map[string][]*ticket.STEK, 3*WeakSeedSpace)}
-		for i := 0; i < WeakSeedSpace; i++ {
-			seed := WeakSeed(i)
-			for _, f := range []ticket.Format{ticket.FormatRFC5077, ticket.FormatMbedTLS, ticket.FormatSChannel} {
-				k := ticket.Derive(seed, f)
-				d.byName[string(k.Name)] = append(d.byName[string(k.Name)], k)
+		d := &Dictionary{byFormat: make(map[ticket.Format][]weakName, 3)}
+		for _, f := range []ticket.Format{ticket.FormatRFC5077, ticket.FormatMbedTLS, ticket.FormatSChannel} {
+			rows := make([]weakName, WeakSeedSpace)
+			for i := range rows {
+				rows[i].seed = uint16(i)
+				copy(rows[i].name[:], ticket.Derive(WeakSeed(i), f).Name)
 			}
+			slices.SortStableFunc(rows, func(a, b weakName) int { return a.compare(b.name) })
+			d.byFormat[f] = rows
 		}
 		dict = d
 	})
@@ -83,12 +98,16 @@ func Dict() *Dictionary {
 // Crack attempts to recover the STEK that sealed tkt from the weak-seed
 // space. It returns the key only when an authenticated decrypt succeeds.
 func (d *Dictionary) Crack(tkt []byte) *ticket.STEK {
-	name := ticket.KeyName(tkt)
-	if name == nil {
+	f, ok := ticket.FormatOf(tkt)
+	if !ok {
 		return nil
 	}
-	for _, k := range d.byName[string(name)] {
-		if k.Open(tkt) != nil {
+	var name [16]byte
+	copy(name[:], ticket.KeyName(tkt))
+	rows := d.byFormat[f]
+	i, _ := slices.BinarySearchFunc(rows, name, weakName.compare)
+	for ; i < len(rows) && rows[i].name == name; i++ {
+		if k := ticket.Derive(WeakSeed(int(rows[i].seed)), f); k.Open(tkt) != nil {
 			return k
 		}
 	}

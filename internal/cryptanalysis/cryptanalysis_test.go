@@ -59,19 +59,53 @@ func TestDictionaryCracksWeakSeeds(t *testing.T) {
 	}
 }
 
+// TestDictionaryCracksSampledSeeds seals under weak seeds spread over
+// the whole space, both ends included, in every format, and requires
+// Crack to return the sealing key itself.
+func TestDictionaryCracksSampledSeeds(t *testing.T) {
+	st := sealedState()
+	d := Dict()
+	seeds := []int{0, 1, 255, 1000, 2047, 2048, 3333, WeakSeedSpace - 1}
+	for _, f := range []ticket.Format{ticket.FormatRFC5077, ticket.FormatMbedTLS, ticket.FormatSChannel} {
+		for _, i := range seeds {
+			k := ticket.Derive(WeakSeed(i), f)
+			tkt, err := k.Seal(st, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := d.Crack(tkt)
+			if got == nil {
+				t.Errorf("%v seed %d: not cracked", f, i)
+				continue
+			}
+			if got.Format != f || !bytes.Equal(got.Name, k.Name) || got.AESKey != k.AESKey || got.MACKey != k.MACKey {
+				t.Errorf("%v seed %d: cracked the wrong key", f, i)
+			}
+		}
+	}
+}
+
 // The crack requires the authenticated open, not just a name hit: a
-// forged ticket wearing a weak key's name must not count as recovered.
+// forged ticket wearing a weak key's name must not count as recovered,
+// in any format.
 func TestDictionaryRejectsNameCollision(t *testing.T) {
 	st := sealedState()
-	weak := ticket.Derive(WeakSeed(3), ticket.FormatRFC5077)
-	other := ticket.Derive([]byte("unrelated"), ticket.FormatRFC5077)
-	tkt, err := other.Seal(st, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(tkt, weak.Name) // graft the weak name onto a foreign ticket
-	if Dict().Crack(tkt) != nil {
-		t.Error("name-grafted ticket cracked without the key authenticating")
+	for _, f := range []ticket.Format{ticket.FormatRFC5077, ticket.FormatMbedTLS, ticket.FormatSChannel} {
+		weak := ticket.Derive(WeakSeed(3), f)
+		other := ticket.Derive([]byte("unrelated"), f)
+		tkt, err := other.Seal(st, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Graft the weak name onto a foreign ticket, where the format
+		// carries its key name.
+		copy(ticket.KeyName(tkt), weak.Name)
+		if !bytes.Equal(ticket.KeyName(tkt), weak.Name) {
+			t.Fatalf("%v: graft did not take", f)
+		}
+		if Dict().Crack(tkt) != nil {
+			t.Errorf("%v: name-grafted ticket cracked without the key authenticating", f)
+		}
 	}
 }
 

@@ -142,42 +142,77 @@ func FixedClientECDHE() (*ecdh.PrivateKey, []byte) {
 //
 // Fresh-mode scalars go in the volatile map: a fresh public value
 // belongs to exactly one connection, so a consuming lookup deletes the
-// entry, and the map's residency is bounded by in-flight handshakes
-// plus the never-consumed entries of SKE-and-disconnect probes (cleared
-// wholesale at the cap). Reuse-mode scalars go in the sticky map: the
-// same value serves every connection of an epoch and is only re-stored
-// on an epoch-cache miss, so those entries survive lookups and volatile
-// churn alike. Splitting the maps keeps fresh-probe turnover from
-// evicting the long-lived reuse entries.
+// entry, and so does a kex-only client that disconnects after the SKE
+// (DiscardScalar). The map's residency is bounded by in-flight
+// handshakes plus the entries of handshakes that failed between the
+// SKE and the premaster (cleared wholesale at the cap). Reuse-mode
+// scalars go in the sticky map: the same value serves every connection
+// of an epoch and is only re-stored on an epoch-cache miss, so those
+// entries survive lookups and volatile churn alike. Splitting the maps
+// keeps fresh-probe turnover from evicting the long-lived reuse
+// entries.
 var sxs struct {
 	mu     sync.Mutex
-	vol    map[string]*big.Int // fresh serverPub -> scalar, delete-on-consume
-	sticky map[string]*big.Int // reuse serverPub -> scalar, one per epoch
+	vol    map[pointKey]*big.Int // fresh serverPub -> scalar, delete-on-consume
+	sticky map[pointKey]*big.Int // reuse serverPub -> scalar, one per epoch
+}
+
+// pointKey is an uncompressed P-256 point, the scalar maps' key. As an
+// array it makes inserts, lookups and deletes allocation-free, where a
+// string conversion of the 65 bytes allocates on every insert and
+// delete.
+type pointKey [65]byte
+
+// keyOf returns pub as a map key; ok is false when pub has another
+// length and so cannot be a key.
+func keyOf(pub []byte) (k pointKey, ok bool) {
+	if len(pub) != len(k) {
+		return k, false
+	}
+	copy(k[:], pub)
+	return k, true
 }
 
 // maxVolatileScalars bounds the volatile scalar map. Unconsumed entries
-// come from kex-only probes at one per probe, so the map turns over
-// quickly; consumed entries delete themselves, so a small cap costs
-// nearly nothing in hits (a store is consumed within its own
-// connection's round-trip).
+// come only from handshakes cut off after the SKE; consumed entries
+// delete themselves, so a small cap costs nearly nothing in hits (a
+// store is consumed within its own connection's round-trip).
 const maxVolatileScalars = 4096
 
 var p256Order = elliptic.P256().Params().N
 
 func scalarStore(pub []byte, priv *ecdh.PrivateKey, sticky bool) {
+	k, ok := keyOf(pub)
+	if !ok {
+		return
+	}
 	d := new(big.Int).SetBytes(priv.Bytes())
 	sxs.mu.Lock()
 	if sticky {
 		if sxs.sticky == nil || len(sxs.sticky) >= maxExchangeEntries {
-			sxs.sticky = make(map[string]*big.Int, 64)
+			sxs.sticky = make(map[pointKey]*big.Int, 64)
 		}
-		sxs.sticky[string(pub)] = d
+		sxs.sticky[k] = d
 	} else {
 		if sxs.vol == nil || len(sxs.vol) >= maxVolatileScalars {
-			sxs.vol = make(map[string]*big.Int, 1024)
+			sxs.vol = make(map[pointKey]*big.Int)
 		}
-		sxs.vol[string(pub)] = d
+		sxs.vol[k] = d
 	}
+	sxs.mu.Unlock()
+}
+
+// DiscardScalar deletes the fresh-mode scalar published for serverPub,
+// if any. A client that stops after the ServerKeyExchange calls it, so
+// a kex-only probe consumes its entry the way a completed handshake's
+// lookup does. Reuse-mode scalars serve other connections and stay.
+func DiscardScalar(serverPub []byte) {
+	k, ok := keyOf(serverPub)
+	if !ok {
+		return
+	}
+	sxs.mu.Lock()
+	delete(sxs.vol, k)
 	sxs.mu.Unlock()
 }
 
@@ -185,12 +220,16 @@ func scalarStore(pub []byte, priv *ecdh.PrivateKey, sticky bool) {
 // key against serverPub, if that server published its scalar; nil
 // otherwise. The returned slice must not be modified.
 func ClientPremasterFromScalar(serverPub []byte) []byte {
+	k, ok := keyOf(serverPub)
+	if !ok {
+		return nil
+	}
 	sxs.mu.Lock()
-	d0 := sxs.vol[string(serverPub)]
+	d0 := sxs.vol[k]
 	if d0 != nil {
-		delete(sxs.vol, string(serverPub))
+		delete(sxs.vol, k)
 	} else {
-		d0 = sxs.sticky[string(serverPub)]
+		d0 = sxs.sticky[k]
 	}
 	sxs.mu.Unlock()
 	if d0 == nil {

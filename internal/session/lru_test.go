@@ -2,6 +2,7 @@ package session
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -121,4 +122,145 @@ func TestBoundedCacheLenConsistentWithSweep(t *testing.T) {
 	if got := c.Len(); got != 2 {
 		t.Fatalf("Len = %d after gets, want 2", got)
 	}
+}
+
+// scanCache is the bounded cache as it was before the heap index: one
+// map, a sweep that scans it for expired entries and an eviction that
+// scans it for the least recently used (last use, then touch sequence).
+// It keeps Cache's policy — every Put sweeps, then evicts down to
+// capacity; a Get drops an expired hit — so the two must give the same
+// answers and hold the same entries after every operation.
+type scanCache struct {
+	lifetime time.Duration
+	capacity int
+	entries  map[string]scanEntry
+	seq      uint64
+	lastNow  time.Time
+}
+
+type scanEntry struct {
+	st            *State
+	created, used time.Time
+	seq           uint64
+}
+
+func (c *scanCache) expired(e scanEntry, now time.Time) bool {
+	return c.lifetime > 0 && now.Sub(e.created) > c.lifetime
+}
+
+func (c *scanCache) sweep(now time.Time) {
+	for k, e := range c.entries {
+		if c.expired(e, now) {
+			delete(c.entries, k)
+		}
+	}
+}
+
+func (c *scanCache) put(id string, st *State, now time.Time) {
+	c.seq++
+	c.lastNow = now
+	c.entries[id] = scanEntry{st: st, created: now, used: now, seq: c.seq}
+	c.sweep(now)
+	for c.capacity > 0 && len(c.entries) > c.capacity {
+		var victim string
+		var v scanEntry
+		first := true
+		for k, e := range c.entries {
+			if first || e.used.Before(v.used) || (e.used.Equal(v.used) && e.seq < v.seq) {
+				victim, v, first = k, e, false
+			}
+		}
+		delete(c.entries, victim)
+	}
+}
+
+func (c *scanCache) get(id string, now time.Time) *State {
+	c.lastNow = now
+	e, ok := c.entries[id]
+	if !ok {
+		return nil
+	}
+	if c.expired(e, now) {
+		delete(c.entries, id)
+		return nil
+	}
+	c.seq++
+	e.used, e.seq = now, c.seq
+	c.entries[id] = e
+	return e.st
+}
+
+// TestBoundedCacheMatchesScanEviction drives the indexed cache and the
+// scanning reference through the same random operations — puts and
+// gets over a small key set, with the virtual clock standing still,
+// stepping forward and rewinding — and requires the same answer to
+// every Get and Len and the same entries, states and LRU order after
+// every operation.
+func TestBoundedCacheMatchesScanEviction(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	t0 := time.Unix(5000, 0)
+	for trial := 0; trial < 200; trial++ {
+		lifetime := []time.Duration{0, 5 * time.Second, time.Minute}[rng.Intn(3)]
+		capacity := rng.Intn(12) // 0: unbounded
+		c := NewBoundedCache(lifetime, capacity)
+		ref := &scanCache{lifetime: lifetime, capacity: capacity, entries: map[string]scanEntry{}}
+		now := t0
+		for op := 0; op < 400; op++ {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				now = now.Add(time.Duration(rng.Intn(4)) * time.Second)
+			case r < 6:
+				now = now.Add(-time.Duration(rng.Intn(90)) * time.Second) // rewind
+			}
+			id := fmt.Sprintf("k%02d", rng.Intn(24))
+			switch r := rng.Intn(10); {
+			case r < 5:
+				st := lruState(op)
+				c.Put([]byte(id), st, now)
+				ref.put(id, st, now)
+			case r < 9:
+				if got, want := c.Get([]byte(id), now), ref.get(id, now); got != want {
+					t.Fatalf("trial %d op %d: Get(%s) = %v, reference %v", trial, op, id, got, want)
+				}
+			default:
+				ref.sweep(ref.lastNow)
+				if got, want := c.Len(), len(ref.entries); got != want {
+					t.Fatalf("trial %d op %d: Len() = %d, reference %d", trial, op, got, want)
+				}
+			}
+			if err := sameEntries(c, ref); err != nil {
+				t.Fatalf("trial %d op %d (lifetime %v, capacity %d): %v", trial, op, lifetime, capacity, err)
+			}
+		}
+	}
+}
+
+// sameEntries compares c's entries, and their LRU order, with ref's.
+func sameEntries(c *Cache, ref *scanCache) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.entries) != len(ref.entries) || len(c.byAge) != len(c.entries) || len(c.byUse) != len(c.entries) {
+		return fmt.Errorf("%d entries (heaps %d, %d), reference %d", len(c.entries), len(c.byAge), len(c.byUse), len(ref.entries))
+	}
+	for id, e := range c.entries {
+		r, ok := ref.entries[id]
+		if !ok || e.st != r.st || !e.created.Equal(r.created) || !e.used.Equal(r.used) || e.seq != r.seq {
+			return fmt.Errorf("entry %s differs from the reference (present there: %v)", id, ok)
+		}
+	}
+	if len(c.byUse) > 0 {
+		// The heap's top is the entry the scan would evict next.
+		var lru string
+		var v scanEntry
+		first := true
+		for k, e := range ref.entries {
+			if first || e.used.Before(v.used) || (e.used.Equal(v.used) && e.seq < v.seq) {
+				lru, v, first = k, e, false
+			}
+		}
+		if c.byUse[0].id != lru {
+			return fmt.Errorf("next LRU victim %s, reference %s", c.byUse[0].id, lru)
+		}
+	}
+	return nil
 }

@@ -5,6 +5,7 @@
 package session
 
 import (
+	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -54,12 +55,16 @@ func UnmarshalInto(dst *State, b []byte) error {
 // Cache is a server-side session cache (ID -> State) with a lifetime
 // policy. The zero Lifetime means entries never expire by age.
 //
-// Expired entries are evicted on Get and by a periodic sweep piggybacked
-// on Put (every sweepEvery inserts): without the sweep, sessions never
+// Expired entries are evicted on Get, and every Put first drops the
+// entries expired at its time: without that sweep, sessions never
 // re-touched — the overwhelming majority in a scan campaign — would
-// accumulate for the campaign's whole lifetime. The sweep only removes
-// entries Get would already refuse to return, so it is observationally
-// inert.
+// accumulate for the campaign's whole lifetime, a server cache that
+// sees a couple of Puts a day keeping every day's session. A sweep at
+// time now only removes entries that Get refuses at now and at every
+// later time, so it is observationally inert as long as no ID is
+// offered at a virtual time earlier than a sweep that ran after the ID
+// was stored (DESIGN §10 says why the campaign's clock rewinds keep to
+// that).
 //
 // Capacity, when positive, bounds the cache to that many entries with
 // LRU eviction — the traffic plane's browser cache caps. "Least
@@ -68,82 +73,105 @@ func UnmarshalInto(dst *State, b []byte) error {
 // deterministic operation sequence even when the virtual clock stands
 // still or rewinds. Campaign server caches leave Capacity zero
 // (unbounded), keeping the golden dataset untouched.
+//
+// Two heaps index the entries, one in expiry order and one in LRU
+// order, so a sweep costs O(log n) per entry it drops and an eviction
+// O(log n).
 type Cache struct {
 	Lifetime time.Duration
 	Capacity int
 
 	mu      sync.Mutex
-	entries map[string]entry
-	puts    int       // Put count, for sweep scheduling
+	entries map[string]*entry
+	byAge   ageHeap   // oldest creation time first
+	byUse   useHeap   // least recently used first
 	seq     uint64    // touch sequence, for deterministic LRU ties
 	lastNow time.Time // most recent time passed to Put/Get
 }
 
-// sweepEvery is how many Puts pass between expiry sweeps; the amortized
-// sweep cost per insert stays O(1) while dead state is bounded by one
-// sweep window.
-const sweepEvery = 128
-
 type entry struct {
+	id      string
 	st      *State
 	created time.Time
 	used    time.Time // last Put/Get-hit virtual time (LRU ordering)
 	seq     uint64    // touch sequence (LRU tie-break)
+	age     int       // index in byAge
+	use     int       // index in byUse
+}
+
+// ageHeap orders entries by creation time, the order they expire in.
+type ageHeap []*entry
+
+func (h ageHeap) Len() int           { return len(h) }
+func (h ageHeap) Less(i, j int) bool { return h[i].created.Before(h[j].created) }
+func (h ageHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].age, h[j].age = i, j }
+func (h *ageHeap) Push(x any)        { e := x.(*entry); e.age = len(*h); *h = append(*h, e) }
+func (h *ageHeap) Pop() any          { return pop((*[]*entry)(h)) }
+
+// useHeap orders entries by last use, ties broken by touch sequence.
+type useHeap []*entry
+
+func (h useHeap) Len() int { return len(h) }
+func (h useHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.used.Before(b.used) || (a.used.Equal(b.used) && a.seq < b.seq)
+}
+func (h useHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i]; h[i].use, h[j].use = i, j }
+func (h *useHeap) Push(x any)   { e := x.(*entry); e.use = len(*h); *h = append(*h, e) }
+func (h *useHeap) Pop() any     { return pop((*[]*entry)(h)) }
+
+func pop(h *[]*entry) *entry {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return e
 }
 
 // NewCache builds a cache with the given entry lifetime.
 func NewCache(lifetime time.Duration) *Cache {
-	return &Cache{Lifetime: lifetime, entries: make(map[string]entry)}
+	return &Cache{Lifetime: lifetime}
 }
 
 // NewBoundedCache builds a cache with a lifetime and an LRU capacity
 // bound — the shape a browser-policy client session store uses.
 func NewBoundedCache(lifetime time.Duration, capacity int) *Cache {
-	return &Cache{Lifetime: lifetime, Capacity: capacity, entries: make(map[string]entry)}
+	return &Cache{Lifetime: lifetime, Capacity: capacity}
 }
 
 // Put stores state under id at time now.
 func (c *Cache) Put(id []byte, st *State, now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[string]entry)
-	}
 	c.seq++
-	c.entries[string(id)] = entry{st: st, created: now, used: now, seq: c.seq}
 	c.lastNow = now
-	c.puts++
-	telemetry.Global().Counter("session/cache_put").Inc()
-	if c.Lifetime > 0 && c.puts%sweepEvery == 0 {
-		c.sweepLocked(now)
+	if e, ok := c.entries[string(id)]; ok {
+		e.st, e.created, e.used, e.seq = st, now, now, c.seq
+		heap.Fix(&c.byAge, e.age)
+		heap.Fix(&c.byUse, e.use)
+	} else {
+		if c.entries == nil {
+			c.entries = make(map[string]*entry)
+		}
+		e := &entry{id: string(id), st: st, created: now, used: now, seq: c.seq}
+		c.entries[e.id] = e
+		heap.Push(&c.byAge, e)
+		heap.Push(&c.byUse, e)
 	}
-	if c.Capacity > 0 && len(c.entries) > c.Capacity {
-		// Expired entries go first — they are free to drop — then LRU.
-		if c.Lifetime > 0 {
-			c.sweepLocked(now)
-		}
-		for len(c.entries) > c.Capacity {
-			c.evictLRULocked()
-		}
+	telemetry.Global().Counter("session/cache_put").Inc()
+	// Expired entries go first — they are free to drop — then LRU.
+	c.sweepLocked(now)
+	for c.Capacity > 0 && len(c.entries) > c.Capacity {
+		c.removeLocked(c.byUse[0])
+		telemetry.Global().Counter("session/cache_evicted").Inc()
 	}
 }
 
-// evictLRULocked removes the least-recently-used entry: oldest last-use
-// virtual time, ties broken by oldest touch sequence. Callers hold c.mu
-// and guarantee the map is non-empty.
-func (c *Cache) evictLRULocked() {
-	var victim string
-	var vUsed time.Time
-	var vSeq uint64
-	first := true
-	for k, e := range c.entries {
-		if first || e.used.Before(vUsed) || (e.used.Equal(vUsed) && e.seq < vSeq) {
-			victim, vUsed, vSeq = k, e.used, e.seq
-			first = false
-		}
-	}
-	delete(c.entries, victim)
-	telemetry.Global().Counter("session/cache_evicted").Inc()
+// removeLocked deletes e from the map and both heaps. Callers hold c.mu.
+func (c *Cache) removeLocked(e *entry) {
+	heap.Remove(&c.byAge, e.age)
+	heap.Remove(&c.byUse, e.use)
+	delete(c.entries, e.id)
 }
 
 // Get returns the live state for id at time now, or nil if absent or
@@ -161,8 +189,8 @@ func (c *Cache) Get(id []byte, now time.Time) *State {
 		telemetry.Global().Counter("session/cache_stale").Inc()
 		return nil
 	}
-	if c.Lifetime > 0 && now.Sub(e.created) > c.Lifetime {
-		delete(c.entries, string(id))
+	if c.expired(e, now) {
+		c.removeLocked(e)
 		tel := telemetry.Global()
 		tel.Counter("session/cache_stale").Inc()
 		tel.Counter("wall/session/cache_expired_get").Inc()
@@ -170,20 +198,23 @@ func (c *Cache) Get(id []byte, now time.Time) *State {
 	}
 	c.seq++
 	e.used, e.seq = now, c.seq
-	c.entries[string(id)] = e
+	heap.Fix(&c.byUse, e.use)
 	telemetry.Global().Counter("session/cache_hit").Inc()
 	return e.st
 }
 
-// sweepLocked drops every entry that Get would refuse at time now.
-// Callers hold c.mu.
+func (c *Cache) expired(e *entry, now time.Time) bool {
+	return c.Lifetime > 0 && now.Sub(e.created) > c.Lifetime
+}
+
+// sweepLocked drops every entry that Get would refuse at time now: the
+// expired ones are exactly the oldest-created, so they come off the top
+// of byAge. Callers hold c.mu.
 func (c *Cache) sweepLocked(now time.Time) {
 	swept := uint64(0)
-	for k, e := range c.entries {
-		if now.Sub(e.created) > c.Lifetime {
-			delete(c.entries, k)
-			swept++
-		}
+	for len(c.byAge) > 0 && c.expired(c.byAge[0], now) {
+		c.removeLocked(c.byAge[0])
+		swept++
 	}
 	if swept > 0 {
 		// Sweep timing depends on Put interleaving, hence wall/.
@@ -197,8 +228,6 @@ func (c *Cache) sweepLocked(now time.Time) {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.Lifetime > 0 {
-		c.sweepLocked(c.lastNow)
-	}
+	c.sweepLocked(c.lastNow)
 	return len(c.entries)
 }

@@ -18,8 +18,8 @@ func TestSweepOnPutEvictsExpiredEntries(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Put(sid(i), &State{}, t0)
 	}
-	// 100 more puts two hours later: the first batch is expired, and put
-	// number 128 triggers the periodic sweep that removes it.
+	// 100 more puts two hours later: the first batch is expired, and the
+	// first of them sweeps it.
 	t1 := t0.Add(2 * time.Hour)
 	for i := 100; i < 200; i++ {
 		c.Put(sid(i), &State{}, t1)
@@ -49,12 +49,52 @@ func TestLenReportsLiveEntriesWithoutSweepTrigger(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.Put(sid(i), &State{}, t0)
 	}
-	// Far fewer than sweepEvery puts, so no periodic sweep has run; Len
-	// must still count only entries Get would return at the latest time
-	// the cache has seen.
+	// Len must count only entries Get would return at the latest time
+	// the cache has seen, whether a Put or a Get told it that time.
 	c.Put(sid(99), &State{}, t0.Add(2*time.Hour))
 	if got := c.Len(); got != 1 {
 		t.Fatalf("Len() = %d, want 1 live entry", got)
+	}
+	c.Get(sid(1000), t0.Add(4*time.Hour)) // a miss; no Put sweeps after it
+	if got := c.Len(); got != 0 {
+		t.Fatalf("Len() = %d after a later Get, want 0 live entries", got)
+	}
+}
+
+// TestPutSweepsAcrossVirtualDays stores one session a virtual day into a
+// cache with a 1 h lifetime, as a campaign server cache sees a domain's
+// daily scans. Each Put must leave only its own entry behind (the map
+// is read directly, since Len would itself sweep), and every Get must
+// answer as a reference that never sweeps and checks the lifetime on
+// lookup.
+func TestPutSweepsAcrossVirtualDays(t *testing.T) {
+	c := NewCache(time.Hour)
+	t0 := time.Date(2016, time.March, 2, 0, 0, 0, 0, time.UTC)
+	type stored struct {
+		st      *State
+		created time.Time
+	}
+	var ref []stored // never swept
+	for day := 0; day < 30; day++ {
+		now := t0.Add(time.Duration(day) * 24 * time.Hour)
+		st := &State{Suite: uint16(day)}
+		c.Put(sid(day), st, now)
+		ref = append(ref, stored{st, now})
+		c.mu.Lock()
+		raw := len(c.entries)
+		c.mu.Unlock()
+		if raw != 1 {
+			t.Fatalf("day %d: cache holds %d entries after Put, want 1", day, raw)
+		}
+		for d, r := range ref {
+			var want *State
+			if now.Sub(r.created) <= time.Hour {
+				want = r.st
+			}
+			if got := c.Get(sid(d), now); got != want {
+				t.Fatalf("day %d: Get(day %d) = %v, reference %v", day, d, got, want)
+			}
+		}
 	}
 }
 

@@ -64,22 +64,26 @@ func getWakeTimer(b *pipeBuf) *wakeTimer {
 // written before a Close is still readable by the peer until drained
 // (TCP-like), and write deadlines only apply at call time.
 func NewBufferedPipe() (net.Conn, net.Conn) {
-	// Both directions and both endpoints live in one allocation; a
-	// campaign makes one pipe per handshake, so the four separate
-	// allocations this replaces were a visible slice of the profile.
+	p := newPipePair()
+	return &p.a, &p.b
+}
+
+// pipePair packs a pipe's two directions and two endpoints into a single
+// allocation; a campaign makes one pipe per handshake, so the four
+// separate allocations this replaces were a visible slice of the profile.
+type pipePair struct {
+	ab, ba pipeBuf // data flowing a -> b, b -> a
+	a, b   bufConn
+	served sync.WaitGroup // the goroutine serving b, when dial started one
+}
+
+func newPipePair() *pipePair {
 	p := &pipePair{}
 	p.ab.cond.L = &p.ab.mu
 	p.ba.cond.L = &p.ba.mu
 	p.a = bufConn{rd: &p.ba, wr: &p.ab}
 	p.b = bufConn{rd: &p.ab, wr: &p.ba}
-	return &p.a, &p.b
-}
-
-// pipePair packs a pipe's two directions and two endpoints into a single
-// allocation.
-type pipePair struct {
-	ab, ba pipeBuf // data flowing a -> b, b -> a
-	a, b   bufConn
+	return p
 }
 
 // pipeBuf is one direction's byte queue.
@@ -106,6 +110,7 @@ type pipeBuf struct {
 // bufConn is one endpoint: reads from rd, writes into wr.
 type bufConn struct {
 	rd, wr *pipeBuf
+	served *sync.WaitGroup // the peer's serving goroutine; Close waits for it
 
 	mu     sync.Mutex
 	closed bool
@@ -257,14 +262,18 @@ func (c *bufConn) Write(p []byte) (int, error) { return c.wr.write(p) }
 
 func (c *bufConn) Close() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
+	closed := c.closed
 	c.closed = true
 	c.mu.Unlock()
-	c.rd.closeRead()  // our reads now fail, peer writes now fail
-	c.wr.closeWrite() // peer drains remaining data, then sees io.EOF
+	if !closed {
+		c.rd.closeRead()  // our reads now fail, peer writes now fail
+		c.wr.closeWrite() // peer drains remaining data, then sees io.EOF
+	}
+	if c.served != nil {
+		// The peer's next read sees io.EOF or its next write fails, so
+		// its goroutine returns without anything more from this end.
+		c.served.Wait()
+	}
 	return nil
 }
 

@@ -109,6 +109,7 @@ func (n *Net) SetTelemetry(r *telemetry.Registry) {
 // Dial opens a connection to the domain. The backend is chosen without
 // client affinity: successive dials may land on different terminators,
 // exactly the balancer behavior that frustrates naive run-length metrics.
+// Close on the returned connection returns once its server is done.
 func (n *Net) Dial(domain string) (net.Conn, error) {
 	return n.dial(domain, "", false)
 }
@@ -214,21 +215,30 @@ func (n *Net) dial(domain, label string, stable bool) (net.Conn, error) {
 			cli, _ := NewBufferedPipe()
 			return &stallConn{Conn: cli}, nil
 		case faults.Reset:
-			cli, srv := NewBufferedPipe()
-			rc := &resetConn{Conn: srv, allow: f.AllowWrites}
-			go func() {
-				defer rc.Close()
-				_ = tlsserver.Serve(rc, ep.Config)
-			}()
-			return cli, nil
+			p := newPipePair()
+			p.serve(&resetConn{Conn: &p.b, allow: f.AllowWrites}, ep.Config)
+			return &p.a, nil
 		}
 	}
-	cli, srv := NewBufferedPipe()
+	p := newPipePair()
+	p.serve(&p.b, ep.Config)
+	return &p.a, nil
+}
+
+// serve runs the terminator on srv, the b end of p or a wrapper of it,
+// in a new goroutine that closes srv once Serve returns. Closing the a
+// end waits for that goroutine, so a dialed connection's Close includes
+// its server's exit, and the server state alive at once (pooled
+// handshake state, pipe buffers) is bounded by the dialing goroutines
+// instead of by how far the scheduler lags behind them.
+func (p *pipePair) serve(srv net.Conn, cfg *tlsserver.Config) {
+	p.a.served = &p.served
+	p.served.Add(1)
 	go func() {
+		defer p.served.Done()
 		defer srv.Close()
-		_ = tlsserver.Serve(srv, ep.Config)
+		_ = tlsserver.Serve(srv, cfg)
 	}()
-	return cli, nil
 }
 
 // stallConn is the client end of a Stall-faulted connection: a buffered

@@ -185,7 +185,10 @@ func HandshakeInto(cap *Capture, conn net.Conn, cfg *Config) error {
 	*cap = Capture{}
 	hc := hsPool.Get().(*hsConn)
 	hc.Reset(conn)
-	defer hsPool.Put(hc)
+	defer func() {
+		hc.Reset(nil) // the pool keeps neither the transport nor its ciphers
+		hsPool.Put(hc)
+	}()
 	// Flush any record bytes still coalesced when a path returns without a
 	// subsequent read (the resumed handshake's final Finished). Runs before
 	// the pool Put (LIFO). Paths whose callers must see the write error
@@ -277,6 +280,12 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		}
 		cap.ServerKEXValue = copyInto(cap.kexValue[:], ske.Public)
 		if cfg.KexOnly {
+			if kex == wire.KexECDHE {
+				// No premaster follows, so the scalar the server
+				// published for this key would wait for the map's
+				// wholesale clear.
+				keyex.DiscardScalar(ske.Public)
+			}
 			return nil
 		}
 		if err := verifySKE(hc, cfg.Roots, chain, ske, ch.Random[:], sh.Random[:]); err != nil {

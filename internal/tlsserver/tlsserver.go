@@ -127,7 +127,10 @@ func (h *hsConn) connRand(cfg *Config, clientRandom []byte) io.Reader {
 func Serve(conn net.Conn, cfg *Config) error {
 	hc := hsPool.Get().(*hsConn)
 	hc.Reset(conn)
-	defer hsPool.Put(hc)
+	defer func() {
+		hc.Reset(nil) // the pool keeps neither the transport nor its ciphers
+		hsPool.Put(hc)
+	}()
 	// Reads flush pending coalesced flights, so this only delivers bytes
 	// on paths that exit without reading again.
 	defer hc.Record.Flush()
