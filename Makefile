@@ -8,7 +8,8 @@ BENCHPKG ?= tlsshortcuts
 BENCHTIME ?= 1x
 
 .PHONY: build test test-faults test-telemetry test-shards test-cryptanalysis \
-	test-obsv test-traffic race fuzz bench bench-campaign bench-gate bench-million fmt
+	test-obsv test-traffic race fuzz bench bench-campaign bench-gate bench-million \
+	bench-million-bound fmt
 
 build:
 	$(GO) build ./...
@@ -135,6 +136,14 @@ bench-million:
 	BENCH_MILLION_LIST=$(BENCH_MILLION_LIST) BENCH_MILLION_DAYS=$(BENCH_MILLION_DAYS) \
 	BENCH_MILLION_OUT=$(BENCH_MILLION_OUT) \
 		$(GO) test -run=NONE -bench=CampaignMillionProfile -benchtime=$(BENCHTIME) -timeout=30m $(BENCHPKG)
+
+# CI's O(domains) memory bound: fails when the bench-million result in
+# BENCH_MILLION_OUT holds more live heap per domain than the budget.
+MAX_LIVE_HEAP_BYTES_PER_DOMAIN ?= 20000
+bench-million-bound:
+	@jq -r '"live_heap_bytes_per_domain=\(.live_heap_bytes_per_domain) (budget $(MAX_LIVE_HEAP_BYTES_PER_DOMAIN), list=\(.list_size) days=\(.days))"' $(BENCH_MILLION_OUT)
+	@jq -e --argjson max $(MAX_LIVE_HEAP_BYTES_PER_DOMAIN) '.live_heap_bytes_per_domain <= $$max' \
+		$(BENCH_MILLION_OUT) >/dev/null || { echo "live-heap-per-domain budget exceeded" >&2; exit 1; }
 
 fmt:
 	gofmt -l -w .

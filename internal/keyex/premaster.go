@@ -153,24 +153,8 @@ func FixedClientECDHE() (*ecdh.PrivateKey, []byte) {
 // entries.
 var sxs struct {
 	mu     sync.Mutex
-	vol    map[pointKey]*big.Int // fresh serverPub -> scalar, delete-on-consume
-	sticky map[pointKey]*big.Int // reuse serverPub -> scalar, one per epoch
-}
-
-// pointKey is an uncompressed P-256 point, the scalar maps' key. As an
-// array it makes inserts, lookups and deletes allocation-free, where a
-// string conversion of the 65 bytes allocates on every insert and
-// delete.
-type pointKey [65]byte
-
-// keyOf returns pub as a map key; ok is false when pub has another
-// length and so cannot be a key.
-func keyOf(pub []byte) (k pointKey, ok bool) {
-	if len(pub) != len(k) {
-		return k, false
-	}
-	copy(k[:], pub)
-	return k, true
+	vol    map[string]*big.Int // fresh serverPub -> scalar, delete-on-consume
+	sticky map[string]*big.Int // reuse serverPub -> scalar, one per epoch
 }
 
 // maxVolatileScalars bounds the volatile scalar map. Unconsumed entries
@@ -182,22 +166,18 @@ const maxVolatileScalars = 4096
 var p256Order = elliptic.P256().Params().N
 
 func scalarStore(pub []byte, priv *ecdh.PrivateKey, sticky bool) {
-	k, ok := keyOf(pub)
-	if !ok {
-		return
-	}
 	d := new(big.Int).SetBytes(priv.Bytes())
 	sxs.mu.Lock()
 	if sticky {
 		if sxs.sticky == nil || len(sxs.sticky) >= maxExchangeEntries {
-			sxs.sticky = make(map[pointKey]*big.Int, 64)
+			sxs.sticky = make(map[string]*big.Int, 64)
 		}
-		sxs.sticky[k] = d
+		sxs.sticky[string(pub)] = d
 	} else {
 		if sxs.vol == nil || len(sxs.vol) >= maxVolatileScalars {
-			sxs.vol = make(map[pointKey]*big.Int)
+			sxs.vol = make(map[string]*big.Int, 1024)
 		}
-		sxs.vol[k] = d
+		sxs.vol[string(pub)] = d
 	}
 	sxs.mu.Unlock()
 }
@@ -207,12 +187,8 @@ func scalarStore(pub []byte, priv *ecdh.PrivateKey, sticky bool) {
 // a kex-only probe consumes its entry the way a completed handshake's
 // lookup does. Reuse-mode scalars serve other connections and stay.
 func DiscardScalar(serverPub []byte) {
-	k, ok := keyOf(serverPub)
-	if !ok {
-		return
-	}
 	sxs.mu.Lock()
-	delete(sxs.vol, k)
+	delete(sxs.vol, string(serverPub))
 	sxs.mu.Unlock()
 }
 
@@ -220,16 +196,12 @@ func DiscardScalar(serverPub []byte) {
 // key against serverPub, if that server published its scalar; nil
 // otherwise. The returned slice must not be modified.
 func ClientPremasterFromScalar(serverPub []byte) []byte {
-	k, ok := keyOf(serverPub)
-	if !ok {
-		return nil
-	}
 	sxs.mu.Lock()
-	d0 := sxs.vol[k]
+	d0 := sxs.vol[string(serverPub)]
 	if d0 != nil {
-		delete(sxs.vol, k)
+		delete(sxs.vol, string(serverPub))
 	} else {
-		d0 = sxs.sticky[k]
+		d0 = sxs.sticky[string(serverPub)]
 	}
 	sxs.mu.Unlock()
 	if d0 == nil {

@@ -124,9 +124,9 @@ func TestBoundedCacheLenConsistentWithSweep(t *testing.T) {
 	}
 }
 
-// scanCache is the bounded cache as it was before the heap index: one
-// map, a sweep that scans it for expired entries and an eviction that
-// scans it for the least recently used (last use, then touch sequence).
+// scanCache is the bounded cache without the expiry heap: one map, a
+// sweep that scans it for expired entries and an eviction that scans it
+// for the least recently used (last use, then touch sequence).
 // It keeps Cache's policy — every Put sweeps, then evicts down to
 // capacity; a Get drops an expired hit — so the two must give the same
 // answers and hold the same entries after every operation.
@@ -190,12 +190,12 @@ func (c *scanCache) get(id string, now time.Time) *State {
 	return e.st
 }
 
-// TestBoundedCacheMatchesScanEviction drives the indexed cache and the
-// scanning reference through the same random operations — puts and
+// TestBoundedCacheMatchesScanEviction drives the heap-swept cache and
+// the scanning reference through the same random operations — puts and
 // gets over a small key set, with the virtual clock standing still,
 // stepping forward and rewinding — and requires the same answer to
-// every Get and Len and the same entries, states and LRU order after
-// every operation.
+// every Get and Len and the same entries, states, use times and touch
+// sequences after every operation.
 func TestBoundedCacheMatchesScanEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	t0 := time.Unix(5000, 0)
@@ -235,31 +235,21 @@ func TestBoundedCacheMatchesScanEviction(t *testing.T) {
 	}
 }
 
-// sameEntries compares c's entries, and their LRU order, with ref's.
+// sameEntries compares c's entries with ref's and checks c's expiry
+// heap indexes exactly those entries.
 func sameEntries(c *Cache, ref *scanCache) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.entries) != len(ref.entries) || len(c.byAge) != len(c.entries) || len(c.byUse) != len(c.entries) {
-		return fmt.Errorf("%d entries (heaps %d, %d), reference %d", len(c.entries), len(c.byAge), len(c.byUse), len(ref.entries))
+	if len(c.entries) != len(ref.entries) || len(c.byAge) != len(c.entries) {
+		return fmt.Errorf("%d entries (heap %d), reference %d", len(c.entries), len(c.byAge), len(ref.entries))
 	}
 	for id, e := range c.entries {
 		r, ok := ref.entries[id]
 		if !ok || e.st != r.st || !e.created.Equal(r.created) || !e.used.Equal(r.used) || e.seq != r.seq {
 			return fmt.Errorf("entry %s differs from the reference (present there: %v)", id, ok)
 		}
-	}
-	if len(c.byUse) > 0 {
-		// The heap's top is the entry the scan would evict next.
-		var lru string
-		var v scanEntry
-		first := true
-		for k, e := range ref.entries {
-			if first || e.used.Before(v.used) || (e.used.Equal(v.used) && e.seq < v.seq) {
-				lru, v, first = k, e, false
-			}
-		}
-		if c.byUse[0].id != lru {
-			return fmt.Errorf("next LRU victim %s, reference %s", c.byUse[0].id, lru)
+		if c.byAge[e.age] != e {
+			return fmt.Errorf("entry %s is not at its heap index %d", id, e.age)
 		}
 	}
 	return nil

@@ -74,9 +74,10 @@ func UnmarshalInto(dst *State, b []byte) error {
 // still or rewinds. Campaign server caches leave Capacity zero
 // (unbounded), keeping the golden dataset untouched.
 //
-// Two heaps index the entries, one in expiry order and one in LRU
-// order, so a sweep costs O(log n) per entry it drops and an eviction
-// O(log n).
+// A heap in creation order — the order entries expire in — lets the
+// sweep stop at the first live entry, so a Put that drops nothing costs
+// O(1) besides its own O(log n) insert. An over-capacity Put scans for
+// its victim: the browser caps are rarely reached (DESIGN §10).
 type Cache struct {
 	Lifetime time.Duration
 	Capacity int
@@ -84,7 +85,6 @@ type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*entry
 	byAge   ageHeap   // oldest creation time first
-	byUse   useHeap   // least recently used first
 	seq     uint64    // touch sequence, for deterministic LRU ties
 	lastNow time.Time // most recent time passed to Put/Get
 }
@@ -96,7 +96,6 @@ type entry struct {
 	used    time.Time // last Put/Get-hit virtual time (LRU ordering)
 	seq     uint64    // touch sequence (LRU tie-break)
 	age     int       // index in byAge
-	use     int       // index in byUse
 }
 
 // ageHeap orders entries by creation time, the order they expire in.
@@ -106,21 +105,7 @@ func (h ageHeap) Len() int           { return len(h) }
 func (h ageHeap) Less(i, j int) bool { return h[i].created.Before(h[j].created) }
 func (h ageHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].age, h[j].age = i, j }
 func (h *ageHeap) Push(x any)        { e := x.(*entry); e.age = len(*h); *h = append(*h, e) }
-func (h *ageHeap) Pop() any          { return pop((*[]*entry)(h)) }
-
-// useHeap orders entries by last use, ties broken by touch sequence.
-type useHeap []*entry
-
-func (h useHeap) Len() int { return len(h) }
-func (h useHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	return a.used.Before(b.used) || (a.used.Equal(b.used) && a.seq < b.seq)
-}
-func (h useHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i]; h[i].use, h[j].use = i, j }
-func (h *useHeap) Push(x any)   { e := x.(*entry); e.use = len(*h); *h = append(*h, e) }
-func (h *useHeap) Pop() any     { return pop((*[]*entry)(h)) }
-
-func pop(h *[]*entry) *entry {
+func (h *ageHeap) Pop() any {
 	old := *h
 	e := old[len(old)-1]
 	old[len(old)-1] = nil
@@ -148,7 +133,6 @@ func (c *Cache) Put(id []byte, st *State, now time.Time) {
 	if e, ok := c.entries[string(id)]; ok {
 		e.st, e.created, e.used, e.seq = st, now, now, c.seq
 		heap.Fix(&c.byAge, e.age)
-		heap.Fix(&c.byUse, e.use)
 	} else {
 		if c.entries == nil {
 			c.entries = make(map[string]*entry)
@@ -156,21 +140,32 @@ func (c *Cache) Put(id []byte, st *State, now time.Time) {
 		e := &entry{id: string(id), st: st, created: now, used: now, seq: c.seq}
 		c.entries[e.id] = e
 		heap.Push(&c.byAge, e)
-		heap.Push(&c.byUse, e)
 	}
 	telemetry.Global().Counter("session/cache_put").Inc()
 	// Expired entries go first — they are free to drop — then LRU.
 	c.sweepLocked(now)
 	for c.Capacity > 0 && len(c.entries) > c.Capacity {
-		c.removeLocked(c.byUse[0])
-		telemetry.Global().Counter("session/cache_evicted").Inc()
+		c.evictLRULocked()
 	}
 }
 
-// removeLocked deletes e from the map and both heaps. Callers hold c.mu.
+// evictLRULocked removes the least-recently-used entry: oldest last-use
+// virtual time, ties broken by oldest touch sequence. Callers hold c.mu
+// and guarantee the map is non-empty.
+func (c *Cache) evictLRULocked() {
+	var victim *entry
+	for _, e := range c.entries {
+		if victim == nil || e.used.Before(victim.used) || (e.used.Equal(victim.used) && e.seq < victim.seq) {
+			victim = e
+		}
+	}
+	c.removeLocked(victim)
+	telemetry.Global().Counter("session/cache_evicted").Inc()
+}
+
+// removeLocked deletes e from the map and the heap. Callers hold c.mu.
 func (c *Cache) removeLocked(e *entry) {
 	heap.Remove(&c.byAge, e.age)
-	heap.Remove(&c.byUse, e.use)
 	delete(c.entries, e.id)
 }
 
@@ -198,7 +193,6 @@ func (c *Cache) Get(id []byte, now time.Time) *State {
 	}
 	c.seq++
 	e.used, e.seq = now, c.seq
-	heap.Fix(&c.byUse, e.use)
 	telemetry.Global().Counter("session/cache_hit").Inc()
 	return e.st
 }
