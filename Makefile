@@ -139,7 +139,7 @@ bench-million:
 
 # CI's O(domains) memory bound: fails when the bench-million result in
 # BENCH_MILLION_OUT holds more live heap per domain than the budget.
-MAX_LIVE_HEAP_BYTES_PER_DOMAIN ?= 20000
+MAX_LIVE_HEAP_BYTES_PER_DOMAIN = 20000
 bench-million-bound:
 	@jq -r '"live_heap_bytes_per_domain=\(.live_heap_bytes_per_domain) (budget $(MAX_LIVE_HEAP_BYTES_PER_DOMAIN), list=\(.list_size) days=\(.days))"' $(BENCH_MILLION_OUT)
 	@jq -e --argjson max $(MAX_LIVE_HEAP_BYTES_PER_DOMAIN) '.live_heap_bytes_per_domain <= $$max' \
