@@ -14,6 +14,7 @@ import (
 	"os"
 	"sync"
 
+	"tlsshortcuts/internal/handoff"
 	"tlsshortcuts/internal/prf"
 	"tlsshortcuts/internal/record"
 	"tlsshortcuts/internal/ticket"
@@ -41,6 +42,10 @@ type Tap struct {
 
 // NewTap wraps conn.
 func NewTap(conn net.Conn) *Tap { return &Tap{Conn: conn} }
+
+// Handoff passes the wrapped connection's hand-off through: a tap
+// records bytes and changes none, so both ends may still take it.
+func (t *Tap) Handoff() (*handoff.Link, handoff.End) { return handoff.Of(t.Conn) }
 
 func (t *Tap) record(fromClient bool, b []byte) {
 	t.mu.Lock()

@@ -93,7 +93,8 @@ func (c *Conn) ReadMsg() (m wire.Msg, ccs bool, err error) {
 		if pend := c.buf[c.off:]; len(pend) >= 4 {
 			n := int(pend[1])<<16 | int(pend[2])<<8 | int(pend[3])
 			if n > maxMsg {
-				return wire.Msg{}, false, fmt.Errorf("tls: handshake message of %d bytes exceeds the %d-byte limit", n, maxMsg)
+				err := fmt.Errorf("tls: handshake message of %d bytes exceeds the %d-byte limit", n, maxMsg)
+				return wire.Msg{}, false, record.WithAlert(record.AlertInternalError, err)
 			}
 			if len(pend) >= 4+n {
 				raw := pend[:4+n]
@@ -114,18 +115,29 @@ func (c *Conn) ReadMsg() (m wire.Msg, ccs bool, err error) {
 				// The peer's next messages come under new keys: one
 				// that began before them would mix unprotected bytes
 				// into a protected message.
-				return wire.Msg{}, false, errors.New("tls: ChangeCipherSpec inside a handshake message")
+				return wire.Msg{}, false, c.outOfPlace(errors.New("tls: ChangeCipherSpec inside a handshake message"))
 			}
 			return wire.Msg{}, true, nil
 		case record.TypeAlert:
 			if len(rec.Payload) != 2 {
-				return wire.Msg{}, false, errors.New("tls: received malformed alert")
+				return wire.Msg{}, false, record.WithAlert(record.AlertUnexpectedMessage, errors.New("tls: received malformed alert"))
 			}
 			return wire.Msg{}, false, &record.AlertError{Code: rec.Payload[1]}
 		default:
-			return wire.Msg{}, false, fmt.Errorf("tls: unexpected record type %d during handshake", rec.Type)
+			return wire.Msg{}, false, c.outOfPlace(fmt.Errorf("tls: unexpected record type %d during handshake", rec.Type))
 		}
 	}
+}
+
+// outOfPlace is a record the handshake cannot take where it arrived,
+// answered with unexpected_message. Before the first message crypto/tls
+// takes a record that is neither a handshake nor an alert record for
+// something other than TLS and answers nothing.
+func (c *Conn) outOfPlace(err error) error {
+	if c.off == 0 {
+		return err
+	}
+	return record.WithAlert(record.AlertUnexpectedMessage, err)
 }
 
 // DeriveMaster derives the master secret from a premaster secret and the
@@ -155,14 +167,15 @@ func (c *Conn) keys(s Side) (key, salt []byte) {
 	return c.kb[16*s : 16*s+16], c.kb[32+4*s : 36+4*s]
 }
 
-// SendFinished sends s's ChangeCipherSpec, arms the write direction with
-// s's keys, and sends s's Finished over the transcript so far.
+// SendFinished arms the write direction with s's keys, handing its AEAD
+// to the peer before the ChangeCipherSpec that makes the peer arm its
+// reader, then sends s's ChangeCipherSpec and Finished.
 func (c *Conn) SendFinished(s Side) error {
 	pre := c.transcript()
-	if err := c.Record.WriteRecord(record.TypeChangeCipherSpec, []byte{1}); err != nil {
+	if err := c.Record.ArmWrite(c.keys(s)); err != nil {
 		return err
 	}
-	if err := c.Record.ArmWrite(c.keys(s)); err != nil {
+	if err := c.Record.WriteRecord(record.TypeChangeCipherSpec, []byte{1}); err != nil {
 		return err
 	}
 	fin := append(c.fin[:0], wire.TypeFinished, 0, 0, 12)

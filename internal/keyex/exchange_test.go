@@ -4,22 +4,28 @@ import (
 	"testing"
 
 	"tlsshortcuts/internal/drbg"
-	"tlsshortcuts/internal/keyex"
 	"tlsshortcuts/internal/pki"
 	"tlsshortcuts/internal/simclock"
 	"tlsshortcuts/internal/simnet"
+	"tlsshortcuts/internal/telemetry"
 	"tlsshortcuts/internal/tlsclient"
 	"tlsshortcuts/internal/tlsserver"
 	"tlsshortcuts/internal/wire"
 )
 
 // TestHandshakesConsumeTheirScalars runs kex-only and full handshakes
-// against a fresh-value server the way the scanner does, and requires
-// each to leave the volatile scalar map as it found it: a completed
-// handshake's premaster lookup consumes the scalar its server
-// published, and a kex-only probe, which stops after the
-// ServerKeyExchange, discards it. A DHE probe publishes nothing.
+// against a fresh-value server the way the scanner does. Each completed
+// ECDHE handshake takes the scalar its server handed over exactly once,
+// for the client's premaster, and its premaster exactly once, for the
+// server's; a kex-only probe stops after the ServerKeyExchange and takes
+// neither. The hand-off lives in the connection, so nothing a probe
+// leaves untaken reaches the next one.
 func TestHandshakesConsumeTheirScalars(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	defer telemetry.SetGlobal(reg)()
+	scalars := reg.Counter("keyex/scalar_exchange_hit")
+	premasters := reg.Counter("keyex/premaster_exchange_hit")
+
 	now := simclock.Epoch
 	root, err := pki.NewRootCA("scalar root", pki.ECDSAP256, drbg.NewString("keyex-test|root"))
 	if err != nil {
@@ -35,16 +41,18 @@ func TestHandshakesConsumeTheirScalars(t *testing.T) {
 		Clock: simclock.Fixed(now), DefaultCert: leaf, RandSeed: []byte("keyex-test|server"),
 	}})
 	for _, tc := range []struct {
-		name    string
-		suite   uint16
-		kexOnly bool
+		name               string
+		suite              uint16
+		kexOnly            bool
+		scalar, premasters uint64 // hand-offs taken per handshake
 	}{
-		{"ecdhe/kex-only", wire.SuiteECDHE, true},
-		{"ecdhe/full", wire.SuiteECDHE, false},
-		{"dhe/kex-only", wire.SuiteDHE, true},
+		{"ecdhe/kex-only", wire.SuiteECDHE, true, 0, 0},
+		{"ecdhe/full", wire.SuiteECDHE, false, 1, 1},
+		{"dhe/kex-only", wire.SuiteDHE, true, 0, 0},
+		{"dhe/full", wire.SuiteDHE, false, 0, 1},
 	} {
 		for i := 0; i < 3; i++ {
-			before := keyex.VolatileScalars()
+			s0, p0 := scalars.Value(), premasters.Value()
 			c, err := n.Dial("scalar.example")
 			if err != nil {
 				t.Fatal(err)
@@ -60,8 +68,8 @@ func TestHandshakesConsumeTheirScalars(t *testing.T) {
 			if len(cap.ServerKEXValue) == 0 || (cap.Session == nil) != tc.kexOnly {
 				t.Fatalf("%s: handshake did not run as configured", tc.name)
 			}
-			if after := keyex.VolatileScalars(); after != before {
-				t.Errorf("%s #%d: volatile scalars %d before the handshake, %d after", tc.name, i, before, after)
+			if s, p := scalars.Value()-s0, premasters.Value()-p0; s != tc.scalar || p != tc.premasters {
+				t.Errorf("%s #%d: took %d scalars and %d premasters, want %d and %d", tc.name, i, s, p, tc.scalar, tc.premasters)
 			}
 		}
 	}

@@ -169,9 +169,7 @@ func ECDHEKeyPub(p *Policy, now time.Time, rand interface{ Read([]byte) (int, er
 		if err != nil {
 			return nil, nil, err
 		}
-		pub := k.PublicKey().Bytes()
-		scalarStore(pub, k, false)
-		return k, pub, nil
+		return k, k.PublicKey().Bytes(), nil
 	}
 	telemetry.Global().Counter("keyex/reuse_lookups").Inc()
 	e := p.epoch(now)
@@ -186,7 +184,7 @@ func ECDHEKeyPub(p *Policy, now time.Time, rand interface{ Read([]byte) (int, er
 	}
 	pub := k.PublicKey().Bytes()
 	cachePut(ck, &cacheVal{ecdheKey: k, ecdhePub: pub})
-	scalarStore(pub, k, true)
+	scalarStore(pub, k)
 	return k, pub, nil
 }
 

@@ -12,13 +12,14 @@ import (
 
 	"tlsshortcuts/internal/drbg"
 	"tlsshortcuts/internal/ffdh"
+	"tlsshortcuts/internal/handoff"
 	"tlsshortcuts/internal/telemetry"
 )
 
-// The caches in this package can hide their own bugs: a client publishes
-// a premaster and the server consumes it, so a wrong value still
-// completes the handshake on both ends. These tests check every cached
-// answer against a computation that shares no code with the cache.
+// The shortcuts in this package can hide their own bugs: a client hands
+// over a premaster and the server takes it, so a wrong value still
+// completes the handshake on both ends. These tests check every
+// shortcut answer against a computation that shares no code with it.
 
 var oracleBase = time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC)
 
@@ -37,30 +38,40 @@ func fixedAgreement(t *testing.T, pub []byte) []byte {
 	return pm
 }
 
-// TestScalarExchangeMatchesECDH checks ClientPremasterFromScalar against
-// crypto/ecdh for fresh server keys (one answer each, then nil) and for
-// reuse epochs (answered on every lookup).
+// TestScalarExchangeMatchesECDH checks the fixed client's scalar
+// premaster against crypto/ecdh: FixedClientPremaster for every server
+// key a connection's hand-off gives up, and ClientPremasterFromScalar
+// for reuse epochs (answered on every lookup). A hand-off gives up its
+// key only for the value the server published, and fresh keys are
+// remembered nowhere else.
 func TestScalarExchangeMatchesECDH(t *testing.T) {
 	fresh := &Policy{Mode: Fresh}
 	rnd := drbg.NewString("keyex-test|fresh")
+	var prev []byte
 	for i := 0; i < 256; i++ {
-		_, pub, err := ECDHEKeyPub(fresh, oracleBase, rnd)
+		k, pub, err := ECDHEKeyPub(fresh, oracleBase, rnd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := ClientPremasterFromScalar(pub)
+		link := new(handoff.Link)
+		link.SetServerValue(pub, k)
+		got := FixedClientPremaster(link.ServerKey(pub))
 		if want := fixedAgreement(t, pub); !bytes.Equal(got, want) {
 			t.Fatalf("fresh key %d: scalar exchange gave %x, ECDH gives %x", i, got, want)
 		}
-		if again := ClientPremasterFromScalar(pub); again != nil {
-			t.Fatalf("fresh key %d: scalar answered a second lookup", i)
+		if prev != nil && link.ServerKey(prev) != nil {
+			t.Fatalf("fresh key %d: the hand-off gave up its key for another server value", i)
 		}
+		if pm := ClientPremasterFromScalar(pub); pm != nil {
+			t.Fatalf("fresh key %d: a fresh scalar outlived its connection", i)
+		}
+		prev = pub
 	}
 
 	p := &Policy{Mode: Reuse, Period: time.Hour, Base: oracleBase, Seed: []byte("keyex-test|scalar-reuse")}
 	for e := 0; e < 4; e++ {
 		now := oracleBase.Add(time.Duration(e)*p.Period + time.Minute)
-		_, pub, err := ECDHEKeyPub(p, now, nil)
+		k, pub, err := ECDHEKeyPub(p, now, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,6 +81,9 @@ func TestScalarExchangeMatchesECDH(t *testing.T) {
 				t.Fatalf("epoch %d lookup %d: scalar exchange gave %x, ECDH gives %x", e, lookup, got, want)
 			}
 		}
+		if got := FixedClientPremaster(k); !bytes.Equal(got, want) {
+			t.Fatalf("epoch %d: premaster from the epoch key is %x, ECDH gives %x", e, got, want)
+		}
 	}
 
 	if pm := ClientPremasterFromScalar(bytes.Repeat([]byte{4}, 65)); pm != nil {
@@ -77,30 +91,38 @@ func TestScalarExchangeMatchesECDH(t *testing.T) {
 	}
 }
 
-// TestPremasterExchangeConsumedOnce checks that each stored premaster
-// comes back byte-identical for its own public-value pair, exactly once.
+// TestPremasterExchangeConsumedOnce checks that a premaster handed over
+// on a connection comes back byte-identical for its own pair of public
+// values, and for no other pair and on no other connection.
 func TestPremasterExchangeConsumedOnce(t *testing.T) {
-	type entry struct{ spub, cpub, pm []byte }
-	var entries []entry
-	for i := 0; i < 64; i++ {
-		e := entry{
-			spub: []byte(fmt.Sprintf("server-%d", i%8)), // servers repeat, as under Reuse
-			cpub: []byte(fmt.Sprintf("client-%d", i)),
-			pm:   []byte(fmt.Sprintf("premaster-%d", i)),
+	links := make([]*handoff.Link, 64)
+	for i := range links {
+		spub := []byte(fmt.Sprintf("server-%d", i%8)) // servers repeat, as under Reuse
+		cpub := []byte(fmt.Sprintf("client-%d", i))
+		pm := []byte(fmt.Sprintf("premaster-%d", i))
+		link := new(handoff.Link)
+		links[i] = link
+		link.SetServerValue(spub, nil)
+		link.SetPremaster(spub, cpub, pm)
+		if got := link.Premaster(cpub); !bytes.Equal(got, pm) {
+			t.Fatalf("connection %d: the server took %q, the client handed over %q", i, got, pm)
 		}
-		PremasterStore(e.spub, e.cpub, e.pm)
-		entries = append(entries, e)
-	}
-	for i, e := range entries {
-		if got := PremasterLookup(e.spub, e.cpub); !bytes.Equal(got, e.pm) {
-			t.Fatalf("entry %d: lookup gave %q, stored %q", i, got, e.pm)
+		if got := link.Premaster([]byte("client-none")); got != nil {
+			t.Fatalf("connection %d: took %q for a client value nobody sent", i, got)
 		}
-		if again := PremasterLookup(e.spub, e.cpub); again != nil {
-			t.Fatalf("entry %d: answered a second lookup with %q", i, again)
+		if i > 0 {
+			if got := links[i-1].Premaster(cpub); got != nil {
+				t.Fatalf("connection %d: another connection gave up %q", i, got)
+			}
 		}
-	}
-	if got := PremasterLookup([]byte("server-0"), []byte("client-none")); got != nil {
-		t.Fatalf("lookup of a never-stored pair gave %q", got)
+
+		// A client that received another server value hands nothing over.
+		other := new(handoff.Link)
+		other.SetServerValue(spub, nil)
+		other.SetPremaster([]byte("server-none"), cpub, pm)
+		if got := other.Premaster(cpub); got != nil {
+			t.Fatalf("connection %d: took %q agreed for a server value the server never sent", i, got)
+		}
 	}
 }
 

@@ -61,10 +61,16 @@ func (c *Certificate) Message() []byte {
 
 // SignSKE signs the SHA-256 digest of a ServerKeyExchange's signed
 // parameters with the certificate's key. P-256 ECDSA keys use a lean
-// hedged signer (signP256); other keys sign through crypto.Signer.
-func (c *Certificate) SignSKE(entropy io.Reader, digest []byte) ([]byte, error) {
+// hedged signer (signP256), which also hands the signature's nonce to a
+// verifier through h when h is not nil; other keys sign through
+// crypto.Signer.
+func (c *Certificate) SignSKE(entropy io.Reader, digest []byte, h *SKENonce) ([]byte, error) {
 	if k, ok := c.Key.(*ecdsa.PrivateKey); ok && k.Curve == elliptic.P256() {
-		return signP256(k, entropy, digest)
+		sig, err := signP256(k, entropy, digest, h)
+		if err == nil && h != nil {
+			h.signer = c
+		}
+		return sig, err
 	}
 	return c.Key.Sign(entropy, digest, crypto.SHA256)
 }
@@ -78,8 +84,9 @@ func (c *Certificate) SignSKE(entropy io.Reader, digest []byte) ([]byte, error) 
 // scalar helper. This skips the standard library's per-signature DRBG
 // set-up and constant-time inversion, which cost more than the
 // multiplication; like the rest of the simulator it is not hardened
-// against timing side channels.
-func signP256(key *ecdsa.PrivateKey, entropy io.Reader, digest []byte) ([]byte, error) {
+// against timing side channels. When h is not nil it receives the
+// signature's r and k.
+func signP256(key *ecdsa.PrivateKey, entropy io.Reader, digest []byte, h *SKENonce) ([]byte, error) {
 	if len(digest) != sha256.Size {
 		return nil, fmt.Errorf("pki: SKE digest is %d bytes, want %d", len(digest), sha256.Size)
 	}
@@ -95,8 +102,8 @@ func signP256(key *ecdsa.PrivateKey, entropy io.Reader, digest []byte) ([]byte, 
 	e.setBytes(digest)
 	for ctr := 0; ctr < 256; ctr++ {
 		msg[len(msg)-1] = byte(ctr)
-		h := sha512.Sum512(msg[:])
-		R, err := ecdh.P256().NewPrivateKey(h[:32]) // rejects 0 and k >= n
+		sum := sha512.Sum512(msg[:])
+		R, err := ecdh.P256().NewPrivateKey(sum[:32]) // rejects 0 and k >= n
 		if err != nil {
 			continue
 		}
@@ -104,12 +111,14 @@ func signP256(key *ecdsa.PrivateKey, entropy io.Reader, digest []byte) ([]byte, 
 		if r.isZero() {
 			continue
 		}
-		k.setBytes(h[:32])
+		k.setBytes(sum[:32])
 		s.mul(&r, &d).add(&s, &e).mul(&s, kInv.inv(&k))
 		if s.isZero() {
 			continue
 		}
-		p256Nonces.remember(&r, &k)
+		if h != nil {
+			h.r, h.k = r, k
+		}
 		sig := make([]byte, 2, 2+2*(2+33))
 		sig[0] = 0x30 // SEQUENCE
 		sig = appendASN1Int(sig, &r)
@@ -138,19 +147,12 @@ func appendASN1Int(b []byte, v *scalar) []byte {
 var errBadSKESig = errors.New("pki: bad ServerKeyExchange signature")
 
 // VerifySKE checks sig, a ServerKeyExchange signature by pub over digest
-// (the SHA-256 of the signed parameters), and returns nil if it is valid.
-//
-// When signP256 made the signature in this process with a key this
-// package generated, and its nonce is still in p256Nonces, the check
-// costs no curve operation at all (verifyP256). Every other ECDSA
-// signature goes through ecdsa.VerifyASN1 and every RSA one through
+// (the SHA-256 of the signed parameters), and returns nil if it is
+// valid: ECDSA keys through ecdsa.VerifyASN1, RSA keys through
 // rsa.VerifyPKCS1v15.
 func VerifySKE(pub crypto.PublicKey, digest, sig []byte) error {
 	switch pub := pub.(type) {
 	case *ecdsa.PublicKey:
-		if d, found := p256Keys.lookup(pub); found && verifyP256(&d, digest, sig) {
-			return nil
-		}
 		if !ecdsa.VerifyASN1(pub, digest, sig) {
 			return errBadSKESig
 		}
@@ -162,69 +164,56 @@ func VerifySKE(pub crypto.PublicKey, digest, sig []byte) error {
 	}
 }
 
-// verifyP256 reports whether sig is a valid ECDSA signature over digest
-// by the P-256 key with scalar d whose nonce p256Nonces remembers. The
-// signature is parsed under crypto/ecdsa's rules (strict DER,
-// 0 < r, s < n). For the k remembered under r it accepts when
-// s·k ≡ e + r·d (mod n): then u = (e + r·d)·s⁻¹ = k, and signP256 took r
-// from k·G, so x(u·G) mod n = r holds without computing it. A false
+// SKENonce is the secret half of one P-256 ServerKeyExchange signature,
+// handed from the signer to a verifier in the same process: the
+// certificate that signed, the signature's r, and its nonce k, with
+// r = x(k·G) mod n. With k any signature reveals the certificate's
+// private key, so a SKENonce lives only as long as the connection that
+// carries it (package handoff). The zero value holds nothing.
+type SKENonce struct {
+	signer *Certificate
+	r, k   scalar
+}
+
+// Verify checks sig, a ServerKeyExchange signature over digest by
+// leaf's key, and returns nil if it is valid. When h holds the nonce of
+// a signature by that same certificate (its DER equals leaf.Raw, and a
+// Certificate's Key is its leaf's, as IssueLeaf makes it) with the r
+// that sig carries, the check costs no curve operation (verify).
+// Every other signature, and every one the fast check does not accept,
+// goes to VerifySKE. h may be nil.
+func (h *SKENonce) Verify(leaf *x509.Certificate, digest, sig []byte) error {
+	if h != nil && h.signer != nil && bytes.Equal(h.signer.Chain[0], leaf.Raw) && h.verify(digest, sig) {
+		return nil
+	}
+	return VerifySKE(leaf.PublicKey, digest, sig)
+}
+
+// verify reports whether sig is a valid ECDSA signature over digest by
+// the signer's key, given that sig's r is h's. The signature is parsed
+// under crypto/ecdsa's rules (strict DER, 0 < r, s < n). It accepts when
+// s·k ≡ e + r·d (mod n): then u = (e + r·d)·s⁻¹ = k, and signP256 took
+// r from k·G, so x(u·G) mod n = r holds without computing it. A false
 // result is no verdict: the caller asks ecdsa.VerifyASN1.
-func verifyP256(d *scalar, digest, sig []byte) bool {
+func (h *SKENonce) verify(digest, sig []byte) bool {
 	r, s, ok := parseSignature(sig)
-	if !ok {
+	if !ok || r != h.r {
 		return false
 	}
 	// e is the leftmost 256 bits of the digest, reduced mod n.
 	if len(digest) > 32 {
 		digest = digest[:32]
 	}
-	var e, u, w scalar
+	var buf [32]byte
+	var d, e, u, w scalar
+	d.setBytes(h.signer.Key.(*ecdsa.PrivateKey).D.FillBytes(buf[:]))
 	e.setBytes(digest)
-	u.mul(&r, d).add(&u, &e) // e + r·d
-	if k, ok := p256Nonces.lookup(&r); !ok || *w.mul(&s, &k) != u {
+	u.mul(&r, &d).add(&u, &e) // e + r·d
+	if *w.mul(&s, &h.k) != u {
 		return false
 	}
-	telemetry.Global().Counter("wall/pki/ske_nonce_hit").Inc()
+	telemetry.Global().Counter("pki/ske_nonce_hit").Inc()
 	return true
-}
-
-// p256Nonces remembers the nonce k of each recent signP256 signature,
-// keyed by its r = x(k·G) mod n, so that VerifySKE can check a signature
-// made in this process without a curve operation. It exists only because
-// both ends of a handshake share one process, and a remembered k is as
-// secret as the d in p256Keys: with k, any signature reveals d.
-//
-// The table is direct-mapped on the low bits of r. An entry lives from
-// signing to verification, which is a handful of handshakes per worker
-// at most, so 1,024 slots keep collisions rare. A collision or an
-// overwritten entry only sends that check to ecdsa.VerifyASN1.
-var p256Nonces nonceTable
-
-const nonceSlots = 1 << 10
-
-type nonceTable struct {
-	mu    sync.Mutex
-	slots [nonceSlots]struct{ r, k scalar }
-}
-
-// remember records that signP256 made a signature with nonce k and
-// r = x(k·G) mod n.
-func (t *nonceTable) remember(r, k *scalar) {
-	slot := &t.slots[r[0]%nonceSlots]
-	t.mu.Lock()
-	slot.r, slot.k = *r, *k
-	t.mu.Unlock()
-}
-
-// lookup returns the nonce remembered for r, if its slot still holds it.
-// A parsed r is never 0, so an empty slot never matches.
-func (t *nonceTable) lookup(r *scalar) (k scalar, ok bool) {
-	slot := &t.slots[r[0]%nonceSlots]
-	t.mu.Lock()
-	ok = slot.r == *r
-	k = slot.k
-	t.mu.Unlock()
-	return k, ok
 }
 
 // parseSignature parses an ASN.1 DER ECDSA signature under crypto/ecdsa's
@@ -273,67 +262,6 @@ func (z *scalar) setSigInt(b []byte) bool {
 	return len(b) <= 32 && z.setBytes(b) && !z.isZero()
 }
 
-// p256Keys records the private scalar of every P-256 key genKey made,
-// keyed by the uncompressed public point, for VerifySKE's nonce-table
-// check. ecdsa.GenerateKey derives the point from the scalar, so every
-// entry is consistent by construction. Once full it forgets the oldest
-// key; a forgotten key only costs the standard-library check.
-var p256Keys = keyTable{max: 1 << 15}
-
-type keyTable struct {
-	mu    sync.RWMutex
-	max   int
-	d     map[[65]byte]scalar
-	order [][65]byte // insertion order; once full, order[next] is the oldest
-	next  int
-}
-
-// pointID returns the uncompressed encoding of a P-256 public key.
-func pointID(pub *ecdsa.PublicKey) (id [65]byte, ok bool) {
-	if pub.Curve != elliptic.P256() || pub.X == nil || pub.Y == nil ||
-		pub.X.Sign() < 0 || pub.Y.Sign() < 0 || pub.X.BitLen() > 256 || pub.Y.BitLen() > 256 {
-		return id, false
-	}
-	id[0] = 4
-	pub.X.FillBytes(id[1:33])
-	pub.Y.FillBytes(id[33:])
-	return id, true
-}
-
-func (t *keyTable) remember(key *ecdsa.PrivateKey) {
-	id, ok := pointID(&key.PublicKey)
-	if !ok {
-		return
-	}
-	var buf [32]byte
-	var d scalar
-	d.setBytes(key.D.FillBytes(buf[:]))
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.d == nil {
-		t.d = make(map[[65]byte]scalar)
-	}
-	if len(t.order) < t.max {
-		t.order = append(t.order, id)
-	} else {
-		delete(t.d, t.order[t.next])
-		t.order[t.next] = id
-		t.next = (t.next + 1) % t.max
-	}
-	t.d[id] = d
-}
-
-func (t *keyTable) lookup(pub *ecdsa.PublicKey) (scalar, bool) {
-	id, ok := pointID(pub)
-	if !ok {
-		return scalar{}, false
-	}
-	t.mu.RLock()
-	d, ok := t.d[id]
-	t.mu.RUnlock()
-	return d, ok
-}
-
 // RootCA can issue leaves.
 type RootCA struct {
 	Cert *x509.Certificate
@@ -348,12 +276,7 @@ func genKey(alg Alg, rnd io.Reader) (crypto.Signer, error) {
 	case RSA2048:
 		return rsa.GenerateKey(rnd, 2048)
 	default:
-		key, err := ecdsa.GenerateKey(elliptic.P256(), rnd)
-		if err != nil {
-			return nil, err
-		}
-		p256Keys.remember(key)
-		return key, nil
+		return ecdsa.GenerateKey(elliptic.P256(), rnd)
 	}
 }
 

@@ -71,24 +71,25 @@ func parseSig(t *testing.T, sig []byte) (r, s *big.Int) {
 }
 
 func TestSignSKEP256Verifies(t *testing.T) {
-	crt, pub := tablePub(t)
+	crt := p256Cert(t)
 	rng := rand.New(rand.NewSource(1))
 	n := 10000
 	if testing.Short() {
 		n = 1000
 	}
+	var h SKENonce
 	for i := 0; i < n; i++ {
 		digest := digestOf(i)
-		sig, err := crt.SignSKE(rng, digest)
+		sig, err := crt.SignSKE(rng, digest, &h)
 		if err != nil {
 			t.Fatal(err)
 		}
 		parseSig(t, sig)
-		if !agree(t, pub, digest, sig) {
+		if !agree(t, &h, crt.Leaf, digest, sig) {
 			t.Fatalf("signature %d does not verify", i)
 		}
 		digest[i%len(digest)] ^= 1 << (i % 8)
-		if agree(t, pub, digest, sig) {
+		if agree(t, &h, crt.Leaf, digest, sig) {
 			t.Fatalf("signature %d verifies a flipped digest", i)
 		}
 	}
@@ -98,7 +99,7 @@ func TestSignSKEP256Hedged(t *testing.T) {
 	crt := p256Cert(t)
 	digest := digestOf(7)
 	sign := func(seed int64) []byte {
-		sig, err := crt.SignSKE(rand.New(rand.NewSource(seed)), digest)
+		sig, err := crt.SignSKE(rand.New(rand.NewSource(seed)), digest, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func TestSignSKEP256Hedged(t *testing.T) {
 		t.Fatal("different entropy gave the same r")
 	}
 	// The same entropy under a different digest must not reuse the nonce.
-	sig, err := crt.SignSKE(rand.New(rand.NewSource(1)), digestOf(8))
+	sig, err := crt.SignSKE(rand.New(rand.NewSource(1)), digestOf(8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +126,10 @@ func TestSignSKEP256Hedged(t *testing.T) {
 
 func TestSignSKERejectsBadInput(t *testing.T) {
 	crt := p256Cert(t)
-	if _, err := crt.SignSKE(bytes.NewReader(make([]byte, 31)), digestOf(0)); err == nil {
+	if _, err := crt.SignSKE(bytes.NewReader(make([]byte, 31)), digestOf(0), nil); err == nil {
 		t.Fatal("signed with 31 bytes of entropy")
 	}
-	if _, err := crt.SignSKE(rand.New(rand.NewSource(1)), digestOf(0)[:20]); err == nil {
+	if _, err := crt.SignSKE(rand.New(rand.NewSource(1)), digestOf(0)[:20], nil); err == nil {
 		t.Fatal("signed a 20-byte digest")
 	}
 }
@@ -141,7 +142,7 @@ func TestSignSKERSA(t *testing.T) {
 	pub := crt.Key.Public().(*rsa.PublicKey)
 	for i := 0; i < 4; i++ {
 		digest := digestOf(i)
-		sig, err := crt.SignSKE(DefaultRand, digest)
+		sig, err := crt.SignSKE(DefaultRand, digest, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +171,7 @@ func BenchmarkSignSKE(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sig, err := crt.SignSKE(rng, digest)
+		sig, err := crt.SignSKE(rng, digest, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package pki
 
 import (
 	"bytes"
+	"crypto"
 	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/ed25519"
@@ -9,7 +10,9 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/sha512"
+	"crypto/x509"
 	"math/big"
+	mrand "math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -17,28 +20,19 @@ import (
 	"tlsshortcuts/internal/telemetry"
 )
 
-// agree requires VerifySKE to reach ecdsa.VerifyASN1's verdict on one
-// input and returns that verdict.
-func agree(t testing.TB, pub *ecdsa.PublicKey, digest, sig []byte) bool {
+// agree requires h.Verify (h may be nil) to reach ecdsa.VerifyASN1's
+// verdict on one input and returns that verdict.
+func agree(t testing.TB, h *SKENonce, leaf *x509.Certificate, digest, sig []byte) bool {
 	t.Helper()
-	want := ecdsa.VerifyASN1(pub, digest, sig)
-	if got := VerifySKE(pub, digest, sig) == nil; got != want {
-		t.Fatalf("VerifySKE accepts = %v, ecdsa.VerifyASN1 = %v\n  digest %x\n  sig    %x", got, want, digest, sig)
+	want := ecdsa.VerifyASN1(leaf.PublicKey.(*ecdsa.PublicKey), digest, sig)
+	if got := h.Verify(leaf, digest, sig) == nil; got != want {
+		t.Fatalf("Verify accepts = %v, ecdsa.VerifyASN1 = %v\n  digest %x\n  sig    %x", got, want, digest, sig)
 	}
 	return want
 }
 
-// tablePub returns the public key of the shared test leaf, which IssueLeaf
-// put in the key table.
-func tablePub(t testing.TB) (*Certificate, *ecdsa.PublicKey) {
-	t.Helper()
-	crt := p256Cert(t)
-	pub := crt.Key.Public().(*ecdsa.PublicKey)
-	if _, ok := p256Keys.lookup(pub); !ok {
-		t.Fatal("IssueLeaf did not record its P-256 key")
-	}
-	return crt, pub
-}
+// bare wraps a key that has no certificate for Verify.
+func bare(pub crypto.PublicKey) *x509.Certificate { return &x509.Certificate{PublicKey: pub} }
 
 // DER building blocks for hand-made signatures.
 
@@ -138,17 +132,18 @@ func sigInts(t testing.TB, sig []byte) (r, s *big.Int) {
 }
 
 func TestVerifySKEMatchesStdlibMalformed(t *testing.T) {
-	crt, pub := tablePub(t)
+	crt := p256Cert(t)
+	var h SKENonce
 	for i := 0; i < 8; i++ {
 		digest := digestOf(i)
-		sig, err := crt.SignSKE(DefaultRand, digest)
+		sig, err := crt.SignSKE(DefaultRand, digest, &h)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r, s := sigInts(t, sig)
 		accepted := 0
 		for _, m := range malformed(r, s) {
-			if agree(t, pub, digest, m) {
+			if agree(t, &h, crt.Leaf, digest, m) {
 				accepted++
 			}
 		}
@@ -161,11 +156,11 @@ func TestVerifySKEMatchesStdlibMalformed(t *testing.T) {
 	priv := crt.Key.(*ecdsa.PrivateKey)
 	for _, sv := range []*big.Int{big.NewInt(1), big.NewInt(2), new(big.Int).Lsh(big.NewInt(1), 200)} {
 		digest, sig := craftSig(t, priv, sv)
-		if !agree(t, pub, digest, sig) {
+		if !agree(t, &h, crt.Leaf, digest, sig) {
 			t.Fatalf("crafted signature with s = %x does not verify", sv)
 		}
 		for _, m := range malformed(sigInts(t, sig)) {
-			agree(t, pub, digest, m)
+			agree(t, &h, crt.Leaf, digest, m)
 		}
 	}
 }
@@ -191,8 +186,12 @@ func craftSig(t testing.TB, priv *ecdsa.PrivateKey, s *big.Int) (digest, sig []b
 // Digests of other widths follow ecdsa's hashToInt: the leftmost 256
 // bits, reduced mod n.
 func TestVerifySKEMatchesStdlibDigestWidths(t *testing.T) {
-	crt, pub := tablePub(t)
+	crt := p256Cert(t)
 	priv := crt.Key.(*ecdsa.PrivateKey)
+	var h SKENonce
+	if _, err := crt.SignSKE(DefaultRand, digestOf(0), &h); err != nil {
+		t.Fatal(err)
+	}
 	long := sha512.Sum512([]byte("wide"))
 	ones := make([]byte, 32)
 	for i := range ones {
@@ -203,21 +202,22 @@ func TestVerifySKEMatchesStdlibDigestWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !agree(t, pub, digest, sig) {
+		if !agree(t, &h, crt.Leaf, digest, sig) {
 			t.Fatalf("stdlib signature over %d-byte digest does not verify", len(digest))
 		}
 		flipped := append([]byte{}, digest...)
 		if len(flipped) > 0 {
 			flipped[0] ^= 0x80
-			agree(t, pub, flipped, sig)
+			agree(t, &h, crt.Leaf, flipped, sig)
 		}
 	}
 }
 
 // When e ≡ -r·d (mod n), u1·G + u2·Q is the point at infinity, which
-// ecdsa rejects whatever s is.
+// ecdsa rejects whatever s is; so must the fast check, handed a nonce
+// for that r.
 func TestVerifySKEInfinityRejected(t *testing.T) {
-	crt, pub := tablePub(t)
+	crt := p256Cert(t)
 	d := crt.Key.(*ecdsa.PrivateKey).D
 	n := elliptic.P256().Params().N
 	for _, r := range []int64{1, 2, 12345} {
@@ -225,36 +225,58 @@ func TestVerifySKEInfinityRejected(t *testing.T) {
 		e.Neg(e).Mod(e, n)
 		digest := e.FillBytes(make([]byte, 32))
 		sig := derSig(derInt(big.NewInt(r)), derInt(big.NewInt(7)))
-		if agree(t, pub, digest, sig) {
+		h := SKENonce{signer: crt, r: scalar{uint64(r)}, k: scalar{3}}
+		if agree(t, &h, crt.Leaf, digest, sig) {
 			t.Fatalf("r = %d: accepted a signature whose point is at infinity", r)
 		}
 	}
 }
 
+// Signatures without a hand-off of their own go to the standard
+// library: one by a key outside any certificate, one checked with no
+// hand-off, and one checked with the hand-off of another certificate.
 func TestVerifySKEFallbacks(t *testing.T) {
-	// A P-256 key this package did not generate takes ecdsa.VerifyASN1.
+	hits := countHits(t)
+	crt := p256Cert(t)
+	other, err := newLeaf(ECDSAP256)
+	if err != nil {
+		t.Fatal(err)
+	}
 	priv, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p256Keys.lookup(&priv.PublicKey); ok {
-		t.Fatal("a key built outside pki is in the key table")
-	}
 	for i := 0; i < 4; i++ {
 		digest := digestOf(i)
-		sig, err := signP256(priv, DefaultRand, digest)
+		sig, err := signP256(priv, DefaultRand, digest, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !agree(t, &priv.PublicKey, digest, sig) {
+		if !agree(t, nil, bare(&priv.PublicKey), digest, sig) {
 			t.Fatalf("fallback signature %d does not verify", i)
 		}
 		r, s := sigInts(t, sig)
 		for _, m := range malformed(r, s)[:20] {
-			agree(t, &priv.PublicKey, digest, m)
+			agree(t, nil, bare(&priv.PublicKey), digest, m)
 		}
 		digest[0] ^= 1
-		agree(t, &priv.PublicKey, digest, sig)
+		agree(t, nil, bare(&priv.PublicKey), digest, sig)
+
+		var h, oh SKENonce
+		digest = digestOf(i)
+		sig, err = crt.SignSKE(DefaultRand, digest, &h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := other.SignSKE(DefaultRand, digest, &oh); err != nil {
+			t.Fatal(err)
+		}
+		if !agree(t, nil, crt.Leaf, digest, sig) || !agree(t, &oh, crt.Leaf, digest, sig) {
+			t.Fatalf("signature %d does not verify without its hand-off", i)
+		}
+	}
+	if got := hits.Value(); got != 0 {
+		t.Fatalf("%d nonce hits without a matching hand-off", got)
 	}
 	// So does a P-384 key.
 	p384, err := ecdsa.GenerateKey(elliptic.P384(), rand.Reader)
@@ -265,7 +287,7 @@ func TestVerifySKEFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !agree(t, &p384.PublicKey, digestOf(0), sig) {
+	if !agree(t, nil, bare(&p384.PublicKey), digestOf(0), sig) {
 		t.Fatal("P-384 signature does not verify")
 	}
 
@@ -280,8 +302,8 @@ func TestVerifySKEFallbacks(t *testing.T) {
 	}
 }
 
-// Leaves issued concurrently with verifications must neither race on the
-// key table nor change any verdict.
+// Leaves issued concurrently with signing and verification must neither
+// race nor change any verdict.
 func TestVerifySKEConcurrentIssue(t *testing.T) {
 	root, err := NewRootCA("race root", ECDSAP256, DefaultRand)
 	if err != nil {
@@ -315,20 +337,20 @@ func TestVerifySKEConcurrentIssue(t *testing.T) {
 		vg.Add(1)
 		go func(crt *Certificate) {
 			defer vg.Done()
-			pub := crt.Key.Public().(*ecdsa.PublicKey)
 			for i := 0; i < 4; i++ {
+				var h SKENonce
 				digest := digestOf(i)
-				sig, err := crt.SignSKE(DefaultRand, digest)
+				sig, err := crt.SignSKE(DefaultRand, digest, &h)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if err := VerifySKE(pub, digest, sig); err != nil {
+				if err := h.Verify(crt.Leaf, digest, sig); err != nil {
 					t.Errorf("concurrent verify: %v", err)
 					return
 				}
 				digest[1] ^= 1
-				if VerifySKE(pub, digest, sig) == nil {
+				if h.Verify(crt.Leaf, digest, sig) == nil {
 					t.Error("concurrent verify accepted a flipped digest")
 					return
 				}
@@ -343,40 +365,31 @@ func TestVerifySKEConcurrentIssue(t *testing.T) {
 func countHits(t testing.TB) *telemetry.Counter {
 	reg := telemetry.NewRegistry()
 	t.Cleanup(telemetry.SetGlobal(reg))
-	return reg.Counter("wall/pki/ske_nonce_hit")
+	return reg.Counter("pki/ske_nonce_hit")
 }
 
-// collide overwrites the nonce slot of r with an entry for another r
-// that has the same low bits.
-func collide(r *big.Int) {
-	var other scalar
-	other.setBytes(r.Bytes())
-	other[2] ^= 1
-	var k scalar
-	k.setBytes(digestOf(-1))
-	p256Nonces.remember(&other, &k)
-}
-
-// Signatures whose nonce is still in the table must get ecdsa.VerifyASN1's
-// verdict, and only a valid one may be accepted from the table.
+// Signatures checked with their own hand-off must get ecdsa.VerifyASN1's
+// verdict, and only a valid one may be accepted by the fast check.
 func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
-	crt, pub := tablePub(t)
+	crt := p256Cert(t)
 	other, err := newLeaf(ECDSAP256)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := crt.Key.(*ecdsa.PrivateKey).D
 	hits := countHits(t)
 	for i := 0; i < 64; i++ {
+		var h, oh SKENonce
 		digest := digestOf(i)
-		prev, err := crt.SignSKE(DefaultRand, digestOf(i+1000))
+		prev, err := crt.SignSKE(DefaultRand, digestOf(i+1000), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		otherSig, err := other.SignSKE(DefaultRand, digest)
+		otherSig, err := other.SignSKE(DefaultRand, digest, &oh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sig, err := crt.SignSKE(DefaultRand, digest)
+		sig, err := crt.SignSKE(DefaultRand, digest, &h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,22 +397,32 @@ func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
 		pr, ps := sigInts(t, prev)
 		flipped := append([]byte(nil), digest...)
 		flipped[i%len(flipped)] ^= 1
+		// An r other than the nonce's, with the s that makes
+		// s·k ≡ e + r·d hold for this nonce: only the r check refuses it.
+		fr := new(big.Int).Add(r, big.NewInt(1))
+		fs := new(big.Int).Mul(fr, d)
+		fs.Add(fs, new(big.Int).SetBytes(digest)).Mul(fs, new(big.Int).ModInverse(h.k.big(), p256N)).Mod(fs, p256N)
 		for _, c := range []struct {
 			name   string
+			h      *SKENonce
+			leaf   *x509.Certificate
 			digest []byte
 			sig    []byte
 			want   bool
 		}{
-			{"valid", digest, sig, true},
-			{"flipped digest", flipped, sig, false},
-			{"(r, n-s)", digest, derSig(derInt(r), derInt(new(big.Int).Sub(p256N, s))), true},
-			{"s+1", digest, derSig(derInt(r), derInt(new(big.Int).Add(s, big.NewInt(1)))), false},
-			{"r of this, s of another", digest, derSig(derInt(r), derInt(ps)), false},
-			{"r of another, s of this", digest, derSig(derInt(pr), derInt(s)), false},
-			{"another table key's signature", digest, otherSig, false},
+			{"valid", &h, crt.Leaf, digest, sig, true},
+			{"flipped digest", &h, crt.Leaf, flipped, sig, false},
+			{"(r, n-s)", &h, crt.Leaf, digest, derSig(derInt(r), derInt(new(big.Int).Sub(p256N, s))), true},
+			{"s+1", &h, crt.Leaf, digest, derSig(derInt(r), derInt(new(big.Int).Add(s, big.NewInt(1)))), false},
+			{"r of this, s of another", &h, crt.Leaf, digest, derSig(derInt(r), derInt(ps)), false},
+			{"r of another, s of this", &h, crt.Leaf, digest, derSig(derInt(pr), derInt(s)), false},
+			{"another r, s for this nonce", &h, crt.Leaf, digest, derSig(derInt(fr), derInt(fs)), false},
+			{"another certificate's signature", &h, crt.Leaf, digest, otherSig, false},
+			{"another certificate's hand-off", &oh, crt.Leaf, digest, sig, true},
+			{"this hand-off, another leaf", &h, other.Leaf, digest, sig, false},
 		} {
 			before := hits.Value()
-			if got := agree(t, pub, c.digest, c.sig); got != c.want {
+			if got := agree(t, c.h, c.leaf, c.digest, c.sig); got != c.want {
 				t.Fatalf("signature %d, %s: verdict %v, want %v", i, c.name, got, c.want)
 			}
 			var wantHits uint64
@@ -407,26 +430,28 @@ func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
 				wantHits = 1
 			}
 			if got := hits.Value() - before; got != wantHits {
-				t.Fatalf("signature %d, %s: %d nonce-table hits, want %d", i, c.name, got, wantHits)
+				t.Fatalf("signature %d, %s: %d nonce hits, want %d", i, c.name, got, wantHits)
 			}
 		}
-		// A colliding r in the slot sends a valid signature to
-		// ecdsa.VerifyASN1.
-		collide(r)
+		// A hand-off that moved on to the next signature sends this one
+		// to ecdsa.VerifyASN1.
+		if _, err := crt.SignSKE(DefaultRand, digestOf(i+2000), &h); err != nil {
+			t.Fatal(err)
+		}
 		before := hits.Value()
-		if !agree(t, pub, digest, sig) {
-			t.Fatalf("signature %d: rejected after its slot was overwritten", i)
+		if !agree(t, &h, crt.Leaf, digest, sig) {
+			t.Fatalf("signature %d: rejected after its hand-off moved on", i)
 		}
 		if hits.Value() != before {
-			t.Fatalf("signature %d: answered from an overwritten slot", i)
+			t.Fatalf("signature %d: answered from another signature's nonce", i)
 		}
 	}
 }
 
-// Each valid signature verified while its nonce is remembered counts one
-// hit; keys outside the key table never consult the nonce table.
+// Each valid signature verified with its own hand-off counts one hit;
+// signatures without one never do.
 func TestVerifySKENonceHitsCounted(t *testing.T) {
-	crt, pub := tablePub(t)
+	crt := p256Cert(t)
 	outside, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -434,14 +459,15 @@ func TestVerifySKENonceHitsCounted(t *testing.T) {
 	hits := countHits(t)
 	const n = 16
 	for i := 0; i < n; i++ {
-		sig, err := crt.SignSKE(DefaultRand, digestOf(i))
+		var h SKENonce
+		sig, err := crt.SignSKE(DefaultRand, digestOf(i), &h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := VerifySKE(pub, digestOf(i), sig); err != nil {
+		if err := h.Verify(crt.Leaf, digestOf(i), sig); err != nil {
 			t.Fatal(err)
 		}
-		sig, err = signP256(outside, DefaultRand, digestOf(i))
+		sig, err = signP256(outside, DefaultRand, digestOf(i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,18 +480,47 @@ func TestVerifySKENonceHitsCounted(t *testing.T) {
 	}
 }
 
-// Signers and verifiers share the nonce table from many goroutines: each
-// verifier checks signatures another goroutine made, valid and tampered,
-// while the signers keep overwriting slots. Every verdict must still be
-// ecdsa.VerifyASN1's.
+// TestVerifySKEFastPathAfterManyKeys makes more P-256 keys than any
+// bounded key table would keep (32,768) after the first leaf, and
+// requires that leaf's signature still to take the fast check: the
+// scalar travels with the certificate, whatever the process made since.
+func TestVerifySKEFastPathAfterManyKeys(t *testing.T) {
+	first, err := newLeaf(ECDSAP256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := mrand.New(mrand.NewSource(1))
+	for i := 0; i <= 1<<15; i++ {
+		if _, err := genKey(ECDSAP256, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits := countHits(t)
+	var h SKENonce
+	sig, err := first.SignSKE(DefaultRand, digestOf(0), &h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !agree(t, &h, first.Leaf, digestOf(0), sig) {
+		t.Fatal("the first leaf's signature does not verify")
+	}
+	if got := hits.Value(); got != 1 {
+		t.Fatalf("%d nonce hits for the first leaf's signature, want 1", got)
+	}
+}
+
+// Signers and verifiers run in many goroutines: each verifier checks
+// signatures another goroutine made, with the hand-off the signer
+// filled, valid and tampered. Every verdict must be ecdsa.VerifyASN1's.
 func TestVerifySKENonceTableConcurrent(t *testing.T) {
-	crt, _ := tablePub(t)
+	crt := p256Cert(t)
 	other, err := newLeaf(ECDSAP256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	type signed struct {
-		pub         *ecdsa.PublicKey
+		crt         *Certificate
+		h           *SKENonce
 		digest, sig []byte
 	}
 	const signers, perSigner = 4, 32
@@ -480,13 +535,14 @@ func TestVerifySKENonceTableConcurrent(t *testing.T) {
 		go func(w int, c *Certificate) {
 			defer sg.Done()
 			for i := 0; i < perSigner; i++ {
+				h := new(SKENonce)
 				digest := digestOf(w*perSigner + i)
-				sig, err := c.SignSKE(DefaultRand, digest)
+				sig, err := c.SignSKE(DefaultRand, digest, h)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				out <- signed{c.Key.Public().(*ecdsa.PublicKey), digest, sig}
+				out <- signed{c, h, digest, sig}
 			}
 		}(w, c)
 	}
@@ -497,50 +553,25 @@ func TestVerifySKENonceTableConcurrent(t *testing.T) {
 		go func() {
 			defer vg.Done()
 			for x := range out {
-				check := func(pub *ecdsa.PublicKey, digest, sig []byte, want bool) {
-					got := VerifySKE(pub, digest, sig) == nil
-					if std := ecdsa.VerifyASN1(pub, digest, sig); got != std || got != want {
-						t.Errorf("VerifySKE = %v, ecdsa.VerifyASN1 = %v, want %v", got, std, want)
+				check := func(leaf *x509.Certificate, digest, sig []byte, want bool) {
+					got := x.h.Verify(leaf, digest, sig) == nil
+					if std := ecdsa.VerifyASN1(leaf.PublicKey.(*ecdsa.PublicKey), digest, sig); got != std || got != want {
+						t.Errorf("Verify = %v, ecdsa.VerifyASN1 = %v, want %v", got, std, want)
 					}
 				}
-				check(x.pub, x.digest, x.sig, true)
+				check(x.crt.Leaf, x.digest, x.sig, true)
 				flipped := append([]byte(nil), x.digest...)
 				flipped[0] ^= 1
-				check(x.pub, flipped, x.sig, false)
-				wrong := crt.Key.Public().(*ecdsa.PublicKey)
-				if wrong.Equal(x.pub) {
-					wrong = other.Key.Public().(*ecdsa.PublicKey)
+				check(x.crt.Leaf, flipped, x.sig, false)
+				wrong := crt
+				if wrong == x.crt {
+					wrong = other
 				}
-				check(wrong, x.digest, x.sig, false)
+				check(wrong.Leaf, x.digest, x.sig, false)
 			}
 		}()
 	}
 	vg.Wait()
-}
-
-func TestKeyTableForgetsOldest(t *testing.T) {
-	table := keyTable{max: 3}
-	var keys []*ecdsa.PrivateKey
-	for i := 0; i < 5; i++ {
-		k, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, k)
-		table.remember(k)
-	}
-	for i, k := range keys {
-		d, ok := table.lookup(&k.PublicKey)
-		if want := i >= 2; ok != want {
-			t.Fatalf("key %d in table = %v, want %v", i, ok, want)
-		}
-		if ok && d.big().Cmp(k.D) != 0 {
-			t.Fatalf("key %d maps to the wrong scalar", i)
-		}
-	}
-	if len(table.d) != 3 || len(table.order) != 3 {
-		t.Fatalf("table holds %d keys in %d slots, want 3", len(table.d), len(table.order))
-	}
 }
 
 func TestRootStoreMemoHonoursValidity(t *testing.T) {
@@ -567,9 +598,9 @@ func TestRootStoreMemoHonoursValidity(t *testing.T) {
 	}
 }
 
-// fuzzKey is a fixed P-256 key in the key table, so signatures in the
+// fuzzCert is a certificate for a fixed P-256 key, so signatures in the
 // committed corpus stay valid from run to run.
-var fuzzKey = sync.OnceValue(func() *ecdsa.PrivateKey {
+var fuzzCert = sync.OnceValue(func() *Certificate {
 	seed := sha256.Sum256([]byte("pki FuzzVerifySKE key"))
 	k, err := ecdh.P256().NewPrivateKey(seed[:])
 	if err != nil {
@@ -584,63 +615,80 @@ var fuzzKey = sync.OnceValue(func() *ecdsa.PrivateKey {
 		},
 		D: new(big.Int).SetBytes(seed[:]),
 	}
-	p256Keys.remember(key)
-	return key
+	tmpl := &x509.Certificate{SerialNumber: big.NewInt(1), NotBefore: nb, NotAfter: na}
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
+	if err != nil {
+		panic(err)
+	}
+	leaf, err := x509.ParseCertificate(der)
+	if err != nil {
+		panic(err)
+	}
+	return &Certificate{Leaf: leaf, Chain: [][]byte{der}, Key: key}
 })
 
 // FuzzVerifySKE signs with fixed entropy, so the signature is the same
-// on every run; its nonce is then in the nonce table, and the committed
-// seed nonce_hit (the same digest and signature) and its mutations reach
-// the table's fast path.
+// on every run, and checks every input with that signature's hand-off:
+// the committed seed nonce_hit (the same digest and signature) and its
+// mutations reach the fast check.
 func FuzzVerifySKE(f *testing.F) {
-	key := fuzzKey()
+	crt := fuzzCert()
+	var h SKENonce
 	digest := digestOf(0)
-	sig, err := signP256(key, bytes.NewReader(make([]byte, 32)), digest)
+	sig, err := crt.SignSKE(bytes.NewReader(make([]byte, 32)), digest, &h)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(digest, sig)
 	f.Fuzz(func(t *testing.T, digest, sig []byte) {
-		if _, ok := p256Keys.lookup(&key.PublicKey); !ok {
-			t.Fatal("fuzz key left the key table")
-		}
-		agree(t, &key.PublicKey, digest, sig)
+		agree(t, &h, crt.Leaf, digest, sig)
 	})
 }
 
-// BenchmarkVerifySKE times one check of a valid signature: by a table
-// key whose nonce is remembered (hit), by a table key whose nonce slot
-// was overwritten (miss), and by a key outside the table (stdlib); both
-// of the last two take ecdsa.VerifyASN1.
+// BenchmarkVerifySKE times one check of a valid signature: with its own
+// hand-off (hit), with the hand-off of a later signature (miss), and by
+// a key outside any certificate (stdlib); both of the last two take
+// ecdsa.VerifyASN1.
 func BenchmarkVerifySKE(b *testing.B) {
 	outside, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		b.Fatal(err)
 	}
-	table := p256Cert(b).Key.(*ecdsa.PrivateKey)
+	crt := p256Cert(b)
 	for _, bc := range []struct {
 		name string
-		key  *ecdsa.PrivateKey
+		crt  *Certificate
 		miss bool
 	}{
-		{"hit", table, false},
-		{"miss", table, true},
-		{"stdlib", outside, false},
+		{"hit", crt, false},
+		{"miss", crt, true},
+		{"stdlib", nil, false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			digest := digestOf(0)
-			sig, err := signP256(bc.key, DefaultRand, digest)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if bc.miss {
-				r, _ := sigInts(b, sig)
-				collide(r)
+			var h *SKENonce
+			var leaf *x509.Certificate
+			var sig []byte
+			if bc.crt == nil {
+				leaf = bare(&outside.PublicKey)
+				if sig, err = signP256(outside, DefaultRand, digest, nil); err != nil {
+					b.Fatal(err)
+				}
+			} else {
+				h, leaf = new(SKENonce), bc.crt.Leaf
+				if sig, err = bc.crt.SignSKE(DefaultRand, digest, h); err != nil {
+					b.Fatal(err)
+				}
+				if bc.miss {
+					if _, err := bc.crt.SignSKE(DefaultRand, digestOf(1), h); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := VerifySKE(&bc.key.PublicKey, digest, sig); err != nil {
+				if err := h.Verify(leaf, digest, sig); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,11 +9,12 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
-	"sync"
 
+	"tlsshortcuts/internal/handoff"
 	"tlsshortcuts/internal/telemetry"
 )
 
@@ -86,67 +87,47 @@ func (rc *Conn) Reset(c net.Conn) {
 	rc.pend = rc.pend[:0]
 }
 
-// ArmWrite switches the write direction to AES-128-GCM.
-func (rc *Conn) ArmWrite(key, salt []byte) error { return rc.out.arm(key, salt) }
+// Link returns the transport's hand-off, or nil when it has none.
+func (rc *Conn) Link() *handoff.Link {
+	link, _ := handoff.Of(rc.c)
+	return link
+}
 
-// ArmRead switches the read direction to AES-128-GCM.
-func (rc *Conn) ArmRead(key, salt []byte) error { return rc.in.arm(key, salt) }
-
-func (h *halfConn) arm(key, salt []byte) error {
-	aead, err := trafficAEAD(key)
+// ArmWrite switches the write direction to AES-128-GCM and hands its
+// AEAD to the peer's reader through the transport's hand-off.
+func (rc *Conn) ArmWrite(key, salt []byte) error {
+	aead, err := NewAEAD(key)
 	if err != nil {
 		return err
 	}
-	h.aead = aead
-	copy(h.salt[:], salt)
-	h.seq = 0
+	link, end := handoff.Of(rc.c)
+	link.SetAEAD(end, key, aead)
+	rc.out.arm(aead, salt)
 	return nil
 }
 
-// aeadCache amortizes AES-GCM construction across the two endpoints of a
-// connection: every traffic key is armed exactly twice — once by the
-// writer, once (strictly later, because arming happens before the first
-// protected byte is sent) by the reader. The first arm constructs and
-// parks the AEAD; the second consumes it, so the cache holds only
-// in-flight keys and halves the per-handshake cipher setups. GCM state
-// is read-only after construction, so the brief window where both
-// half-connections hold the same AEAD is safe under concurrent use.
-var aeadCache struct {
-	mu sync.Mutex
-	m  map[[16]byte]cipher.AEAD
+// ArmRead switches the read direction to AES-128-GCM, with the AEAD the
+// peer's writer handed over for the same key when there is one. GCM
+// state is read-only after construction, so both ends may use one AEAD.
+func (rc *Conn) ArmRead(key, salt []byte) error {
+	link, end := handoff.Of(rc.c)
+	aead := link.PeerAEAD(end, key)
+	if aead != nil {
+		telemetry.Global().Counter("record/aead_cache_hit").Inc()
+	} else {
+		var err error
+		if aead, err = NewAEAD(key); err != nil {
+			return err
+		}
+	}
+	rc.in.arm(aead, salt)
+	return nil
 }
 
-// maxAEADCacheEntries bounds keys stranded by half-finished handshakes
-// (the peer never armed); the cache is cleared wholesale at the bound.
-const maxAEADCacheEntries = 4096
-
-func trafficAEAD(key []byte) (cipher.AEAD, error) {
-	if len(key) != 16 {
-		return NewAEAD(key)
-	}
-	var k [16]byte
-	copy(k[:], key)
-	aeadCache.mu.Lock()
-	if a, ok := aeadCache.m[k]; ok {
-		delete(aeadCache.m, k)
-		aeadCache.mu.Unlock()
-		// wall/: a bound-clear between the two arms of one key turns a
-		// hit into a miss, so the count depends on scheduling.
-		telemetry.Global().Counter("wall/record/aead_cache_hit").Inc()
-		return a, nil
-	}
-	aeadCache.mu.Unlock()
-	a, err := NewAEAD(key)
-	if err != nil {
-		return nil, err
-	}
-	aeadCache.mu.Lock()
-	if aeadCache.m == nil || len(aeadCache.m) >= maxAEADCacheEntries {
-		aeadCache.m = make(map[[16]byte]cipher.AEAD, 64)
-	}
-	aeadCache.m[k] = a
-	aeadCache.mu.Unlock()
-	return a, nil
+func (h *halfConn) arm(aead cipher.AEAD, salt []byte) {
+	h.aead = aead
+	copy(h.salt[:], salt)
+	h.seq = 0
 }
 
 // aad builds one record's additional data in b's storage: the sequence
@@ -199,13 +180,14 @@ func NewAEAD(key []byte) (cipher.AEAD, error) {
 }
 
 // WriteRecord queues one record, protecting it if the direction is
-// armed. The next Flush (which ReadRecord and WriteAlert perform
-// implicitly) hands it to the transport, and a transport error surfaces
-// there.
+// armed; a ChangeCipherSpec goes out in plaintext, as ReadRecord reads
+// it, so a writer can arm before queueing it. The next Flush (which
+// ReadRecord and WriteAlert perform implicitly) hands it to the
+// transport, and a transport error surfaces there.
 func (rc *Conn) WriteRecord(typ uint8, payload []byte) error {
 	start := len(rc.pend)
 	buf := append(rc.pend, 0, 0, 0, 0, 0)
-	if rc.out.aead != nil {
+	if rc.out.aead != nil && typ != TypeChangeCipherSpec {
 		buf = sealInto(buf, &rc.out, typ, payload)
 	} else {
 		buf = append(buf, payload...)
@@ -249,7 +231,7 @@ func (rc *Conn) ReadRecord() (Record, error) {
 	}
 	n := int(binary.BigEndian.Uint16(rc.hdr[3:5]))
 	if n > MaxPlaintext+1024 {
-		return Record{}, fmt.Errorf("record: oversized record (%d)", n)
+		return Record{}, WithAlert(AlertRecordOverflow, fmt.Errorf("record: oversized record (%d)", n))
 	}
 	if cap(rc.rbuf) < n {
 		rc.rbuf = make([]byte, n, n+256)
@@ -263,7 +245,7 @@ func (rc *Conn) ReadRecord() (Record, error) {
 		h := &rc.in
 		copy(h.nonce[:4], h.salt[:])
 		if len(payload) < 8+16 {
-			return Record{}, fmt.Errorf("record: short protected record")
+			return Record{}, WithAlert(AlertBadRecordMAC, errors.New("record: short protected record"))
 		}
 		copy(h.nonce[4:], payload[:8])
 		plainLen := len(payload) - 8 - 16
@@ -276,7 +258,7 @@ func (rc *Conn) ReadRecord() (Record, error) {
 		vers := binary.BigEndian.Uint16(rc.hdr[1:3])
 		plain, err := h.aead.Open(payload[8:8], h.nonce[:], payload[8:], aad(&h.aadBuf, h.seq, typ, vers, plainLen))
 		if err != nil {
-			return Record{}, fmt.Errorf("record: decrypt: %w", err)
+			return Record{}, WithAlert(AlertBadRecordMAC, fmt.Errorf("record: decrypt: %w", err))
 		}
 		h.seq++
 		payload = plain
@@ -284,12 +266,37 @@ func (rc *Conn) ReadRecord() (Record, error) {
 	return Record{Type: typ, Payload: payload}, nil
 }
 
-// Alert codes (the tiny subset the engines emit).
+// Alert codes (the subset the engines emit).
 const (
-	AlertCloseNotify      uint8 = 0
-	AlertHandshakeFailure uint8 = 40
-	AlertBadCertificate   uint8 = 42
+	AlertCloseNotify       uint8 = 0
+	AlertUnexpectedMessage uint8 = 10
+	AlertBadRecordMAC      uint8 = 20
+	AlertRecordOverflow    uint8 = 22
+	AlertHandshakeFailure  uint8 = 40
+	AlertBadCertificate    uint8 = 42
+	AlertIllegalParameter  uint8 = 47
+	AlertInternalError     uint8 = 80
 )
+
+// ProtocolError is a malformed or unexpected input from the peer, with
+// the fatal alert a crypto/tls TLS 1.2 endpoint answers it with.
+// tlsserver sends that alert; transport failures and the peer's own
+// alerts are not ProtocolErrors, so they stay silent.
+type ProtocolError struct {
+	Alert uint8
+	Err   error
+}
+
+func (e *ProtocolError) Error() string { return e.Err.Error() }
+func (e *ProtocolError) Unwrap() error { return e.Err }
+
+// WithAlert returns err as a ProtocolError answered with alert. It stays
+// out of line: inlined at the read path's error returns, it grew their
+// frames and with them the stack a server goroutine needs for its first
+// read past the size the goroutine starts with.
+//
+//go:noinline
+func WithAlert(alert uint8, err error) error { return &ProtocolError{alert, err} }
 
 // AlertError is a fatal alert received from the peer, typed so callers
 // (the scanner's failure taxonomy among them, through the AlertCode

@@ -8,12 +8,23 @@ import (
 	"testing"
 
 	"tlsshortcuts/internal/drbg"
+	"tlsshortcuts/internal/handoff"
 )
 
-// TestTrafficAEADCacheMatchesNewAEAD checks the AEAD cache against a
-// freshly built AES-128-GCM: the first arm of a key constructs and
-// parks its AEAD, the second consumes it, and both must seal and open
-// exactly the bytes NewAEAD(key) does.
+// linkedConn is a memConn carrying one end of a hand-off.
+type linkedConn struct {
+	memConn
+	link *handoff.Link
+	end  handoff.End
+}
+
+func (c *linkedConn) Handoff() (*handoff.Link, handoff.End) { return c.link, c.end }
+
+// TestTrafficAEADCacheMatchesNewAEAD checks the AEAD hand-off against a
+// freshly built AES-128-GCM: a writer arming a key hands its AEAD to the
+// peer, the peer's reader arming the same key takes it, and both must
+// seal and open exactly the bytes NewAEAD(key) does. A reader arming any
+// other key, or the writer's own end, builds its own AEAD.
 func TestTrafficAEADCacheMatchesNewAEAD(t *testing.T) {
 	rnd := drbg.NewString("record-test|aead")
 	read := func(n int) []byte {
@@ -24,17 +35,19 @@ func TestTrafficAEADCacheMatchesNewAEAD(t *testing.T) {
 		return b
 	}
 	for i := 0; i < 64; i++ {
-		key := read(16)
-		parked, err := trafficAEAD(key)
-		if err != nil {
+		link := new(handoff.Link)
+		dialer := NewConn(&linkedConn{link: link, end: 0})
+		server := NewConn(&linkedConn{link: link, end: 1})
+		key, salt := read(16), read(4)
+		if err := dialer.ArmWrite(key, salt); err != nil {
 			t.Fatal(err)
 		}
-		hit, err := trafficAEAD(key)
-		if err != nil {
+		if err := server.ArmRead(key, salt); err != nil {
 			t.Fatal(err)
 		}
+		parked, hit := dialer.out.aead, server.in.aead
 		if hit != parked {
-			t.Fatalf("key %d: second arm did not take the parked AEAD", i)
+			t.Fatalf("key %d: the peer's reader did not take the writer's AEAD", i)
 		}
 		ref, err := NewAEAD(key)
 		if err != nil {
@@ -43,7 +56,7 @@ func TestTrafficAEADCacheMatchesNewAEAD(t *testing.T) {
 		nonce, aad := read(12), read(13)
 		plain := read(1 + i*37)
 		want := ref.Seal(nil, nonce, plain, aad)
-		for name, a := range map[string]cipher.AEAD{"parked": parked, "cached": hit} {
+		for name, a := range map[string]cipher.AEAD{"writer's": parked, "handed over": hit} {
 			if got := a.Seal(nil, nonce, plain, aad); !bytes.Equal(got, want) {
 				t.Fatalf("key %d: %s AEAD sealed %x, NewAEAD sealed %x", i, name, got, want)
 			}
@@ -51,19 +64,24 @@ func TestTrafficAEADCacheMatchesNewAEAD(t *testing.T) {
 				t.Fatalf("key %d: %s AEAD opened NewAEAD's record to %x (%v)", i, name, got, err)
 			}
 		}
-		// Consumed: the next arm of the same key builds a new AEAD.
-		next, err := trafficAEAD(key)
-		if err != nil {
+		// The writer's own reader, and a reader of another key, build
+		// their own.
+		if err := dialer.ArmRead(key, salt); err != nil {
 			t.Fatal(err)
 		}
-		if next == parked {
-			t.Fatalf("key %d: a consumed AEAD was handed out again", i)
+		if dialer.in.aead == parked {
+			t.Fatalf("key %d: the writer's own reader took its AEAD", i)
 		}
-		if _, err := trafficAEAD(key); err != nil { // drain what next parked
+		other := append([]byte(nil), key...)
+		other[i%16] ^= 1
+		if err := server.ArmRead(other, salt); err != nil {
 			t.Fatal(err)
+		}
+		if server.in.aead == parked {
+			t.Fatalf("key %d: a reader of another key took the AEAD", i)
 		}
 	}
-	if _, err := trafficAEAD(make([]byte, 15)); err == nil {
+	if err := NewConn(&linkedConn{link: new(handoff.Link)}).ArmWrite(make([]byte, 15), make([]byte, 4)); err == nil {
 		t.Fatal("a 15-byte key was accepted")
 	}
 }

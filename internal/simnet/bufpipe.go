@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tlsshortcuts/internal/handoff"
 )
 
 // recvBufPool recycles receive buffers across pipes: each handshake makes
@@ -75,6 +77,9 @@ type pipePair struct {
 	ab, ba pipeBuf // data flowing a -> b, b -> a
 	a, b   bufConn
 	served sync.WaitGroup // the goroutine serving b, when dial started one
+	// link is the connection's hand-off. Only a dial attaches it to the
+	// ends, so a bare NewBufferedPipe carries none.
+	link handoff.Link
 }
 
 func newPipePair() *pipePair {
@@ -111,10 +116,16 @@ type pipeBuf struct {
 type bufConn struct {
 	rd, wr *pipeBuf
 	served *sync.WaitGroup // the peer's serving goroutine; Close waits for it
+	link   *handoff.Link   // the pair's hand-off, on dialed pipes
+	end    handoff.End
 
 	mu     sync.Mutex
 	closed bool
 }
+
+// Handoff returns the connection's hand-off and this end of it; a bare
+// NewBufferedPipe has none.
+func (c *bufConn) Handoff() (*handoff.Link, handoff.End) { return c.link, c.end }
 
 type pipeAddr struct{}
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"tlsshortcuts/internal/faults"
+	"tlsshortcuts/internal/handoff"
 	"tlsshortcuts/internal/telemetry"
 	"tlsshortcuts/internal/tlsserver"
 )
@@ -230,8 +231,10 @@ func (n *Net) dial(domain, label string, stable bool) (net.Conn, error) {
 // end waits for that goroutine, so a dialed connection's Close includes
 // its server's exit, and the server state alive at once (pooled
 // handshake state, pipe buffers) is bounded by the dialing goroutines
-// instead of by how far the scheduler lags behind them.
+// instead of by how far the scheduler lags behind them. Both ends carry
+// the pair's hand-off: a as end 0, b as end 1.
 func (p *pipePair) serve(srv net.Conn, cfg *tlsserver.Config) {
+	p.a.link, p.b.link, p.b.end = &p.link, &p.link, 1
 	p.a.served = &p.served
 	p.served.Add(1)
 	go func() {
@@ -281,6 +284,10 @@ type resetConn struct {
 	net.Conn
 	allow int
 }
+
+// Handoff passes the pipe's hand-off through: a cut connection hands
+// over only what was published before the cut.
+func (c *resetConn) Handoff() (*handoff.Link, handoff.End) { return handoff.Of(c.Conn) }
 
 func (c *resetConn) Write(p []byte) (int, error) {
 	off := 0

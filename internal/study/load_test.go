@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"tlsshortcuts/internal/faults"
 )
 
 // checkDatasetJSON decodes data as Load does and, with encoding/json,
@@ -49,10 +47,7 @@ func FuzzDatasetJSON(f *testing.F) {
 func TestShardLoadSaveRoundTrip(t *testing.T) {
 	shard := detOpts
 	shard.Shard = &ShardSpec{Index: 1, Count: 3}
-	hostile := detOpts
-	hostile.Days = 4
-	hostile.WeakCrypto = true
-	hostile.Faults = &faults.Options{Seed: 7, Refuse: 0.05, Reset: 0.02, Flap: 0.01, Churn: 0.05, ChurnMaxDays: 3}
+	hostile := hostileOpts()
 	rows := []struct {
 		name   string
 		o      Options

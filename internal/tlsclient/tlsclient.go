@@ -280,12 +280,6 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		}
 		cap.ServerKEXValue = copyInto(cap.kexValue[:], ske.Public)
 		if cfg.KexOnly {
-			if kex == wire.KexECDHE {
-				// No premaster follows, so the scalar the server
-				// published for this key would wait for the map's
-				// wholesale clear.
-				keyex.DiscardScalar(ske.Public)
-			}
 			return nil
 		}
 		if err := verifySKE(hc, cfg.Roots, chain, ske, ch.Random[:], sh.Random[:]); err != nil {
@@ -297,14 +291,14 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		if kex == wire.KexECDHE {
 			var priv *ecdh.PrivateKey
 			if fixed {
-				// Servers publish their ECDHE scalar at key generation,
-				// before the SKE we just parsed was sent: deriving the
-				// secret from both scalars is a base-point multiplication,
-				// ~3x cheaper than x*Ys. Only self-generated points ever
-				// reach the scalar map, so the skipped on-curve check
-				// cannot admit a bad value.
+				// An in-process server hands over its ECDHE key before
+				// the SKE we just parsed was queued: deriving the secret
+				// from both scalars is a base-point multiplication, ~3x
+				// cheaper than x*Ys. The key is taken only for the value
+				// it generated, so the skipped on-curve check cannot
+				// admit a bad value.
 				priv, clientPub = keyex.FixedClientECDHE()
-				premaster = keyex.ClientPremasterFromScalar(ske.Public)
+				premaster = keyex.FixedClientPremaster(hc.Record.Link().ServerKey(ske.Public))
 			} else {
 				if priv, err = ecdh.P256().GenerateKey(cfg.rand()); err != nil {
 					return err
@@ -353,12 +347,11 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		return fmt.Errorf("tls: expected ServerHelloDone, got %d", msg.Type)
 	}
 
-	// Publish the agreement to the in-process exchange cache before the
-	// CKE leaves: the server handling this connection recomputes exactly
-	// these bytes from its private half, and the store-before-write order
-	// means its lookup hits. cap.ServerKEXValue carries the same bytes as
-	// the SKE public value, and the map keys copy them.
-	keyex.PremasterStore(cap.ServerKEXValue, clientPub, premaster)
+	// Hand the agreement to an in-process server before the CKE is
+	// queued: it would recompute exactly these bytes from its private
+	// half. cap.ServerKEXValue carries the same bytes as the SKE public
+	// value, and clientPub and premaster are never written again.
+	hc.Record.Link().SetPremaster(cap.ServerKEXValue, clientPub, premaster)
 	hc.mbuf = wire.AppendCKE(hc.mbuf[:0], kex, clientPub)
 	if err := hc.WriteMsg(hc.mbuf); err != nil {
 		return err
@@ -526,5 +519,5 @@ func verifySKE(hc *hsConn, roots *pki.RootStore, chain [][]byte, ske *wire.SKE, 
 	}
 	hc.sp = ske.AppendSignedParams(hc.sp[:0], clientRandom, serverRandom)
 	digest := sha256.Sum256(hc.sp)
-	return pki.VerifySKE(leaf.PublicKey, digest[:], ske.Sig)
+	return hc.Record.Link().SKE().Verify(leaf, digest[:], ske.Sig)
 }

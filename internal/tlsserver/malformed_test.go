@@ -72,7 +72,8 @@ func alerts(stream []byte) []uint8 {
 
 // TestServeMalformedClientFlights drives Serve over a buffered simnet
 // pipe with client flights a hostile or broken peer could send. Each row
-// pins the error Serve returns, the alerts the server sends, and that
+// pins the error Serve returns, the alerts the server sends (the one a
+// Go 1.24 crypto/tls TLS 1.2 server sends for the same flight), and that
 // Serve returns instead of waiting on the peer.
 func TestServeMalformedClientFlights(t *testing.T) {
 	const name = "malformed.example"
@@ -115,15 +116,25 @@ func TestServeMalformedClientFlights(t *testing.T) {
 		peer    int     // alert code Serve must return as a *record.AlertError, or -1
 		sent    []uint8 // alert descriptions the server sends
 	}{
-		{"truncated ClientHello", raw(records(record.TypeHandshake, truncated)), "wire: truncated message", -1, nil},
+		{"truncated ClientHello", raw(records(record.TypeHandshake, truncated)), "wire: truncated message", -1,
+			[]uint8{record.AlertUnexpectedMessage}},
+		// Before the ClientHello, a record that is neither a handshake nor
+		// an alert record does not look like TLS: no alert. After it, the
+		// same record is an unexpected message.
 		{"unknown record type", raw(records(99, []byte{1, 2, 3})), "unexpected record type 99", -1, nil},
+		{"ChangeCipherSpec in place of ClientHello", raw(records(record.TypeChangeCipherSpec, []byte{1})),
+			"in place of the ClientHello", -1, nil},
+		{"unknown record type after ClientHello", raw(append(records(record.TypeHandshake, hello), records(99, []byte{1, 2, 3})...)),
+			"unexpected record type 99", -1, []uint8{record.AlertUnexpectedMessage}},
+		{"malformed alert", raw(records(record.TypeAlert, []byte{2, 80, 0})), "malformed alert", -1,
+			[]uint8{record.AlertUnexpectedMessage}},
 		{"alert in place of ClientHello", raw(records(record.TypeAlert, []byte{2, 80})), "alert 80", 80, nil},
 		{"ChangeCipherSpec before ClientKeyExchange",
 			raw(append(records(record.TypeHandshake, hello), records(record.TypeChangeCipherSpec, []byte{1})...)),
-			"expected ClientKeyExchange", -1, nil},
+			"expected ClientKeyExchange", -1, []uint8{record.AlertUnexpectedMessage}},
 		{"off-curve ECDHE value",
 			raw(records(record.TypeHandshake, hello, wire.AppendCKE(nil, wire.KexECDHE, offCurve))),
-			"bad client ECDHE value", -1, nil},
+			"bad client ECDHE value", -1, []uint8{record.AlertIllegalParameter}},
 		// The client's Finished covers the ClientHello it sent, and the
 		// server's transcript the one that arrived with one SNI byte
 		// changed; the randoms, and so the keys, are unchanged.
@@ -140,7 +151,8 @@ func TestServeMalformedClientFlights(t *testing.T) {
 				t.Errorf("client: got %v, want the server's handshake_failure alert as a *record.AlertError", err)
 			}
 		}, "bad client finished", -1, []uint8{record.AlertHandshakeFailure}},
-		{"handshake message claiming 16 MiB", raw(records(record.TypeHandshake, huge...)), "exceeds", -1, nil},
+		{"handshake message claiming 16 MiB", raw(records(record.TypeHandshake, huge...)), "exceeds", -1,
+			[]uint8{record.AlertInternalError}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cli, srv := simnet.NewBufferedPipe()

@@ -134,10 +134,22 @@ func Serve(conn net.Conn, cfg *Config) error {
 	// Reads flush pending coalesced flights, so this only delivers bytes
 	// on paths that exit without reading again.
 	defer hc.Record.Flush()
-	if err := serverHandshake(hc, cfg); err != nil {
-		return err
+	err := serverHandshake(hc, cfg)
+	if err == nil {
+		err = appLoop(&hc.Record, cfg)
 	}
-	return appLoop(&hc.Record, cfg)
+	return sendAlert(&hc.Record, err)
+}
+
+// sendAlert answers err with the alert a crypto/tls server sends for
+// the same input, when err is a *record.ProtocolError, and returns err.
+// Protocol errors reach Serve unwrapped, so a type assertion finds them
+// without the allocation errors.As costs every failed connection.
+func sendAlert(rc *record.Conn, err error) error {
+	if pe, ok := err.(*record.ProtocolError); ok {
+		rc.WriteAlert(pe.Alert)
+	}
+	return err
 }
 
 func appLoop(rc *record.Conn, cfg *Config) error {
@@ -161,22 +173,25 @@ func appLoop(rc *record.Conn, cfg *Config) error {
 		case record.TypeAlert:
 			return nil // close_notify
 		default:
-			return fmt.Errorf("tls: unexpected record type %d", rec.Type)
+			return record.WithAlert(record.AlertUnexpectedMessage, fmt.Errorf("tls: unexpected record type %d", rec.Type))
 		}
 	}
 }
 
 func serverHandshake(hc *hsConn, cfg *Config) error {
-	msg, _, err := hc.ReadMsg()
+	msg, ccs, err := hc.ReadMsg()
 	if err != nil {
 		return err
 	}
+	if ccs { // silent, like any first record of another type (handshake.ReadMsg)
+		return errors.New("tls: ChangeCipherSpec in place of the ClientHello")
+	}
 	if msg.Type != wire.TypeClientHello {
-		return fmt.Errorf("tls: expected ClientHello, got %d", msg.Type)
+		return record.WithAlert(record.AlertUnexpectedMessage, fmt.Errorf("tls: expected ClientHello, got %d", msg.Type))
 	}
 	ch := &hc.ch
 	if err := wire.ParseClientHelloInto(ch, msg.Body); err != nil {
-		return err
+		return record.WithAlert(record.AlertUnexpectedMessage, err)
 	}
 	now := cfg.now()
 
@@ -229,13 +244,11 @@ var serverHelloDone = []byte{wire.TypeServerHelloDone, 0, 0, 0}
 func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 	suite := cfg.pickSuite(ch.Suites)
 	if suite == 0 {
-		hc.Record.WriteAlert(record.AlertHandshakeFailure)
-		return errors.New("tls: no mutually supported cipher suite")
+		return record.WithAlert(record.AlertHandshakeFailure, errors.New("tls: no mutually supported cipher suite"))
 	}
 	crt := cfg.certFor(ch.ServerName)
 	if crt == nil {
-		hc.Record.WriteAlert(record.AlertHandshakeFailure)
-		return errors.New("tls: no certificate configured")
+		return record.WithAlert(record.AlertHandshakeFailure, errors.New("tls: no certificate configured"))
 	}
 	rnd := hc.connRand(cfg, ch.Random[:])
 
@@ -264,6 +277,9 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 	// ServerKeyExchange with the policy-selected ephemeral value. The
 	// private value is held in typed locals (not a closure) so the
 	// premaster computation after the CKE arrives allocates nothing extra.
+	// The value, the ECDHE key and the signature's nonce go to the
+	// connection's hand-off before the SKE that carries them is queued.
+	link := hc.Record.Link()
 	var ecdhePriv *ecdh.PrivateKey
 	var dheGroup *ffdh.Group
 	var dhePriv *big.Int
@@ -277,6 +293,7 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 		}
 		ske.Public = pub
 		ecdhePriv = priv
+		link.SetServerValue(pub, priv)
 	case wire.KexDHE:
 		g := cfg.DHEGroup
 		if g == nil {
@@ -289,9 +306,9 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 		ske.P, ske.G = g.ParamBytes()
 		ske.Public = pub
 		dheGroup, dhePriv = g, priv
+		link.SetServerValue(pub, nil)
 	default:
-		hc.Record.WriteAlert(record.AlertHandshakeFailure)
-		return fmt.Errorf("tls: unsupported key exchange for suite %04x", suite)
+		return record.WithAlert(record.AlertHandshakeFailure, fmt.Errorf("tls: unsupported key exchange for suite %04x", suite))
 	}
 	hc.sp = ske.AppendSignedParams(hc.sp[:0], ch.Random[:], sh.Random[:])
 	digest := sha256.Sum256(hc.sp)
@@ -305,7 +322,7 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 		hc.sigRng.ReseedParts(cfg.RandSeed, string(ch.Random[:]), "ske-sig")
 		sigRand = &hc.sigRng
 	}
-	sig, err := crt.SignSKE(sigRand, digest[:])
+	sig, err := crt.SignSKE(sigRand, digest[:], link.SKE())
 	if err != nil {
 		return err
 	}
@@ -324,29 +341,29 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 		return err
 	}
 	if msg.Type != wire.TypeClientKeyExchange {
-		return fmt.Errorf("tls: expected ClientKeyExchange, got %d", msg.Type)
+		return record.WithAlert(record.AlertUnexpectedMessage, fmt.Errorf("tls: expected ClientKeyExchange, got %d", msg.Type))
 	}
 	clientPub, err := wire.ParseCKE(ske.Kex, msg.Body)
 	if err != nil {
-		return err
+		return record.WithAlert(record.AlertIllegalParameter, err)
 	}
-	// The in-process client computed and published this exact agreement
-	// before its CKE was written, keyed by the two public values — one
-	// lookup replaces the scalar multiplication / modexp for both Fresh
-	// and Reuse policies. A miss (cache cleared, or a client outside this
-	// process) computes the agreement.
-	premaster := keyex.PremasterLookup(ske.Public, clientPub)
+	// An in-process client hands over the agreement it computed for
+	// this server value before its CKE is queued, and the hand-off
+	// replaces the scalar multiplication or modexp under both policies.
+	// Without one (a client outside this process, or a client value
+	// other than the one it published) the server computes it.
+	premaster := link.Premaster(clientPub)
 	if premaster == nil {
 		if ecdhePriv != nil {
 			pk, err := ecdh.P256().NewPublicKey(clientPub)
 			if err != nil {
-				return fmt.Errorf("tls: bad client ECDHE value: %w", err)
+				return record.WithAlert(record.AlertIllegalParameter, fmt.Errorf("tls: bad client ECDHE value: %w", err))
 			}
 			if premaster, err = ecdhePriv.ECDH(pk); err != nil {
-				return err
+				return record.WithAlert(record.AlertIllegalParameter, err)
 			}
 		} else if premaster, err = dheGroup.Shared(dhePriv, new(big.Int).SetBytes(clientPub)); err != nil {
-			return err
+			return record.WithAlert(record.AlertIllegalParameter, err)
 		}
 	}
 	master := hc.DeriveMaster(premaster, ch.Random[:], sh.Random[:])
@@ -415,7 +432,7 @@ func resume(hc *hsConn, cfg *Config, ch *wire.ClientHello, st *session.State, no
 func readCCS(hc *hsConn) error {
 	_, ccs, err := hc.ReadMsg()
 	if err == nil && !ccs {
-		err = errors.New("tls: expected ChangeCipherSpec")
+		err = record.WithAlert(record.AlertUnexpectedMessage, errors.New("tls: expected ChangeCipherSpec"))
 	}
 	return err
 }
