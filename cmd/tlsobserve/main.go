@@ -12,11 +12,11 @@
 //	    the top-K slowest phases, and the error-class x day table
 //
 //	tlsobserve diff [-tolerance 0.25] runA.jsonl runB.jsonl
-//	    compare two runs in benchgate-compatible terms: deterministic
-//	    journal metrics must match exactly (any drift is a failure),
-//	    wall-time metrics get the loose tolerance. Each run may be a
-//	    comma-separated list of shard journals, merged before the
-//	    comparison. Exits 1 on regression or drift.
+//	    compare two runs: deterministic journal metrics must match
+//	    exactly (any drift is a failure), wall-time metrics get the
+//	    loose tolerance. Each run may be a comma-separated list of
+//	    shard journals, merged before the comparison. Exits 1 on
+//	    regression or drift.
 package main
 
 import (
@@ -406,9 +406,9 @@ func summarize(events []obsv.Event) runSummary {
 	return s
 }
 
-// runDiff compares two runs in benchgate-compatible terms. Any drift in
-// a deterministic metric is a failure (the runs measured different
-// things); wall time regresses only past the loose tolerance.
+// runDiff compares two runs. Any drift in a deterministic metric is a
+// failure (the runs measured different things); wall time regresses
+// only past the loose tolerance.
 func runDiff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	tol := fs.Float64("tolerance", 0.25, "wall-time regression tolerance (fraction over baseline)")

@@ -359,7 +359,7 @@ type leafReq struct {
 // signatures draw from crypto/rand, never from the seeded rng, so
 // certificate bytes already differ from run to run; issuing them in
 // parallel moves no recorded byte. Only the order of the issuers' serial
-// numbers and of pki's key table follows the schedule.
+// numbers follows the schedule.
 func (b *builder) issueLeaves() error {
 	errs := make([]error, len(b.leaves))
 	par.ForEach(runtime.GOMAXPROCS(0), len(b.leaves), func(_, i int) {

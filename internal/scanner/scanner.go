@@ -42,6 +42,8 @@ type Dialer interface {
 }
 
 // Topology exposes the AS/IP neighbor lists the cross-domain probes walk.
+// Both lists are sorted and only read; the domain itself may be in one
+// (SameAS's holds it) and is never drawn.
 type Topology interface {
 	SameAS(domain string) []string
 	SameIP(domain string) []string
@@ -600,26 +602,49 @@ func (s *Scanner) CrossDomainGroupsIn(initiators, pop []string, topo Topology, n
 }
 
 // seededPrefix returns the first n elements of a deterministic per-domain
-// shuffle of list. Only the first n draws of a Fisher-Yates pass run, so
-// the cost is O(n) rather than O(len(list)); the selection is still a
-// prefix of the same infinite shuffle, so a larger budget strictly
-// extends a smaller one.
+// shuffle of list without domain. list must be sorted (SameAS's list
+// holds the domain, SameIP's does not); it is read, never copied or
+// written. Only the first n draws of a Fisher-Yates pass run, and they
+// run over a virtual copy that records only the positions a draw
+// displaced, so the cost depends on n and not on len(list); the
+// selection is still a prefix of the same infinite shuffle, so a larger
+// budget strictly extends a smaller one.
 func seededPrefix(domain string, list []string, n int) []string {
-	if len(list) == 0 || n <= 0 {
+	// [lo, hi) is domain's run in list; the draw skips it.
+	lo := sort.SearchStrings(list, domain)
+	hi := lo
+	for hi < len(list) && list[hi] == domain {
+		hi++
+	}
+	m := len(list) - (hi - lo)
+	if m == 0 || n <= 0 {
 		return nil
+	}
+	if n > m {
+		n = m
 	}
 	h := fnv.New64a()
 	h.Write([]byte(domain))
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	shuffled := append([]string(nil), list...)
-	if n > len(shuffled) {
-		n = len(shuffled)
+	moved := make(map[int]string, n) // position -> name a draw swapped there
+	at := func(k int) string {
+		if name, ok := moved[k]; ok {
+			return name
+		}
+		if k >= lo {
+			k += hi - lo
+		}
+		return list[k]
 	}
-	for i := 0; i < n && i < len(shuffled)-1; i++ {
-		j := i + rng.Intn(len(shuffled)-i)
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	out := make([]string, n)
+	for i := range out {
+		out[i] = at(i)
+		if i < m-1 {
+			j := i + rng.Intn(m-i)
+			out[i], moved[j] = at(j), out[i]
+		}
 	}
-	return shuffled[:n]
+	return out
 }
 
 // UnionFind tracks connected components of domain names.

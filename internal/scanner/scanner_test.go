@@ -1,10 +1,18 @@
 package scanner
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"testing"
 
 	"tlsshortcuts/internal/par"
+	"tlsshortcuts/internal/simnet"
 )
 
 // TestForEachVisitsEachIndexOnce checks the scanner's side of the worker
@@ -53,6 +61,7 @@ func TestSeededPrefixExtension(t *testing.T) {
 	for i := range list {
 		list[i] = string(rune('a'+i%26)) + string(rune('0'+i/26))
 	}
+	sort.Strings(list) // as the topology hands it over
 	for _, domain := range []string{"example.com", "other.net"} {
 		full := seededPrefix(domain, list, len(list))
 		seen := make(map[string]bool)
@@ -84,6 +93,111 @@ func TestSeededPrefixExtension(t *testing.T) {
 	}
 	if got := seededPrefix("x", list, 100); len(got) != len(list) {
 		t.Fatalf("oversized budget: got %d elements", len(got))
+	}
+}
+
+// copyShufflePrefix is the reference draw seededPrefix must match: a
+// sorted copy of list without domain, then the first n steps of a
+// Fisher-Yates shuffle over a second copy.
+func copyShufflePrefix(domain string, list []string, n int) []string {
+	var others []string
+	for _, d := range list {
+		if d != domain {
+			others = append(others, d)
+		}
+	}
+	sort.Strings(others)
+	if len(others) == 0 || n <= 0 {
+		return nil
+	}
+	h := fnv.New64a()
+	h.Write([]byte(domain))
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	shuffled := append([]string(nil), others...)
+	if n > len(shuffled) {
+		n = len(shuffled)
+	}
+	for i := 0; i < n && i < len(shuffled)-1; i++ {
+		j := i + rng.Intn(len(shuffled)-i)
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	}
+	return shuffled[:n]
+}
+
+// TestSeededPrefixMatchesCopyShuffle draws from sorted lists of random
+// sizes, with the domain at a random position, twice, or absent (as in
+// SameIP's lists), at budgets from below zero to past the list's end:
+// the draw over the shared list must pick the same names in the same
+// order as the copy-and-shuffle reference, and leave the list as it was.
+func TestSeededPrefixMatchesCopyShuffle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		size := rng.Intn(40)
+		if trial%100 == 0 {
+			size = rng.Intn(5000)
+		}
+		list := make([]string, size)
+		for i := range list {
+			list[i] = fmt.Sprintf("d%05d.example", i)
+		}
+		var domain string
+		switch p := rng.Intn(size + 2); {
+		case p < size:
+			domain = list[p]
+			if rng.Intn(10) == 0 { // registered twice
+				list = append(append(list[:p+1:p+1], domain), list[p+1:]...)
+			}
+		default: // absent; sorts just after a random position
+			domain = fmt.Sprintf("d%05d.example-x", rng.Intn(size+1))
+		}
+		before := slices.Clone(list)
+		budgets := []int{rng.Intn(size+3) - 1, 5, size}
+		for _, n := range budgets {
+			got := seededPrefix(domain, list, n)
+			if want := copyShufflePrefix(domain, list, n); !reflect.DeepEqual(got, want) {
+				t.Fatalf("size %d, domain %s, budget %d: got %v, want %v", len(list), domain, n, got, want)
+			}
+		}
+		if !slices.Equal(list, before) {
+			t.Fatalf("size %d, domain %s: seededPrefix changed its list", len(list), domain)
+		}
+	}
+}
+
+// TestSameASDrawCostFlat pins the cost of choosing a domain's same-AS
+// candidates: the bytes one SameAS plus seededPrefix call allocates must
+// not grow with the AS. A draw that copied or sorted the AS list would
+// make the cross-domain phase quadratic in operator size: the largest
+// AS holds 18,000 domains in a 100k seed-3 world.
+func TestSameASDrawCostFlat(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	perCall := func(asSize int) uint64 {
+		net := simnet.New()
+		for i := 0; i < asSize; i++ {
+			d := fmt.Sprintf("d%06d.example", i*7919%asSize) // registered out of order
+			net.Register(d, 1, []string{"ip-" + d})
+		}
+		const domain, runs = "d000050.example", 100
+		draw := func() { seededPrefix(domain, net.SameAS(domain), 5) }
+		draw() // the first call after Register sorts the list
+		best := ^uint64(0)
+		for rep := 0; rep < 3; rep++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				draw()
+			}
+			runtime.ReadMemStats(&after)
+			if b := (after.TotalAlloc - before.TotalAlloc) / runs; b < best {
+				best = b
+			}
+		}
+		return best
+	}
+	small, large := perCall(100), perCall(20000)
+	t.Logf("bytes per SameAS + seededPrefix call: %d for an AS of 100 domains, %d for 20,000", small, large)
+	if large > small {
+		t.Fatalf("an AS of 20,000 domains costs %d B per draw, one of 100 costs %d B: the draw copies the list", large, small)
 	}
 }
 

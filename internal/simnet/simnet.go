@@ -42,18 +42,22 @@ type Net struct {
 	mu      sync.RWMutex
 	domains map[string]*binding
 	byAS    map[int][]string
-	byIP    map[string][]string
-	plan    *faults.Plan
-	dials   atomic.Uint64
-	tel     *telemetry.Registry
+	// asUnsorted holds the ASes registered into since SameAS last
+	// sorted their lists.
+	asUnsorted map[int]bool
+	byIP       map[string][]string
+	plan       *faults.Plan
+	dials      atomic.Uint64
+	tel        *telemetry.Registry
 }
 
 // New returns an empty network.
 func New() *Net {
 	return &Net{
-		domains: make(map[string]*binding),
-		byAS:    make(map[int][]string),
-		byIP:    make(map[string][]string),
+		domains:    make(map[string]*binding),
+		byAS:       make(map[int][]string),
+		asUnsorted: make(map[int]bool),
+		byIP:       make(map[string][]string),
 	}
 }
 
@@ -63,6 +67,7 @@ func (n *Net) Register(domain string, as int, ips []string, backends ...*Endpoin
 	defer n.mu.Unlock()
 	n.domains[domain] = &binding{backends: backends, as: as, ips: ips}
 	n.byAS[as] = append(n.byAS[as], domain)
+	n.asUnsorted[as] = true
 	for _, ip := range ips {
 		n.byIP[ip] = append(n.byIP[ip], domain)
 	}
@@ -354,16 +359,33 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// SameAS returns the other domains announced from the domain's AS,
-// sorted (the scanner samples a prefix of a seeded shuffle).
+// SameAS returns the domains announced from the domain's AS, the
+// domain itself included, sorted. A list is sorted on the first call
+// after a Register into its AS and then shared, so a call costs the
+// same for any AS size; callers must not modify it. (The scanner draws
+// a seeded prefix of it without the domain.)
 func (n *Net) SameAS(domain string) []string {
 	n.mu.RLock()
-	defer n.mu.RUnlock()
 	b, ok := n.domains[domain]
 	if !ok {
+		n.mu.RUnlock()
 		return nil
 	}
-	return others(n.byAS[b.as], domain)
+	list, unsorted := n.byAS[b.as], n.asUnsorted[b.as]
+	n.mu.RUnlock()
+	if !unsorted {
+		return list
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.asUnsorted[b.as] {
+		// Sort a copy: a list handed out earlier keeps its order.
+		sorted := append([]string(nil), n.byAS[b.as]...)
+		sort.Strings(sorted)
+		n.byAS[b.as] = sorted
+		delete(n.asUnsorted, b.as)
+	}
+	return n.byAS[b.as]
 }
 
 // SameIP returns the other domains sharing any of the domain's IPs.
@@ -382,17 +404,6 @@ func (n *Net) SameIP(domain string) []string {
 				seen[d] = true
 				out = append(out, d)
 			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func others(list []string, self string) []string {
-	out := make([]string, 0, len(list))
-	for _, d := range list {
-		if d != self {
-			out = append(out, d)
 		}
 	}
 	sort.Strings(out)

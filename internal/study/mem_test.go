@@ -7,9 +7,9 @@ import (
 )
 
 // liveHeap is a Trace writer that measures retained state the way the
-// benchmark harness and bench_million_test.go do: study.Run writes a
-// span line on its coordinating goroutine after each phase's workers
-// have joined, and each write forces a collection and keeps the largest
+// benchmark harness does: study.Run writes a span line on its
+// coordinating goroutine after each phase's workers have joined, and
+// each write forces a collection and keeps the largest
 // /gc/heap/live:bytes read. Sampling HeapAlloc instead would count
 // whatever garbage GC pacing leaves uncollected.
 type liveHeap struct {
