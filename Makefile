@@ -22,14 +22,15 @@ test-faults:
 # Telemetry suite: registry/histogram correctness under -race, span
 # schema round-trip, dial/label collectors, report-rendering determinism,
 # and the inertness proof — the golden 200x8 campaign re-run with
-# telemetry fully enabled must still match the committed hash, and a
+# telemetry fully enabled must still match the committed hash, a
 # faulted campaign's deterministic metrics must be identical across
-# worker counts.
+# worker counts, and campaigns run at once, each with its own registry,
+# must hash and count as each does alone.
 test-telemetry:
 	$(GO) test -race ./internal/telemetry
 	$(GO) test -run 'Telemetry|Span|ReportRendering' \
 		./internal/scanner ./internal/simnet ./internal/study
-	$(GO) test -run 'TestFaultCampaignDeterministicAcrossWorkers|TestCampaignDeterminism/^(default|telemetry)$$' \
+	$(GO) test -run 'TestFaultCampaignDeterministicAcrossWorkers|TestTwoWorldsInOneProcess|TestCampaignDeterminism/^(default|telemetry)$$' \
 		./internal/study
 
 # Sharding determinism suite: the 200x8 seed-7 campaign split into 1, 3,
@@ -53,8 +54,8 @@ test-cryptanalysis:
 
 # Observability-plane suite. Fast half under -race: SSE broadcaster
 # accounting under churn (never blocks, every dropped event counted),
-# journal round-trip/validation/merge, prom exposition, and the cluster
-# view. Full half without -short: the golden 200x8 campaign re-run with
+# journal round-trip/validation/merge, and prom exposition. Full half
+# without -short: the golden 200x8 campaign re-run with
 # the whole plane attached (HTTP server + churning SSE subscribers +
 # flight-recorder journal + trace) must match the committed hash, with
 # phase_end events equal to the trace spans and pprof/expvar served; the
@@ -63,7 +64,7 @@ test-cryptanalysis:
 # and studyrun's fatal path must finalize the journal (plus the simweb
 # -metrics smoke).
 test-obsv:
-	$(GO) test -race -count=1 -run 'Broadcaster|Prom|Sanitize|JournalRoundTrip|JournalValidation|JournalVersion|JournalAbort|MergeJournals|ClusterView' ./internal/obsv
+	$(GO) test -race -count=1 -run 'Broadcaster|Prom|Sanitize|JournalRoundTrip|JournalValidation|JournalVersion|JournalAbort|MergeJournals' ./internal/obsv
 	$(GO) test -count=1 ./internal/obsv ./cmd/studyrun ./cmd/simweb ./cmd/tlsobserve
 
 # Traffic-plane suite: the workload model's purity and engine determinism

@@ -456,7 +456,7 @@ func BenchmarkAblationRotationWindow(b *testing.B) {
 	}
 	var lines []string
 	for _, cfg := range configs {
-		tkt, err := cfg.mgr.IssuingKey(base).Seal(st, zeroReader{})
+		tkt, err := cfg.mgr.IssuingKey(base, nil).Seal(st, zeroReader{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -472,7 +472,7 @@ func BenchmarkAblationRotationWindow(b *testing.B) {
 	}
 	b.ReportAllocs()
 	mgr := configs[2].mgr
-	tkt, _ := mgr.IssuingKey(base).Seal(st, zeroReader{})
+	tkt, _ := mgr.IssuingKey(base, nil).Seal(st, zeroReader{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if mgr.LookupKey(tkt, base.Add(20*time.Hour)) == nil {

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"crypto/rand"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -120,12 +121,12 @@ func decryptAndPrint(rec *attacker.Recovered, master []byte) {
 // key.
 func runDemo(outPath string) {
 	clock := simclock.NewManual(simclock.Epoch)
-	root, err := pki.NewRootCA("Demo Root", pki.ECDSAP256, pki.DefaultRand)
+	root, err := pki.NewRootCA("Demo Root", pki.ECDSAP256, rand.Reader)
 	if err != nil {
 		log.Fatal(err)
 	}
 	leaf, err := root.IssueLeaf([]string{"demo.example"}, pki.ECDSAP256,
-		simclock.Epoch.AddDate(0, -1, 0), simclock.Epoch.AddDate(1, 0, 0), pki.DefaultRand)
+		simclock.Epoch.AddDate(0, -1, 0), simclock.Epoch.AddDate(1, 0, 0), rand.Reader)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,15 +41,6 @@ func main() {
 	)
 	flag.Parse()
 
-	// The registry is installed before the world is built so every
-	// terminator-side collector (session cache, ticket/STEK, keyex
-	// reuse) reports into it.
-	var reg *telemetry.Registry
-	if *metrics != "" {
-		reg = telemetry.NewRegistry()
-		defer telemetry.SetGlobal(reg)()
-	}
-
 	w, err := population.Build(population.Options{
 		ListSize: *listSize,
 		Seed:     *seed,
@@ -66,6 +57,10 @@ func main() {
 	cfg := info.Terms[0].Config
 
 	if *metrics != "" {
+		// The terminator counts its key exchanges, session cache and
+		// ticket/STEK events into the served registry.
+		reg := telemetry.NewRegistry()
+		cfg.Telemetry = tlsserver.NewCounters(reg)
 		mln, err := net.Listen("tcp", *metrics)
 		if err != nil {
 			log.Fatalf("metrics listen: %v", err)
@@ -92,8 +87,8 @@ func main() {
 }
 
 // metricsHandler mounts the observability plane's /metrics and /healthz
-// over reg. Kept separate from main so the smoke test can drive it with
-// the obsv client against a live terminator.
+// over reg. Kept separate from main so the smoke test can drive it
+// against a live terminator.
 func metricsHandler(reg *telemetry.Registry) http.Handler {
 	return obsv.NewServer(obsv.Config{Registry: reg})
 }

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"context"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"tlsshortcuts/internal/obsv"
 	"tlsshortcuts/internal/population"
 	"tlsshortcuts/internal/simclock"
 	"tlsshortcuts/internal/telemetry"
@@ -20,14 +19,11 @@ import (
 	"tlsshortcuts/internal/wire"
 )
 
-// TestMetricsSmoke drives simweb's -metrics mount end to end with the
-// obsv client: a real TCP handshake against a terminator whose registry
-// is installed globally, then /healthz, /metrics (both formats), and
-// /progress over that registry.
+// TestMetricsSmoke drives simweb's -metrics mount end to end: a real TCP
+// handshake against a terminator that counts into the served registry,
+// then /healthz and /metrics (both formats) over that registry.
 func TestMetricsSmoke(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	defer telemetry.SetGlobal(reg)()
-
 	world, err := population.Build(population.Options{
 		ListSize: 200,
 		Seed:     1,
@@ -50,6 +46,7 @@ func TestMetricsSmoke(t *testing.T) {
 	sort.Strings(domains)
 	domain := domains[0]
 	cfg := world.Domains[domain].Terms[0].Config
+	cfg.Telemetry = tlsserver.NewCounters(reg)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -83,34 +80,39 @@ func TestMetricsSmoke(t *testing.T) {
 
 	hts := httptest.NewServer(metricsHandler(reg))
 	defer hts.Close()
-	client := obsv.NewClient(hts.URL)
-	ctx := context.Background()
-
-	if err := client.Healthz(ctx); err != nil {
-		t.Fatalf("healthz: %v", err)
+	get := func(path string) (string, http.Header) {
+		t.Helper()
+		resp, err := http.Get(hts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s", path, resp.Status)
+		}
+		return string(body), resp.Header
 	}
-	snap, err := client.Snapshot(ctx)
-	if err != nil {
+
+	if body, _ := get("/healthz"); strings.TrimSpace(body) != "ok" {
+		t.Fatalf("healthz answered %q", body)
+	}
+	// The terminator served one full handshake: one key-exchange value,
+	// fresh or epoch-reused, counted on its side.
+	body, _ := get("/metrics?format=json")
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	var total uint64
-	for _, v := range snap.Counters {
-		total += v
-	}
-	if total == 0 {
-		t.Error("terminator registry empty after a successful handshake")
+	if kex := snap.Counters["keyex/fresh_keys"] + snap.Counters["keyex/reuse_lookups"]; kex != 1 {
+		t.Errorf("terminator counted %d key exchanges for one handshake, want 1: %v", kex, snap.Counters)
 	}
 
-	resp, err := http.Get(hts.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+	body, hdr := get("/metrics")
+	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("/metrics content type = %q", ct)
 	}
-	if !strings.Contains(string(body), "# TYPE tls_") {
+	if !strings.Contains(body, "# TYPE tls_") {
 		t.Errorf("/metrics is not Prometheus text exposition:\n%.300s", body)
 	}
 }

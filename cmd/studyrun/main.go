@@ -26,7 +26,6 @@
 //
 //	studyrun -journal flight.jsonl           # flight-recorder event journal (internal/obsv)
 //	studyrun -obsv 127.0.0.1:9090            # /metrics /progress /journal /healthz /debug/pprof/ /debug/vars
-//	studyrun -obsv-peers http://h2:9090      # merge sibling shards into /cluster
 //	studyrun -progress                       # live stderr ticker: day N/M, handshakes/s, failure rate
 //
 // The journal is the run's one observability file. Its phase_end events
@@ -97,7 +96,6 @@ func main() {
 
 		journalOut = flag.String("journal", "", "write the flight-recorder event journal (JSONL) to this path")
 		obsvAddr   = flag.String("obsv", "", "serve the observability plane (/metrics /progress /journal /healthz /debug/pprof/) on this address")
-		obsvPeers  = flag.String("obsv-peers", "", "comma-separated base URLs of sibling shards' -obsv servers, merged into /cluster")
 		progress   = flag.Bool("progress", false, "live stderr ticker: day N/M, handshakes/s, failure rate")
 	)
 	flag.Parse()
@@ -158,7 +156,6 @@ func main() {
 		report:      *report,
 		journalPath: *journalOut,
 		obsvAddr:    *obsvAddr,
-		obsvPeers:   splitList(*obsvPeers),
 		progress:    *progress,
 		logf:        logf,
 		stdout:      os.Stdout,
@@ -180,7 +177,6 @@ type runConfig struct {
 	report        bool
 	journalPath   string
 	obsvAddr      string
-	obsvPeers     []string
 	progress      bool
 	abortAfterDay int // test hook: >0 fails the campaign once that scan day completes
 	logf          func(string, ...interface{})
@@ -252,7 +248,6 @@ func runStudy(cfg runConfig) (retErr error) {
 			Shard:    cfg.shard,
 			Workers:  opts.Workers,
 			Journal:  journal,
-			Peers:    cfg.obsvPeers,
 			Logf:     logf,
 		})
 	}
@@ -348,16 +343,6 @@ func (a *abortAfterDay) OnPhase(ev telemetry.PhaseEvent) error {
 		return fmt.Errorf("injected abort after day %d", ev.Span.Day)
 	}
 	return nil
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // parseShard parses "i/N" into a validated ShardSpec.

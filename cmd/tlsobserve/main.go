@@ -1,11 +1,7 @@
-// Command tlsobserve is the analysis and aggregation face of the
-// campaign observability plane. It consumes flight-recorder journals
-// written by studyrun -journal (one per shard) and serves or prints
-// correlated views of them:
-//
-//	tlsobserve serve -listen :9100 -peers http://h1:9090,http://h2:9090
-//	    standalone aggregator: /cluster and /cluster/metrics merge the
-//	    peers' live /metrics and /progress into one view
+// Command tlsobserve is the analysis face of the campaign observability
+// plane. It consumes flight-recorder journals written by studyrun
+// -journal (one per shard) after the run and prints correlated views of
+// them:
 //
 //	tlsobserve timeline [-k 5] shard0.jsonl shard1.jsonl ...
 //	    correlated timeline: per-shard lanes aligned on virtual day,
@@ -20,13 +16,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
 	"time"
@@ -41,8 +34,6 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
-	case "serve":
-		err = runServe(os.Args[2:])
 	case "timeline":
 		err = runTimeline(os.Stdout, os.Args[2:])
 	case "diff":
@@ -63,46 +54,9 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  tlsobserve serve -listen ADDR -peers URL[,URL...]
   tlsobserve timeline [-k K] JOURNAL.jsonl [JOURNAL.jsonl ...]
   tlsobserve diff [-tolerance FRAC] RUN_A RUN_B
         (a RUN is a journal path, or comma-separated shard journals)`)
-}
-
-// runServe starts a standalone aggregator: an obsv.Server with no local
-// registry whose /cluster endpoints merge the configured peers.
-func runServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	listen := fs.String("listen", ":9100", "address to serve the aggregator on")
-	peers := fs.String("peers", "", "comma-separated base URLs of shard obsv servers")
-	interval := fs.Duration("interval", time.Second, "progress sampling interval")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *peers == "" {
-		return fmt.Errorf("serve: -peers is required")
-	}
-	srv := obsv.NewServer(obsv.Config{
-		Peers:    splitList(*peers),
-		Interval: *interval,
-		Logf:     func(format string, a ...interface{}) { fmt.Fprintf(os.Stderr, format+"\n", a...) },
-	})
-	srv.Start()
-	defer srv.Close()
-	hs := &http.Server{Addr: *listen, Handler: srv}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "tlsobserve: aggregating %d peers on %s\n", len(splitList(*peers)), *listen)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		return hs.Shutdown(shutdownCtx)
-	}
 }
 
 // loadRun reads and validates one or more (comma-joined) shard journals

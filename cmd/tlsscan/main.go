@@ -76,6 +76,14 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// With -v a registry counts the scan: the tlsscan/ counters below,
+	// the client's, and inside the sim the world's dials and terminator
+	// counters. Real -addr scans see only this process's client side.
+	var reg *telemetry.Registry
+	if *verbose {
+		reg = telemetry.NewRegistry()
+	}
+
 	var dial func() (net.Conn, error)
 	var roots *pki.RootStore
 	clock := simclock.NewManual(simclock.Epoch)
@@ -95,21 +103,16 @@ func main() {
 		}
 		clock = w.Clock.(*simclock.Manual)
 		roots = w.Roots
+		if reg != nil {
+			w.Net.SetTelemetry(reg)
+		}
 		dial = func() (net.Conn, error) { return w.Net.Dial(*domain) }
 	}
 
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 
-	// With -v the process registry is installed, so the simulated
-	// servers' session/ticket/keyex collectors report too; real -addr
-	// scans only see the client-side counters.
-	var reg *telemetry.Registry
-	if *verbose {
-		reg = telemetry.NewRegistry()
-		defer telemetry.SetGlobal(reg)()
-	}
-
+	client := tlsclient.NewCounters(reg)
 	failed := false
 	var firstSession *tlsclient.Session
 	for i := 0; i < *conns; i++ {
@@ -119,6 +122,7 @@ func main() {
 			OfferTicket: true,
 			Clock:       clock,
 			Roots:       roots,
+			Telemetry:   client,
 		}
 		if *resume != "" && firstSession != nil {
 			cfg.Resume = firstSession

@@ -2,6 +2,7 @@ package attacker_test
 
 import (
 	"bytes"
+	"crypto/rand"
 	"errors"
 	"net"
 	"sync"
@@ -171,12 +172,12 @@ func TestTapConcurrentParse(t *testing.T) {
 // secret the resumed connection reuses.
 func TestOfferedTicketDecryption(t *testing.T) {
 	clock := simclock.NewManual(simclock.Epoch)
-	root, err := pki.NewRootCA("Tap Test CA", pki.ECDSAP256, pki.DefaultRand)
+	root, err := pki.NewRootCA("Tap Test CA", pki.ECDSAP256, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	leaf, err := root.IssueLeaf([]string{"victim.test"}, pki.ECDSAP256,
-		simclock.Epoch.AddDate(0, -1, 0), simclock.Epoch.AddDate(1, 0, 0), pki.DefaultRand)
+		simclock.Epoch.AddDate(0, -1, 0), simclock.Epoch.AddDate(1, 0, 0), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestOfferedTicketDecryption(t *testing.T) {
 	if !cap1.TicketIssued || cap1.Session == nil {
 		t.Fatal("first connection issued no ticket")
 	}
-	k0 := mgr.IssuingKey(clock.Now())
+	k0 := mgr.IssuingKey(clock.Now(), nil)
 
 	// One epoch later the server resumes off the k0 ticket but reissues
 	// under k1.
@@ -235,7 +236,7 @@ func TestOfferedTicketDecryption(t *testing.T) {
 	if len(rec.OfferedTicket) == 0 || len(rec.IssuedTicket) == 0 {
 		t.Fatal("capture missing offered or reissued ticket")
 	}
-	k1 := mgr.IssuingKey(clock.Now())
+	k1 := mgr.IssuingKey(clock.Now(), nil)
 	if bytes.Equal(k0.Name, k1.Name) {
 		t.Fatal("test setup: epochs share a key")
 	}

@@ -23,7 +23,6 @@ import (
 	"net"
 
 	"tlsshortcuts/internal/pki"
-	"tlsshortcuts/internal/telemetry"
 )
 
 // End names one end of a connection: 0 the dialer's, 1 the listener's.
@@ -92,7 +91,6 @@ func (l *Link) Premaster(clientPub []byte) []byte {
 	if l == nil || l.premaster == nil || !bytes.Equal(l.clientPub, clientPub) {
 		return nil
 	}
-	telemetry.Global().Counter("keyex/premaster_exchange_hit").Inc()
 	return l.premaster
 }
 

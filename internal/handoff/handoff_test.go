@@ -28,13 +28,18 @@ import (
 
 var now = simclock.Epoch
 
-// hits counts the four hand-offs, in a registry the test installs.
-type hits struct{ scalar, premaster, aead, ske *telemetry.Counter }
+// hits counts the four hand-offs, in a registry that newNet attaches to
+// the servers and handshake to the clients.
+type hits struct {
+	reg                          *telemetry.Registry
+	client                       *tlsclient.Counters
+	scalar, premaster, aead, ske *telemetry.Counter
+}
 
-func countHits(t *testing.T) hits {
+func countHits() hits {
 	reg := telemetry.NewRegistry()
-	t.Cleanup(telemetry.SetGlobal(reg))
 	return hits{
+		reg, tlsclient.NewCounters(reg),
 		reg.Counter("keyex/scalar_exchange_hit"), reg.Counter("keyex/premaster_exchange_hit"),
 		reg.Counter("record/aead_cache_hit"), reg.Counter("pki/ske_nonce_hit"),
 	}
@@ -46,8 +51,8 @@ func (h hits) values() [4]uint64 {
 
 // newNet registers fresh.example, whose terminator draws fresh key
 // exchange values, and reuse.example, which reuses them per day; both
-// resume by session ID and by ticket.
-func newNet(t *testing.T) (*simnet.Net, *pki.Certificate) {
+// resume by session ID and by ticket, and count into h.
+func newNet(t *testing.T, h hits) (*simnet.Net, *pki.Certificate) {
 	t.Helper()
 	root, err := pki.NewRootCA("handoff root", pki.ECDSAP256, drbg.NewString("handoff-test|root"))
 	if err != nil {
@@ -71,12 +76,13 @@ func newNet(t *testing.T) (*simnet.Net, *pki.Certificate) {
 		}
 		n.Register(name, i+1, []string{fmt.Sprintf("10.0.0.%d", i+1)}, &simnet.Endpoint{Config: cfg})
 	}
+	n.SetTelemetry(h.reg)
 	return n, leaf
 }
 
-// handshake dials name and runs one handshake; wrap, when set, wraps the
-// client's end of the connection.
-func handshake(n *simnet.Net, name string, cfg tlsclient.Config, wrap func(net.Conn) net.Conn) (*tlsclient.Capture, error) {
+// handshake dials name and runs one handshake counting into h; wrap,
+// when set, wraps the client's end of the connection.
+func (h hits) handshake(n *simnet.Net, name string, cfg tlsclient.Config, wrap func(net.Conn) net.Conn) (*tlsclient.Capture, error) {
 	c, err := n.Dial(name)
 	if err != nil {
 		return nil, err
@@ -85,7 +91,7 @@ func handshake(n *simnet.Net, name string, cfg tlsclient.Config, wrap func(net.C
 	if wrap != nil {
 		c = wrap(c)
 	}
-	cfg.ServerName, cfg.Clock = name, simclock.Fixed(now)
+	cfg.ServerName, cfg.Clock, cfg.Telemetry = name, simclock.Fixed(now), h.client
 	return tlsclient.Handshake(c, &cfg)
 }
 
@@ -96,8 +102,8 @@ func handshake(n *simnet.Net, name string, cfg tlsclient.Config, wrap func(net.C
 // carries its public form; under the race detector this test checks
 // that the pipe's locking orders every publication before its reader.
 func TestConcurrentHandshakesTakeTheirHandoffs(t *testing.T) {
-	h := countHits(t)
-	n, _ := newNet(t)
+	h := countHits()
+	n, _ := newNet(t, h)
 	kinds := []struct {
 		name string
 		cfg  tlsclient.Config
@@ -124,7 +130,7 @@ func TestConcurrentHandshakesTakeTheirHandoffs(t *testing.T) {
 				for _, k := range kinds {
 					cfg := k.cfg
 					cfg.Rand = drbg.NewString("handoff-test|client", k.name, fmt.Sprint(w, r))
-					cap, err := handshake(n, name, cfg, nil)
+					cap, err := h.handshake(n, name, cfg, nil)
 					if err != nil {
 						errs <- fmt.Errorf("%s %s: %w", name, k.name, err)
 						return
@@ -135,7 +141,7 @@ func TestConcurrentHandshakesTakeTheirHandoffs(t *testing.T) {
 					// Resume the session: by ticket when one was issued.
 					cfg = tlsclient.Config{Suites: k.cfg.Suites, Resume: cap.Session, ResumeViaTicket: cap.TicketIssued,
 						OfferTicket: cap.TicketIssued, Rand: drbg.NewString("handoff-test|resume", k.name, fmt.Sprint(w, r))}
-					if cap, err = handshake(n, name, cfg, nil); err != nil || !cap.Resumed {
+					if cap, err = h.handshake(n, name, cfg, nil); err != nil || !cap.Resumed {
 						errs <- fmt.Errorf("%s %s resumed = %v: %v", name, k.name, cap != nil && cap.Resumed, err)
 						return
 					}
@@ -231,8 +237,8 @@ func reframe(msg []byte) []byte {
 // connection, so that the two ends' traffic keys differ. Each handshake
 // must fail, as it would between two processes.
 func TestTamperedFlightsTakeNoHandoff(t *testing.T) {
-	h := countHits(t)
-	n, _ := newNet(t)
+	h := countHits()
+	n, _ := newNet(t, h)
 	other, err := ecdh.P256().GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +253,7 @@ func TestTamperedFlightsTakeNoHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := tlsclient.Config{Suites: []uint16{wire.SuiteECDHE}, ReuseKex: true, OfferTicket: true}
-	session, err := handshake(n, "fresh.example", full, nil)
+	session, err := h.handshake(n, "fresh.example", full, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +309,7 @@ func TestTamperedFlightsTakeNoHandoff(t *testing.T) {
 		}, [4]uint64{}, 0},
 	} {
 		before := h.values()
-		_, err := handshake(n, "fresh.example", tc.cfg, func(c net.Conn) net.Conn {
+		_, err := h.handshake(n, "fresh.example", tc.cfg, func(c net.Conn) net.Conn {
 			tamper := &tamperConn{Conn: c}
 			tc.wrap(tamper)
 			return tamper
@@ -326,16 +332,16 @@ func TestTamperedFlightsTakeNoHandoff(t *testing.T) {
 // NewBufferedPipe and a net.Pipe: neither carries a hand-off, so every
 // value is computed on both ends.
 func TestUnlinkedTransportsTakeNoHandoff(t *testing.T) {
-	h := countHits(t)
-	_, leaf := newNet(t)
+	h := countHits()
+	_, leaf := newNet(t, h)
 	for name, pipe := range map[string]func() (net.Conn, net.Conn){"NewBufferedPipe": simnet.NewBufferedPipe, "net.Pipe": net.Pipe} {
 		cli, srv := pipe()
 		done := make(chan error, 1)
 		go func() {
 			defer srv.Close()
-			done <- tlsserver.Serve(srv, &tlsserver.Config{Clock: simclock.Fixed(now), DefaultCert: leaf})
+			done <- tlsserver.Serve(srv, &tlsserver.Config{Clock: simclock.Fixed(now), DefaultCert: leaf, Telemetry: tlsserver.NewCounters(h.reg)})
 		}()
-		_, err := tlsclient.Handshake(cli, &tlsclient.Config{ServerName: "fresh.example", Clock: simclock.Fixed(now), ReuseKex: true})
+		_, err := tlsclient.Handshake(cli, &tlsclient.Config{ServerName: "fresh.example", Clock: simclock.Fixed(now), ReuseKex: true, Telemetry: h.client})
 		cli.Close()
 		if err := errors.Join(err, <-done); err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -16,6 +16,7 @@ import (
 
 	"tlsshortcuts/internal/prf"
 	"tlsshortcuts/internal/record"
+	"tlsshortcuts/internal/telemetry"
 	"tlsshortcuts/internal/wire"
 )
 
@@ -185,10 +186,14 @@ func (c *Conn) SendFinished(s Side) error {
 // ReadFinished arms the read direction with s's keys and reads s's
 // Finished, which must match the transcript up to it; the caller has read
 // s's ChangeCipherSpec. A Finished that does not match is answered with a
-// handshake_failure alert.
-func (c *Conn) ReadFinished(s Side) error {
+// handshake_failure alert. handedOver counts a read direction armed with
+// the AEAD the peer handed over.
+func (c *Conn) ReadFinished(s Side, handedOver *telemetry.Counter) error {
 	if err := c.Record.ArmRead(c.keys(s)); err != nil {
 		return err
+	}
+	if c.Record.ReadHandedOver() {
+		handedOver.Inc()
 	}
 	pre := c.transcript()
 	m, _, err := c.ReadMsg()

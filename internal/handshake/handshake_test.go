@@ -192,7 +192,7 @@ func TestFinished(t *testing.T) {
 			if _, ccs, err := r.ReadMsg(); !ccs || err != nil {
 				t.Fatalf("%s: ChangeCipherSpec: ccs %v, err %v", finishedLabel[s], ccs, err)
 			}
-			err := r.ReadFinished(s)
+			err := r.ReadFinished(s, nil)
 			alert := rc.out.Bytes()
 			if flip < 0 {
 				if err != nil || len(alert) != 0 {

@@ -22,7 +22,6 @@ import (
 // leaves untaken reaches the next one.
 func TestHandshakesConsumeTheirScalars(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	defer telemetry.SetGlobal(reg)()
 	scalars := reg.Counter("keyex/scalar_exchange_hit")
 	premasters := reg.Counter("keyex/premaster_exchange_hit")
 
@@ -40,6 +39,8 @@ func TestHandshakesConsumeTheirScalars(t *testing.T) {
 	n.Register("scalar.example", 1, []string{"10.0.0.7"}, &simnet.Endpoint{Config: &tlsserver.Config{
 		Clock: simclock.Fixed(now), DefaultCert: leaf, RandSeed: []byte("keyex-test|server"),
 	}})
+	n.SetTelemetry(reg)
+	client := tlsclient.NewCounters(reg)
 	for _, tc := range []struct {
 		name               string
 		suite              uint16
@@ -59,7 +60,7 @@ func TestHandshakesConsumeTheirScalars(t *testing.T) {
 			}
 			cap, err := tlsclient.Handshake(c, &tlsclient.Config{
 				ServerName: "scalar.example", Suites: []uint16{tc.suite}, Clock: simclock.Fixed(now),
-				Rand: drbg.NewString("keyex-test|client", tc.name), ReuseKex: true, KexOnly: tc.kexOnly,
+				Rand: drbg.NewString("keyex-test|client", tc.name), ReuseKex: true, KexOnly: tc.kexOnly, Telemetry: client,
 			})
 			c.Close()
 			if err != nil {

@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/big"
 	"sync"
 	"time"
@@ -60,7 +61,7 @@ func (p *Policy) epoch(now time.Time) uint64 {
 	return uint64(d / p.Period)
 }
 
-// epochSeed folds an epoch counter into the policy's seed.
+// epochSeedAt folds an epoch counter into the policy's seed.
 func (p *Policy) epochSeedAt(e uint64) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], e)
@@ -68,11 +69,6 @@ func (p *Policy) epochSeedAt(e uint64) []byte {
 	h.Write(p.Seed)
 	h.Write(b[:])
 	return h.Sum(nil)
-}
-
-// epochSeed folds the policy's epoch counter into its seed.
-func (p *Policy) epochSeed(now time.Time) []byte {
-	return p.epochSeedAt(p.epoch(now))
 }
 
 // ---- epoch-keyed derivation cache ----
@@ -112,7 +108,7 @@ func cacheGet(k cacheKey) (*cacheVal, bool) {
 	return v, ok
 }
 
-func cachePut(k cacheKey, v *cacheVal) {
+func cachePut(k cacheKey, v *cacheVal, fill *telemetry.Counter) {
 	cacheMu.Lock()
 	if len(cache) >= maxCacheEntries {
 		cache = map[cacheKey]*cacheVal{}
@@ -120,13 +116,29 @@ func cachePut(k cacheKey, v *cacheVal) {
 	if _, ok := cache[k]; !ok {
 		// Fill count under the write lock with an existence check: two
 		// workers may both miss the same epoch concurrently, so counting
-		// misses would be racy — counting first inserts is not. Still
-		// wall/: the cache is package-global and persists across
-		// campaigns in one process, so fills depend on process history.
-		telemetry.Global().Counter("wall/keyex/cache_fill").Inc()
+		// misses would be racy — counting first inserts is not.
+		fill.Inc()
 	}
 	cache[k] = v
 	cacheMu.Unlock()
+}
+
+// Counters counts the server values handed out, fresh or epoch-reused,
+// and the epoch cache's hits and first fills. Hits and fills are wall/
+// metrics: the cache is package-global and persists across campaigns in
+// one process, so what a lookup finds depends on process history. The
+// zero value counts nothing, and the package functions are its methods
+// on the zero value.
+type Counters struct{ fresh, reuse, hit, fill *telemetry.Counter }
+
+// NewCounters resolves r's keyex/ counters once.
+func NewCounters(r *telemetry.Registry) Counters {
+	return Counters{
+		fresh: r.LazyCounter("keyex/fresh_keys"),
+		reuse: r.LazyCounter("keyex/reuse_lookups"),
+		hit:   r.LazyCounter("wall/keyex/cache_hit"),
+		fill:  r.LazyCounter("wall/keyex/cache_fill"),
+	}
 }
 
 func (p *Policy) key(kind uint8, e uint64) cacheKey {
@@ -154,9 +166,14 @@ func deriveECDHE(seed []byte) (*ecdh.PrivateKey, error) {
 // Reuse mode both come from the epoch cache, so neither the derivation
 // loop nor the point serialization runs more than once per epoch. The
 // returned slice must not be modified.
-func ECDHEKeyPub(p *Policy, now time.Time, rand interface{ Read([]byte) (int, error) }) (*ecdh.PrivateKey, []byte, error) {
+func ECDHEKeyPub(p *Policy, now time.Time, rand io.Reader) (*ecdh.PrivateKey, []byte, error) {
+	return Counters{}.ECDHEKeyPub(p, now, rand)
+}
+
+// ECDHEKeyPub is the package function counting into c.
+func (c Counters) ECDHEKeyPub(p *Policy, now time.Time, rand io.Reader) (*ecdh.PrivateKey, []byte, error) {
 	if p == nil || p.Mode == Fresh {
-		telemetry.Global().Counter("keyex/fresh_keys").Inc()
+		c.fresh.Inc()
 		// Draw explicit scalar bytes instead of ecdh.GenerateKey(rand):
 		// GenerateKey does not consume a caller-supplied reader
 		// deterministically, which would make fresh server values (and the
@@ -171,11 +188,11 @@ func ECDHEKeyPub(p *Policy, now time.Time, rand interface{ Read([]byte) (int, er
 		}
 		return k, k.PublicKey().Bytes(), nil
 	}
-	telemetry.Global().Counter("keyex/reuse_lookups").Inc()
+	c.reuse.Inc()
 	e := p.epoch(now)
 	ck := p.key('E', e)
 	if v, ok := cacheGet(ck); ok {
-		telemetry.Global().Counter("wall/keyex/cache_hit").Inc()
+		c.hit.Inc()
 		return v.ecdheKey, v.ecdhePub, nil
 	}
 	k, err := deriveECDHE(p.epochSeedAt(e))
@@ -183,47 +200,41 @@ func ECDHEKeyPub(p *Policy, now time.Time, rand interface{ Read([]byte) (int, er
 		return nil, nil, err
 	}
 	pub := k.PublicKey().Bytes()
-	cachePut(ck, &cacheVal{ecdheKey: k, ecdhePub: pub})
+	cachePut(ck, &cacheVal{ecdheKey: k, ecdhePub: pub}, c.fill)
 	scalarStore(pub, k)
 	return k, pub, nil
 }
 
-// DHEPrivate returns the server's FFDH exponent seed for this handshake.
-func DHEPrivate(g *ffdh.Group, p *Policy, now time.Time, rand interface{ Read([]byte) (int, error) }) ([]byte, error) {
-	if p == nil || p.Mode == Fresh {
-		buf := make([]byte, 32)
-		if _, err := rand.Read(buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	return p.epochSeed(now), nil
+// DHEKey returns the server's FFDH private exponent and its serialized
+// public value (left-padded to the modulus width); rand supplies the
+// exponent seed in Fresh mode. In Reuse mode the exponent derivation and
+// the g^x modexp are served from the epoch cache. The returned values
+// must not be modified.
+func DHEKey(g *ffdh.Group, p *Policy, now time.Time, rand io.Reader) (*big.Int, []byte, error) {
+	return Counters{}.DHEKey(g, p, now, rand)
 }
 
-// DHEKey returns the server's FFDH private exponent and its serialized
-// public value (left-padded to the modulus width). In Reuse mode the
-// exponent derivation and the g^x modexp are served from the epoch cache.
-// The returned values must not be modified.
-func DHEKey(g *ffdh.Group, p *Policy, now time.Time, rand interface{ Read([]byte) (int, error) }) (*big.Int, []byte, error) {
+// DHEKey is the package function counting into c.
+func (c Counters) DHEKey(g *ffdh.Group, p *Policy, now time.Time, rand io.Reader) (*big.Int, []byte, error) {
 	if p == nil || p.Mode == Fresh {
-		telemetry.Global().Counter("keyex/fresh_keys").Inc()
-		seed, err := DHEPrivate(g, p, now, rand)
-		if err != nil {
+		c.fresh.Inc()
+		seed := make([]byte, 32)
+		if _, err := rand.Read(seed); err != nil {
 			return nil, nil, err
 		}
 		priv := g.PrivateFromSeed(seed)
 		return priv, g.Bytes(g.Public(priv)), nil
 	}
-	telemetry.Global().Counter("keyex/reuse_lookups").Inc()
+	c.reuse.Inc()
 	e := p.epoch(now)
 	ck := p.key('D', e)
 	ck.group = g
 	if v, ok := cacheGet(ck); ok {
-		telemetry.Global().Counter("wall/keyex/cache_hit").Inc()
+		c.hit.Inc()
 		return v.dhePriv, v.dhePub, nil
 	}
 	priv := g.PrivateFromSeed(p.epochSeedAt(e))
 	pub := g.Bytes(g.Public(priv))
-	cachePut(ck, &cacheVal{dhePriv: priv, dhePub: pub})
+	cachePut(ck, &cacheVal{dhePriv: priv, dhePub: pub}, c.fill)
 	return priv, pub, nil
 }

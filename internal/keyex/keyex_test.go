@@ -154,7 +154,7 @@ func ecdheOracle(t *testing.T, seed []byte) *ecdh.PrivateKey {
 // derivation done from the epoch seed alone.
 func TestReuseCacheHitsMatchDerivation(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	defer telemetry.SetGlobal(reg)()
+	c := NewCounters(reg)
 	hits := reg.Counter("wall/keyex/cache_hit")
 
 	p := &Policy{Mode: Reuse, Period: 6 * time.Hour, Base: oracleBase, Seed: []byte("keyex-test|epochs")}
@@ -173,14 +173,14 @@ func TestReuseCacheHitsMatchDerivation(t *testing.T) {
 				// cached by an earlier run in this process; the rest must hit.
 				before = hits.Value()
 			}
-			k, pub, err := ECDHEKeyPub(p, now, nil)
+			k, pub, err := c.ECDHEKeyPub(p, now, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(k.Bytes(), wantKey.Bytes()) || !bytes.Equal(pub, wantKey.PublicKey().Bytes()) {
 				t.Fatalf("epoch %d call %d: ECDHE key differs from the epoch-seed derivation", e, call)
 			}
-			x, y, err := DHEKey(g, p, now, nil)
+			x, y, err := c.DHEKey(g, p, now, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"tlsshortcuts/internal/drbg"
-	"tlsshortcuts/internal/telemetry"
 )
 
 // The scanning client's process-wide fixed P-256 key. The derivation
@@ -112,6 +111,5 @@ func FixedClientPremaster(server *ecdh.PrivateKey) []byte {
 	if err != nil {
 		return nil // fall back to the real computation
 	}
-	telemetry.Global().Counter("keyex/scalar_exchange_hit").Inc()
 	return pk.PublicKey().Bytes()[1:33]
 }

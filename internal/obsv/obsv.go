@@ -1,9 +1,8 @@
 // Package obsv is the campaign observability plane: the one HTTP server
-// a campaign (monolithic or one shard of many) attaches, a
+// a campaign (monolithic or one shard of many) attaches, and a
 // flight-recorder journal that records what the campaign did as a
-// replayable JSONL event log, and the cross-shard correlation layer
-// (peer pulling, keyed snapshot merge, journal merge) the tlsobserve CLI
-// and aggregator build on.
+// replayable JSONL event log, with the post-run journal merge the
+// tlsobserve CLI builds on to correlate shards.
 //
 // Endpoints:
 //
@@ -14,10 +13,6 @@
 //	            (?stream=1 upgrades to an SSE stream of the same)
 //	/journal    JSONL tail of the flight-recorder event log (?n=K)
 //	/healthz    liveness: "ok"
-//	/cluster    merged cross-shard view: per-peer progress plus a
-//	            telemetry.MergeSnapshotsKeyed merge of all reachable
-//	            shards (wall/ metrics kept separate per shard)
-//	/cluster/metrics  the merged snapshot as Prometheus text
 //	/debug/pprof/     net/http/pprof profiles of the serving process
 //	/debug/vars       expvar (cmdline, memstats)
 //
@@ -29,7 +24,6 @@
 package obsv
 
 import (
-	"context"
 	"encoding/json"
 	"expvar"
 	"fmt"
@@ -46,7 +40,7 @@ import (
 // Config wires a Server to one campaign's signal sources.
 type Config struct {
 	// Registry is the campaign's telemetry registry (nil serves empty
-	// metrics — an aggregator-only server).
+	// metrics).
 	Registry *telemetry.Registry
 	// Days is the campaign length, for "day N/M" progress.
 	Days int
@@ -59,9 +53,6 @@ type Config struct {
 	// Journal, when non-nil, backs /journal and the virtual-date field
 	// of /progress.
 	Journal *Journal
-	// Peers are base URLs ("http://host:port") of sibling shards' obsv
-	// servers; /cluster pulls and merges them.
-	Peers []string
 	// Interval is the progress sampling/broadcast period for the SSE
 	// stream (default 1s).
 	Interval time.Duration
@@ -142,8 +133,6 @@ func NewServer(cfg Config) *Server {
 	mux.HandleFunc("/progress", s.handleProgress)
 	mux.HandleFunc("/journal", s.handleJournal)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/cluster", s.handleCluster)
-	mux.HandleFunc("/cluster/metrics", s.handleClusterMetrics)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -203,8 +192,8 @@ func (s *Server) Close() {
 
 // Progress computes the current Progress, deriving instantaneous rates
 // from the previous sample, whichever caller took it (/progress, the SSE
-// sampler, /cluster, studyrun's -progress ticker); the first call
-// reports them as 0.
+// sampler, studyrun's -progress ticker); the first call reports them
+// as 0.
 func (s *Server) Progress() Progress {
 	snap := s.cfg.Registry.Snapshot()
 	now := s.now()
@@ -367,73 +356,4 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// ClusterView is /cluster's payload: every reachable shard's progress
-// keyed by its shard coordinate (or peer URL when anonymous), plus the
-// keyed snapshot merge across them all.
-type ClusterView struct {
-	// Shards maps shard key -> its latest progress.
-	Shards map[string]Progress `json:"shards"`
-	// Unreachable lists peers that failed to answer, with the error.
-	Unreachable map[string]string `json:"unreachable,omitempty"`
-	// Merged is the cross-shard telemetry merge: deterministic metrics
-	// summed, wall/ metrics kept per shard under wall/<key>/.
-	Merged *telemetry.Snapshot `json:"merged"`
-}
-
-// cluster assembles the merged cross-shard view by pulling every peer's
-// /metrics?format=json and /progress, plus the local registry.
-func (s *Server) cluster(ctx context.Context) ClusterView {
-	view := ClusterView{Shards: map[string]Progress{}}
-	snaps := map[string]*telemetry.Snapshot{}
-	if s.cfg.Registry != nil {
-		key := s.cfg.Shard
-		if key == "" {
-			key = "local"
-		}
-		snaps[key] = s.cfg.Registry.Snapshot()
-		view.Shards[key] = s.Progress()
-	}
-	for i, peer := range s.cfg.Peers {
-		c := NewClient(peer)
-		prog, perr := c.Progress(ctx)
-		snap, serr := c.Snapshot(ctx)
-		if perr != nil || serr != nil {
-			err := perr
-			if err == nil {
-				err = serr
-			}
-			if view.Unreachable == nil {
-				view.Unreachable = map[string]string{}
-			}
-			view.Unreachable[peer] = err.Error()
-			continue
-		}
-		key := prog.Shard
-		if key == "" {
-			key = fmt.Sprintf("peer%d(%s)", i, peer)
-		}
-		view.Shards[key] = prog
-		snaps[key] = snap
-	}
-	view.Merged = telemetry.MergeSnapshotsKeyed(snaps)
-	return view
-}
-
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
-	defer cancel()
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(s.cluster(ctx)); err != nil && s.cfg.Logf != nil {
-		s.cfg.Logf("obsv: /cluster encode: %v", err)
-	}
-}
-
-func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
-	defer cancel()
-	view := s.cluster(ctx)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	WriteProm(w, view.Merged)
 }

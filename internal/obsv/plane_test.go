@@ -41,6 +41,21 @@ func readGolden(t *testing.T) string {
 	return strings.TrimSpace(string(b))
 }
 
+// get fetches url, failing the test on any status but 200.
+func get(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, %v", url, resp.StatusCode, err)
+	}
+	return string(body)
+}
+
 func hashDataset(t *testing.T, ds *study.Dataset) string {
 	t.Helper()
 	b, err := json.Marshal(ds)
@@ -125,29 +140,20 @@ func TestFullPlaneGoldenCampaign(t *testing.T) {
 	}
 
 	// The plane's endpoints reflect the finished campaign.
-	client := obsv.NewClient(hts.URL)
-	ctx := context.Background()
-	if err := client.Healthz(ctx); err != nil {
-		t.Errorf("healthz: %v", err)
+	if body := get(t, hts.URL+"/healthz"); strings.TrimSpace(body) != "ok" {
+		t.Errorf("healthz answered %q", body)
 	}
-	prog, err := client.Progress(ctx)
-	if err != nil {
+	var prog obsv.Progress
+	if err := json.Unmarshal([]byte(get(t, hts.URL+"/progress")), &prog); err != nil {
 		t.Fatalf("progress: %v", err)
 	}
 	if prog.Day != uint64(detOpts.Days) || prog.Handshakes == 0 || prog.Probes == 0 {
 		t.Errorf("progress does not reflect the campaign: %+v", prog)
 	}
-	resp, err := http.Get(hts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var promText bytes.Buffer
-	promText.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(promText.String(), "tls_scanner_probes_total") {
+	if !strings.Contains(get(t, hts.URL+"/metrics"), "tls_scanner_probes_total") {
 		t.Error("/metrics missing the probe counter")
 	}
-	events, err := client.Journal(ctx, 10)
+	events, err := obsv.DecodeEvents(strings.NewReader(get(t, hts.URL+"/journal?n=10")))
 	if err != nil {
 		t.Fatalf("journal tail: %v", err)
 	}
@@ -155,15 +161,8 @@ func TestFullPlaneGoldenCampaign(t *testing.T) {
 		t.Errorf("journal tail does not end with campaign_end: %d events", len(events))
 	}
 	for _, path := range []string{"/debug/pprof/cmdline", "/debug/vars"} {
-		resp, err := http.Get(hts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var body bytes.Buffer
-		body.ReadFrom(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || body.Len() == 0 {
-			t.Errorf("GET %s: status %d, %d-byte body", path, resp.StatusCode, body.Len())
+		if get(t, hts.URL+path) == "" {
+			t.Errorf("GET %s: empty body", path)
 		}
 	}
 
@@ -362,63 +361,4 @@ func diffHead(a, b string) string {
 		}
 	}
 	return fmt.Sprintf("lengths differ: %d vs %d", len(la), len(lb))
-}
-
-// TestClusterView: a server with a peer merges both shards' metrics and
-// progress; deterministic counters sum, wall/ metrics stay per shard.
-func TestClusterView(t *testing.T) {
-	regA := telemetry.NewRegistry()
-	regA.Counter("scanner/probes").Add(10)
-	regA.Counter("wall/scanner/busy_ns").Add(100)
-	serverA := obsv.NewServer(obsv.Config{Registry: regA, Shard: "0/2"})
-	htsA := httptest.NewServer(serverA)
-	defer htsA.Close()
-
-	regB := telemetry.NewRegistry()
-	regB.Counter("scanner/probes").Add(32)
-	regB.Counter("wall/scanner/busy_ns").Add(200)
-	serverB := obsv.NewServer(obsv.Config{Registry: regB, Shard: "1/2", Peers: []string{htsA.URL}})
-	htsB := httptest.NewServer(serverB)
-	defer htsB.Close()
-
-	view, err := obsv.NewClient(htsB.URL).Cluster(context.Background())
-	if err != nil {
-		t.Fatalf("cluster: %v", err)
-	}
-	if len(view.Shards) != 2 {
-		t.Fatalf("cluster sees %d shards, want 2: %+v", len(view.Shards), view.Shards)
-	}
-	if got := view.Merged.Counters["scanner/probes"]; got != 42 {
-		t.Errorf("merged probes = %d, want 42", got)
-	}
-	if got := view.Merged.Counters["wall/0/2/scanner/busy_ns"]; got != 100 {
-		t.Errorf("shard 0/2 wall counter = %d, want 100 (keys: %v)", got, view.Merged.Counters)
-	}
-	if got := view.Merged.Counters["wall/1/2/scanner/busy_ns"]; got != 200 {
-		t.Errorf("shard 1/2 wall counter = %d, want 200", got)
-	}
-
-	// /cluster/metrics renders the merged snapshot as prom text.
-	resp, err := http.Get(htsB.URL + "/cluster/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body bytes.Buffer
-	body.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(body.String(), "tls_scanner_probes_total 42") {
-		t.Errorf("/cluster/metrics missing merged counter:\n%s", body.String())
-	}
-
-	// A dead peer is reported unreachable, not fatal.
-	serverC := obsv.NewServer(obsv.Config{Registry: regB, Shard: "1/2", Peers: []string{"http://127.0.0.1:1"}})
-	htsC := httptest.NewServer(serverC)
-	defer htsC.Close()
-	view, err = obsv.NewClient(htsC.URL).Cluster(context.Background())
-	if err != nil {
-		t.Fatalf("cluster with dead peer: %v", err)
-	}
-	if len(view.Unreachable) != 1 {
-		t.Errorf("dead peer not reported: %+v", view.Unreachable)
-	}
 }

@@ -10,7 +10,6 @@ import (
 	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
-	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
 	"crypto/sha512"
@@ -34,10 +33,6 @@ const (
 	ECDSAP256 Alg = iota
 	RSA2048
 )
-
-// DefaultRand is the entropy source used when callers have no seeded
-// stream of their own.
-var DefaultRand io.Reader = rand.Reader
 
 // Certificate bundles a leaf with its chain and private key — everything a
 // terminator needs to serve it.
@@ -181,9 +176,11 @@ type SKENonce struct {
 // Certificate's Key is its leaf's, as IssueLeaf makes it) with the r
 // that sig carries, the check costs no curve operation (verify).
 // Every other signature, and every one the fast check does not accept,
-// goes to VerifySKE. h may be nil.
-func (h *SKENonce) Verify(leaf *x509.Certificate, digest, sig []byte) error {
+// goes to VerifySKE. h may be nil. handedOver counts the signatures
+// the nonce verified.
+func (h *SKENonce) Verify(leaf *x509.Certificate, digest, sig []byte, handedOver *telemetry.Counter) error {
 	if h != nil && h.signer != nil && bytes.Equal(h.signer.Chain[0], leaf.Raw) && h.verify(digest, sig) {
+		handedOver.Inc()
 		return nil
 	}
 	return VerifySKE(leaf.PublicKey, digest, sig)
@@ -209,11 +206,7 @@ func (h *SKENonce) verify(digest, sig []byte) bool {
 	d.setBytes(h.signer.Key.(*ecdsa.PrivateKey).D.FillBytes(buf[:]))
 	e.setBytes(digest)
 	u.mul(&r, &d).add(&u, &e) // e + r·d
-	if *w.mul(&s, &h.k) != u {
-		return false
-	}
-	telemetry.Global().Counter("pki/ske_nonce_hit").Inc()
-	return true
+	return *w.mul(&s, &h.k) == u
 }
 
 // parseSignature parses an ASN.1 DER ECDSA signature under crypto/ecdsa's

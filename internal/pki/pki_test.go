@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto"
 	"crypto/elliptic"
+	crand "crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
 	"crypto/x509"
@@ -26,11 +27,11 @@ var (
 )
 
 func newLeaf(alg Alg) (*Certificate, error) {
-	root, err := NewRootCA("test root", alg, DefaultRand)
+	root, err := NewRootCA("test root", alg, crand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	return root.IssueLeaf([]string{"example.com"}, alg, nb, na, DefaultRand)
+	return root.IssueLeaf([]string{"example.com"}, alg, nb, na, crand.Reader)
 }
 
 var p256Leaf = sync.OnceValues(func() (*Certificate, error) { return newLeaf(ECDSAP256) })
@@ -142,7 +143,7 @@ func TestSignSKERSA(t *testing.T) {
 	pub := crt.Key.Public().(*rsa.PublicKey)
 	for i := 0; i < 4; i++ {
 		digest := digestOf(i)
-		sig, err := crt.SignSKE(DefaultRand, digest, nil)
+		sig, err := crt.SignSKE(crand.Reader, digest, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,15 +186,15 @@ func BenchmarkSignSKE(b *testing.B) {
 // own parse for the added leaf, one shared parse for the other, and one
 // message equal to a fresh marshaling.
 func TestRootStoreLeafConcurrent(t *testing.T) {
-	root, err := NewRootCA("test root", ECDSAP256, DefaultRand)
+	root, err := NewRootCA("test root", ECDSAP256, crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	added, err := root.IssueLeaf([]string{"added.example"}, ECDSAP256, nb, na, DefaultRand)
+	added, err := root.IssueLeaf([]string{"added.example"}, ECDSAP256, nb, na, crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := root.IssueLeaf([]string{"other.example"}, ECDSAP256, nb, na, DefaultRand)
+	other, err := root.IssueLeaf([]string{"other.example"}, ECDSAP256, nb, na, crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 func agree(t testing.TB, h *SKENonce, leaf *x509.Certificate, digest, sig []byte) bool {
 	t.Helper()
 	want := ecdsa.VerifyASN1(leaf.PublicKey.(*ecdsa.PublicKey), digest, sig)
-	if got := h.Verify(leaf, digest, sig) == nil; got != want {
+	if got := h.Verify(leaf, digest, sig, nonceHits) == nil; got != want {
 		t.Fatalf("Verify accepts = %v, ecdsa.VerifyASN1 = %v\n  digest %x\n  sig    %x", got, want, digest, sig)
 	}
 	return want
@@ -136,7 +136,7 @@ func TestVerifySKEMatchesStdlibMalformed(t *testing.T) {
 	var h SKENonce
 	for i := 0; i < 8; i++ {
 		digest := digestOf(i)
-		sig, err := crt.SignSKE(DefaultRand, digest, &h)
+		sig, err := crt.SignSKE(rand.Reader, digest, &h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestVerifySKEMatchesStdlibDigestWidths(t *testing.T) {
 	crt := p256Cert(t)
 	priv := crt.Key.(*ecdsa.PrivateKey)
 	var h SKENonce
-	if _, err := crt.SignSKE(DefaultRand, digestOf(0), &h); err != nil {
+	if _, err := crt.SignSKE(rand.Reader, digestOf(0), &h); err != nil {
 		t.Fatal(err)
 	}
 	long := sha512.Sum512([]byte("wide"))
@@ -248,7 +248,7 @@ func TestVerifySKEFallbacks(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		digest := digestOf(i)
-		sig, err := signP256(priv, DefaultRand, digest, nil)
+		sig, err := signP256(priv, rand.Reader, digest, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,11 +264,11 @@ func TestVerifySKEFallbacks(t *testing.T) {
 
 		var h, oh SKENonce
 		digest = digestOf(i)
-		sig, err = crt.SignSKE(DefaultRand, digest, &h)
+		sig, err = crt.SignSKE(rand.Reader, digest, &h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := other.SignSKE(DefaultRand, digest, &oh); err != nil {
+		if _, err := other.SignSKE(rand.Reader, digest, &oh); err != nil {
 			t.Fatal(err)
 		}
 		if !agree(t, nil, crt.Leaf, digest, sig) || !agree(t, &oh, crt.Leaf, digest, sig) {
@@ -305,12 +305,12 @@ func TestVerifySKEFallbacks(t *testing.T) {
 // Leaves issued concurrently with signing and verification must neither
 // race nor change any verdict.
 func TestVerifySKEConcurrentIssue(t *testing.T) {
-	root, err := NewRootCA("race root", ECDSAP256, DefaultRand)
+	root, err := NewRootCA("race root", ECDSAP256, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	issue := func() *Certificate {
-		crt, err := root.IssueLeaf([]string{"example.com"}, ECDSAP256, nb, na, DefaultRand)
+		crt, err := root.IssueLeaf([]string{"example.com"}, ECDSAP256, nb, na, rand.Reader)
 		if err != nil {
 			t.Error(err)
 		}
@@ -340,17 +340,17 @@ func TestVerifySKEConcurrentIssue(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				var h SKENonce
 				digest := digestOf(i)
-				sig, err := crt.SignSKE(DefaultRand, digest, &h)
+				sig, err := crt.SignSKE(rand.Reader, digest, &h)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if err := h.Verify(crt.Leaf, digest, sig); err != nil {
+				if err := h.Verify(crt.Leaf, digest, sig, nonceHits); err != nil {
 					t.Errorf("concurrent verify: %v", err)
 					return
 				}
 				digest[1] ^= 1
-				if h.Verify(crt.Leaf, digest, sig) == nil {
+				if h.Verify(crt.Leaf, digest, sig, nonceHits) == nil {
 					t.Error("concurrent verify accepted a flipped digest")
 					return
 				}
@@ -360,12 +360,14 @@ func TestVerifySKEConcurrentIssue(t *testing.T) {
 	vg.Wait()
 }
 
-// countHits installs a fresh telemetry registry for the test and returns
-// its nonce-hit counter.
+// nonceHits is the counter the tests' Verify calls count nonce hits
+// into; countHits gives the calling test a fresh one.
+var nonceHits *telemetry.Counter
+
 func countHits(t testing.TB) *telemetry.Counter {
-	reg := telemetry.NewRegistry()
-	t.Cleanup(telemetry.SetGlobal(reg))
-	return reg.Counter("pki/ske_nonce_hit")
+	nonceHits = new(telemetry.Counter)
+	t.Cleanup(func() { nonceHits = nil })
+	return nonceHits
 }
 
 // Signatures checked with their own hand-off must get ecdsa.VerifyASN1's
@@ -381,15 +383,15 @@ func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		var h, oh SKENonce
 		digest := digestOf(i)
-		prev, err := crt.SignSKE(DefaultRand, digestOf(i+1000), nil)
+		prev, err := crt.SignSKE(rand.Reader, digestOf(i+1000), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		otherSig, err := other.SignSKE(DefaultRand, digest, &oh)
+		otherSig, err := other.SignSKE(rand.Reader, digest, &oh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sig, err := crt.SignSKE(DefaultRand, digest, &h)
+		sig, err := crt.SignSKE(rand.Reader, digest, &h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,7 +437,7 @@ func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
 		}
 		// A hand-off that moved on to the next signature sends this one
 		// to ecdsa.VerifyASN1.
-		if _, err := crt.SignSKE(DefaultRand, digestOf(i+2000), &h); err != nil {
+		if _, err := crt.SignSKE(rand.Reader, digestOf(i+2000), &h); err != nil {
 			t.Fatal(err)
 		}
 		before := hits.Value()
@@ -460,14 +462,14 @@ func TestVerifySKENonceHitsCounted(t *testing.T) {
 	const n = 16
 	for i := 0; i < n; i++ {
 		var h SKENonce
-		sig, err := crt.SignSKE(DefaultRand, digestOf(i), &h)
+		sig, err := crt.SignSKE(rand.Reader, digestOf(i), &h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Verify(crt.Leaf, digestOf(i), sig); err != nil {
+		if err := h.Verify(crt.Leaf, digestOf(i), sig, nonceHits); err != nil {
 			t.Fatal(err)
 		}
-		sig, err = signP256(outside, DefaultRand, digestOf(i), nil)
+		sig, err = signP256(outside, rand.Reader, digestOf(i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -497,7 +499,7 @@ func TestVerifySKEFastPathAfterManyKeys(t *testing.T) {
 	}
 	hits := countHits(t)
 	var h SKENonce
-	sig, err := first.SignSKE(DefaultRand, digestOf(0), &h)
+	sig, err := first.SignSKE(rand.Reader, digestOf(0), &h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +539,7 @@ func TestVerifySKENonceTableConcurrent(t *testing.T) {
 			for i := 0; i < perSigner; i++ {
 				h := new(SKENonce)
 				digest := digestOf(w*perSigner + i)
-				sig, err := c.SignSKE(DefaultRand, digest, h)
+				sig, err := c.SignSKE(rand.Reader, digest, h)
 				if err != nil {
 					t.Error(err)
 					return
@@ -554,7 +556,7 @@ func TestVerifySKENonceTableConcurrent(t *testing.T) {
 			defer vg.Done()
 			for x := range out {
 				check := func(leaf *x509.Certificate, digest, sig []byte, want bool) {
-					got := x.h.Verify(leaf, digest, sig) == nil
+					got := x.h.Verify(leaf, digest, sig, nonceHits) == nil
 					if std := ecdsa.VerifyASN1(leaf.PublicKey.(*ecdsa.PublicKey), digest, sig); got != std || got != want {
 						t.Errorf("Verify = %v, ecdsa.VerifyASN1 = %v, want %v", got, std, want)
 					}
@@ -575,11 +577,11 @@ func TestVerifySKENonceTableConcurrent(t *testing.T) {
 }
 
 func TestRootStoreMemoHonoursValidity(t *testing.T) {
-	root, err := NewRootCA("memo root", ECDSAP256, DefaultRand)
+	root, err := NewRootCA("memo root", ECDSAP256, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := root.IssueLeaf([]string{"example.com"}, ECDSAP256, nb, na, DefaultRand)
+	leaf, err := root.IssueLeaf([]string{"example.com"}, ECDSAP256, nb, na, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,16 +673,16 @@ func BenchmarkVerifySKE(b *testing.B) {
 			var sig []byte
 			if bc.crt == nil {
 				leaf = bare(&outside.PublicKey)
-				if sig, err = signP256(outside, DefaultRand, digest, nil); err != nil {
+				if sig, err = signP256(outside, rand.Reader, digest, nil); err != nil {
 					b.Fatal(err)
 				}
 			} else {
 				h, leaf = new(SKENonce), bc.crt.Leaf
-				if sig, err = bc.crt.SignSKE(DefaultRand, digest, h); err != nil {
+				if sig, err = bc.crt.SignSKE(rand.Reader, digest, h); err != nil {
 					b.Fatal(err)
 				}
 				if bc.miss {
-					if _, err := bc.crt.SignSKE(DefaultRand, digestOf(1), h); err != nil {
+					if _, err := bc.crt.SignSKE(rand.Reader, digestOf(1), h); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -688,7 +690,7 @@ func BenchmarkVerifySKE(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := h.Verify(leaf, digest, sig); err != nil {
+				if err := h.Verify(leaf, digest, sig, nonceHits); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,6 +9,7 @@
 package population
 
 import (
+	crand "crypto/rand"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -291,11 +292,11 @@ func Build(o Options) (*World, error) {
 	}
 	rng := rand.New(rand.NewSource(o.Seed ^ 0x7515))
 
-	root, err := pki.NewRootCA("Sim Trust Root", pki.ECDSAP256, pki.DefaultRand)
+	root, err := pki.NewRootCA("Sim Trust Root", pki.ECDSAP256, crand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	badRoot, err := pki.NewRootCA("Shady CA", pki.ECDSAP256, pki.DefaultRand)
+	badRoot, err := pki.NewRootCA("Shady CA", pki.ECDSAP256, crand.Reader)
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +365,7 @@ func (b *builder) issueLeaves() error {
 	errs := make([]error, len(b.leaves))
 	par.ForEach(runtime.GOMAXPROCS(0), len(b.leaves), func(_, i int) {
 		l := &b.leaves[i]
-		cert, err := l.issuer.IssueLeaf(l.names, pki.ECDSAP256, b.start.AddDate(0, -2, 0), b.notAfter, pki.DefaultRand)
+		cert, err := l.issuer.IssueLeaf(l.names, pki.ECDSAP256, b.start.AddDate(0, -2, 0), b.notAfter, crand.Reader)
 		if err != nil {
 			errs[i] = err
 			return

@@ -58,7 +58,7 @@ func stekKeys(m ticket.Manager, start time.Time) string {
 	}
 	var b strings.Builder
 	for _, d := range []time.Duration{0, 36 * time.Hour, 40 * 24 * time.Hour} {
-		k := m.IssuingKey(start.Add(d))
+		k := m.IssuingKey(start.Add(d), nil)
 		fmt.Fprintf(&b, "%d:%x:%x:%x:%v;", k.Format, k.Name, k.AESKey, k.MACKey, k.WeakIV)
 	}
 	return b.String()

@@ -15,7 +15,6 @@ import (
 	"net"
 
 	"tlsshortcuts/internal/handoff"
-	"tlsshortcuts/internal/telemetry"
 )
 
 // Record content types.
@@ -42,6 +41,8 @@ type halfConn struct {
 	aead cipher.AEAD
 	salt [4]byte
 	seq  uint64
+	// handedOver is set when the AEAD came from the peer's writer.
+	handedOver bool
 	// nonce and aadBuf are scratch handed to the AEAD. They live on the
 	// (heap-resident) connection rather than the stack because slices
 	// passed through the cipher.AEAD interface escape: stack locals here
@@ -112,17 +113,21 @@ func (rc *Conn) ArmWrite(key, salt []byte) error {
 func (rc *Conn) ArmRead(key, salt []byte) error {
 	link, end := handoff.Of(rc.c)
 	aead := link.PeerAEAD(end, key)
-	if aead != nil {
-		telemetry.Global().Counter("record/aead_cache_hit").Inc()
-	} else {
+	handedOver := aead != nil
+	if !handedOver {
 		var err error
 		if aead, err = NewAEAD(key); err != nil {
 			return err
 		}
 	}
 	rc.in.arm(aead, salt)
+	rc.in.handedOver = handedOver
 	return nil
 }
+
+// ReadHandedOver reports whether the read direction runs on the AEAD
+// the peer handed over.
+func (rc *Conn) ReadHandedOver() bool { return rc.in.handedOver }
 
 func (h *halfConn) arm(aead cipher.AEAD, salt []byte) {
 	h.aead = aead

@@ -30,6 +30,7 @@ type CryptCapture struct {
 // through an attacker.Tap — the pass plays the paper's passive adversary
 // alongside the measurement client.
 func (s *Scanner) CryptanalysisCapture(domains []string, appData []byte) []CryptCapture {
+	s.ensureArenas()
 	out := make([]CryptCapture, len(domains))
 	par.ForEach(s.workers(), len(domains), func(w, i int) {
 		out[i] = s.captureDomain(domains[i], appData)
@@ -84,6 +85,7 @@ func (s *Scanner) tapProbe(domain, label string, cfg *tlsclient.Config) (*attack
 	cfg.ServerName = domain
 	cfg.Clock = s.Clock
 	cfg.Roots = s.Roots
+	cfg.Telemetry = s.client
 	if s.Seed != nil {
 		cfg.Rand = drbg.NewParts(s.Seed, domain, label)
 	}

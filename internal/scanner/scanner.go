@@ -92,25 +92,35 @@ type Scanner struct {
 	// this Scanner runs. Indexed by the worker slot par.ForEach hands
 	// out, so no locking is needed inside a probe.
 	arenas []*workerArena
+
+	// client is Telemetry's tlsclient counters, resolved by ensureArenas
+	// and shared by every connection.
+	client *tlsclient.Counters
 }
 
 // workerArena is one worker's recycled per-connection state: the Config
-// rebuilt per probe, the two Captures a two-connection scan fills, and
-// the reseedable client-entropy stream. Everything a probe retains past
-// the connection (Sessions, Observation bytes) is copied out of the
-// arena before the next probe overwrites it.
+// rebuilt per probe, the two Captures a two-connection scan fills, the
+// reseedable client-entropy stream, and the source re-seeded for each
+// cross-domain candidate draw. Everything a probe retains past the
+// connection (Sessions, Observation bytes) is copied out of the arena
+// before the next probe overwrites it.
 type workerArena struct {
-	cfg  tlsclient.Config
-	cap1 tlsclient.Capture
-	cap2 tlsclient.Capture
-	rng  drbg.Reader
+	cfg     tlsclient.Config
+	cap1    tlsclient.Capture
+	cap2    tlsclient.Capture
+	rng     drbg.Reader
+	shuffle *rand.Rand
 }
 
-// ensureArenas grows the arena table to the worker count. Called before
-// goroutines spawn; not safe during a scan.
+// ensureArenas grows the arena table to the worker count and resolves
+// the client counters. Called before goroutines spawn; not safe during
+// a scan.
 func (s *Scanner) ensureArenas() {
+	if s.client == nil {
+		s.client = tlsclient.NewCounters(s.Telemetry)
+	}
 	for n := s.workers(); len(s.arenas) < n; {
-		s.arenas = append(s.arenas, &workerArena{})
+		s.arenas = append(s.arenas, &workerArena{shuffle: rand.New(rand.NewSource(0))})
 	}
 }
 
@@ -254,6 +264,7 @@ func (s *Scanner) connectOnce(ar *workerArena, dst *tlsclient.Capture, domain, l
 	}
 	cfg.Roots = s.Roots
 	cfg.ReuseKex = true
+	cfg.Telemetry = s.client
 	cfg.Rand = callerRand
 	if callerRand == nil && s.Seed != nil {
 		// Same stream as a fresh NewParts reader, reseeded in place.
@@ -576,8 +587,8 @@ func (s *Scanner) CrossDomainGroupsIn(initiators, pop []string, topo Topology, n
 		// The candidate probes below recycle cap1, so hold the session
 		// (heap-allocated, owns its bytes) rather than the Capture.
 		sess := ar.cap1.Session
-		cands := seededPrefix(domain, topo.SameAS(domain), nAS)
-		cands = append(cands, seededPrefix(domain, topo.SameIP(domain), nIP)...)
+		cands := seededPrefix(ar.shuffle, domain, topo.SameAS(domain), nAS)
+		cands = append(cands, seededPrefix(ar.shuffle, domain, topo.SameIP(domain), nIP)...)
 		seen := map[string]bool{domain: true}
 		for _, cand := range cands {
 			if seen[cand] || !inPop[cand] {
@@ -602,14 +613,15 @@ func (s *Scanner) CrossDomainGroupsIn(initiators, pop []string, topo Topology, n
 }
 
 // seededPrefix returns the first n elements of a deterministic per-domain
-// shuffle of list without domain. list must be sorted (SameAS's list
-// holds the domain, SameIP's does not); it is read, never copied or
-// written. Only the first n draws of a Fisher-Yates pass run, and they
-// run over a virtual copy that records only the positions a draw
-// displaced, so the cost depends on n and not on len(list); the
-// selection is still a prefix of the same infinite shuffle, so a larger
-// budget strictly extends a smaller one.
-func seededPrefix(domain string, list []string, n int) []string {
+// shuffle of list without domain, drawn from rng re-seeded with the
+// domain's hash (a re-seeded source yields what a fresh one would, without
+// allocating one). list must be sorted (SameAS's list holds the domain,
+// SameIP's does not); it is read, never copied or written. Only the first
+// n draws of a Fisher-Yates pass run, and they run over a virtual copy
+// that records only the positions a draw displaced, so the cost depends
+// on n and not on len(list); the selection is still a prefix of the same
+// infinite shuffle, so a larger budget strictly extends a smaller one.
+func seededPrefix(rng *rand.Rand, domain string, list []string, n int) []string {
 	// [lo, hi) is domain's run in list; the draw skips it.
 	lo := sort.SearchStrings(list, domain)
 	hi := lo
@@ -625,7 +637,7 @@ func seededPrefix(domain string, list []string, n int) []string {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(domain))
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	rng.Seed(int64(h.Sum64()))
 	moved := make(map[int]string, n) // position -> name a draw swapped there
 	at := func(k int) string {
 		if name, ok := moved[k]; ok {

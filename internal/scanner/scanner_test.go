@@ -57,13 +57,14 @@ func TestForEachDefaultWorkers(t *testing.T) {
 }
 
 func TestSeededPrefixExtension(t *testing.T) {
+	shuffle := rand.New(rand.NewSource(0))
 	list := make([]string, 40)
 	for i := range list {
 		list[i] = string(rune('a'+i%26)) + string(rune('0'+i/26))
 	}
 	sort.Strings(list) // as the topology hands it over
 	for _, domain := range []string{"example.com", "other.net"} {
-		full := seededPrefix(domain, list, len(list))
+		full := seededPrefix(shuffle, domain, list, len(list))
 		seen := make(map[string]bool)
 		for _, d := range full {
 			if seen[d] {
@@ -77,7 +78,7 @@ func TestSeededPrefixExtension(t *testing.T) {
 		// A smaller budget must be a strict prefix of a larger one: the
 		// cross-domain scan's budget can grow without invalidating old runs.
 		for n := 0; n <= len(list); n++ {
-			got := seededPrefix(domain, list, n)
+			got := seededPrefix(shuffle, domain, list, n)
 			if len(got) != n {
 				t.Fatalf("%s: seededPrefix(%d) returned %d elements", domain, n, len(got))
 			}
@@ -88,10 +89,10 @@ func TestSeededPrefixExtension(t *testing.T) {
 			}
 		}
 	}
-	if got := seededPrefix("x", nil, 3); got != nil {
+	if got := seededPrefix(shuffle, "x", nil, 3); got != nil {
 		t.Fatalf("empty list: got %v", got)
 	}
-	if got := seededPrefix("x", list, 100); len(got) != len(list) {
+	if got := seededPrefix(shuffle, "x", list, 100); len(got) != len(list) {
 		t.Fatalf("oversized budget: got %d elements", len(got))
 	}
 }
@@ -127,10 +128,11 @@ func copyShufflePrefix(domain string, list []string, n int) []string {
 // TestSeededPrefixMatchesCopyShuffle draws from sorted lists of random
 // sizes, with the domain at a random position, twice, or absent (as in
 // SameIP's lists), at budgets from below zero to past the list's end:
-// the draw over the shared list must pick the same names in the same
-// order as the copy-and-shuffle reference, and leave the list as it was.
+// the draw over the shared list, from one source re-seeded per draw,
+// must pick the same names in the same order as the copy-and-shuffle
+// reference's fresh source, and leave the list as it was.
 func TestSeededPrefixMatchesCopyShuffle(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng, shuffle := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(0))
 	for trial := 0; trial < 3000; trial++ {
 		size := rng.Intn(40)
 		if trial%100 == 0 {
@@ -153,7 +155,7 @@ func TestSeededPrefixMatchesCopyShuffle(t *testing.T) {
 		before := slices.Clone(list)
 		budgets := []int{rng.Intn(size+3) - 1, 5, size}
 		for _, n := range budgets {
-			got := seededPrefix(domain, list, n)
+			got := seededPrefix(shuffle, domain, list, n)
 			if want := copyShufflePrefix(domain, list, n); !reflect.DeepEqual(got, want) {
 				t.Fatalf("size %d, domain %s, budget %d: got %v, want %v", len(list), domain, n, got, want)
 			}
@@ -166,9 +168,11 @@ func TestSeededPrefixMatchesCopyShuffle(t *testing.T) {
 
 // TestSameASDrawCostFlat pins the cost of choosing a domain's same-AS
 // candidates: the bytes one SameAS plus seededPrefix call allocates must
-// not grow with the AS. A draw that copied or sorted the AS list would
-// make the cross-domain phase quadratic in operator size: the largest
-// AS holds 18,000 domains in a 100k seed-3 world.
+// not grow with the AS, and must stay near the drawn names' own 80 B. A
+// draw that copied or sorted the AS list would make the cross-domain
+// phase quadratic in operator size: the largest AS holds 18,000 domains
+// in a 100k seed-3 world. A math/rand source allocated per draw costs
+// 5,376 B.
 func TestSameASDrawCostFlat(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	perCall := func(asSize int) uint64 {
@@ -178,7 +182,8 @@ func TestSameASDrawCostFlat(t *testing.T) {
 			net.Register(d, 1, []string{"ip-" + d})
 		}
 		const domain, runs = "d000050.example", 100
-		draw := func() { seededPrefix(domain, net.SameAS(domain), 5) }
+		shuffle := rand.New(rand.NewSource(0))
+		draw := func() { seededPrefix(shuffle, domain, net.SameAS(domain), 5) }
 		draw() // the first call after Register sorts the list
 		best := ^uint64(0)
 		for rep := 0; rep < 3; rep++ {
@@ -198,6 +203,9 @@ func TestSameASDrawCostFlat(t *testing.T) {
 	t.Logf("bytes per SameAS + seededPrefix call: %d for an AS of 100 domains, %d for 20,000", small, large)
 	if large > small {
 		t.Fatalf("an AS of 20,000 domains costs %d B per draw, one of 100 costs %d B: the draw copies the list", large, small)
+	}
+	if small > 256 {
+		t.Fatalf("a draw of 5 names allocates %d B, more than 256", small)
 	}
 }
 

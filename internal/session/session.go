@@ -124,8 +124,37 @@ func NewBoundedCache(lifetime time.Duration, capacity int) *Cache {
 	return &Cache{Lifetime: lifetime, Capacity: capacity}
 }
 
+// Counters counts cache operations into a registry's session/
+// counters, resolved once: puts, hits, stale lookups and LRU evictions,
+// and under wall/ the expired entries a Put swept or a Get found, whose
+// split depends on sweep timing. The zero value counts nothing, and
+// Cache's Put and Get are its methods on the zero value.
+type Counters struct {
+	put, hit, stale, evicted, swept, expiredGet *telemetry.Counter
+}
+
+// NewCounters resolves r's session/ counters once.
+func NewCounters(r *telemetry.Registry) Counters {
+	return Counters{
+		put:        r.LazyCounter("session/cache_put"),
+		hit:        r.LazyCounter("session/cache_hit"),
+		stale:      r.LazyCounter("session/cache_stale"),
+		evicted:    r.LazyCounter("session/cache_evicted"),
+		swept:      r.LazyCounter("wall/session/cache_swept"),
+		expiredGet: r.LazyCounter("wall/session/cache_expired_get"),
+	}
+}
+
 // Put stores state under id at time now.
-func (c *Cache) Put(id []byte, st *State, now time.Time) {
+func (c *Cache) Put(id []byte, st *State, now time.Time) { Counters{}.Put(c, id, st, now) }
+
+// Get returns the live state for id at time now, or nil if absent or
+// expired (expired entries are evicted). A hit refreshes the entry's
+// LRU position.
+func (c *Cache) Get(id []byte, now time.Time) *State { return Counters{}.Get(c, id, now) }
+
+// Put is Cache.Put counting into n.
+func (n Counters) Put(c *Cache, id []byte, st *State, now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
@@ -141,11 +170,12 @@ func (c *Cache) Put(id []byte, st *State, now time.Time) {
 		c.entries[e.id] = e
 		heap.Push(&c.byAge, e)
 	}
-	telemetry.Global().Counter("session/cache_put").Inc()
+	n.put.Inc()
 	// Expired entries go first — they are free to drop — then LRU.
-	c.sweepLocked(now)
+	n.swept.Add(c.sweepLocked(now))
 	for c.Capacity > 0 && len(c.entries) > c.Capacity {
 		c.evictLRULocked()
+		n.evicted.Inc()
 	}
 }
 
@@ -160,7 +190,6 @@ func (c *Cache) evictLRULocked() {
 		}
 	}
 	c.removeLocked(victim)
-	telemetry.Global().Counter("session/cache_evicted").Inc()
 }
 
 // removeLocked deletes e from the map and the heap. Callers hold c.mu.
@@ -169,10 +198,8 @@ func (c *Cache) removeLocked(e *entry) {
 	delete(c.entries, e.id)
 }
 
-// Get returns the live state for id at time now, or nil if absent or
-// expired (expired entries are evicted). A hit refreshes the entry's
-// LRU position.
-func (c *Cache) Get(id []byte, now time.Time) *State {
+// Get is Cache.Get counting into n.
+func (n Counters) Get(c *Cache, id []byte, now time.Time) *State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lastNow = now
@@ -181,19 +208,18 @@ func (c *Cache) Get(id []byte, now time.Time) *State {
 		// "stale" covers both never-stored and already-evicted lookups:
 		// whether an expired entry was swept or is caught here depends on
 		// sweep timing, so only the combined count is deterministic.
-		telemetry.Global().Counter("session/cache_stale").Inc()
+		n.stale.Inc()
 		return nil
 	}
 	if c.expired(e, now) {
 		c.removeLocked(e)
-		tel := telemetry.Global()
-		tel.Counter("session/cache_stale").Inc()
-		tel.Counter("wall/session/cache_expired_get").Inc()
+		n.stale.Inc()
+		n.expiredGet.Inc()
 		return nil
 	}
 	c.seq++
 	e.used, e.seq = now, c.seq
-	telemetry.Global().Counter("session/cache_hit").Inc()
+	n.hit.Inc()
 	return e.st
 }
 
@@ -201,19 +227,15 @@ func (c *Cache) expired(e *entry, now time.Time) bool {
 	return c.Lifetime > 0 && now.Sub(e.created) > c.Lifetime
 }
 
-// sweepLocked drops every entry that Get would refuse at time now: the
-// expired ones are exactly the oldest-created, so they come off the top
-// of byAge. Callers hold c.mu.
-func (c *Cache) sweepLocked(now time.Time) {
-	swept := uint64(0)
+// sweepLocked drops every entry that Get would refuse at time now and
+// returns how many: the expired ones are exactly the oldest-created, so
+// they come off the top of byAge. Callers hold c.mu.
+func (c *Cache) sweepLocked(now time.Time) (swept uint64) {
 	for len(c.byAge) > 0 && c.expired(c.byAge[0], now) {
 		c.removeLocked(c.byAge[0])
 		swept++
 	}
-	if swept > 0 {
-		// Sweep timing depends on Put interleaving, hence wall/.
-		telemetry.Global().Counter("wall/session/cache_swept").Add(swept)
-	}
+	return swept
 }
 
 // Len reports the number of live entries as of the most recent time the

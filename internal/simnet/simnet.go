@@ -103,12 +103,23 @@ func (n *Net) SetFaults(p *faults.Plan) {
 }
 
 // SetTelemetry installs (or, with nil, clears) the metrics registry the
-// dialer reports dials, fault injections, and backend choices through.
-// Telemetry observes, never perturbs: the registry changes no dial
-// outcome, and nil restores the pre-instrumentation path.
+// dialer reports dials, fault injections, and backend choices through,
+// and attaches it to the Config of every terminator registered so far;
+// call it before dialing. Telemetry observes, never perturbs: the
+// registry changes no dial outcome, and nil restores the
+// pre-instrumentation path.
 func (n *Net) SetTelemetry(r *telemetry.Registry) {
+	var srv *tlsserver.Counters
+	if r != nil {
+		srv = tlsserver.NewCounters(r)
+	}
 	n.mu.Lock()
 	n.tel = r
+	for _, b := range n.domains {
+		for _, ep := range b.backends {
+			ep.Config.Telemetry = srv
+		}
+	}
 	n.mu.Unlock()
 }
 

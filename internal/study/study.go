@@ -52,11 +52,13 @@ type Options struct {
 
 	// Telemetry, when non-nil, collects the campaign's metrics: scanner
 	// probe counters and latency histograms, simnet dial/fault/backend
-	// counts, and — via the process-global registry installed for the
-	// run's duration — the session/ticket/keyex collectors. Telemetry
-	// observes, never perturbs: nil leaves every code path untouched,
-	// and an enabled registry reproduces the same golden dataset hash
-	// (the default and telemetry rows of TestCampaignDeterminism).
+	// counts, and the TLS engines' key-exchange, session, ticket and
+	// hand-off counters, attached to the world's terminators and the
+	// scanner's connections. The registry counts this campaign alone,
+	// whatever else runs in the process. Telemetry observes, never
+	// perturbs: nil leaves every code path untouched, and an enabled
+	// registry reproduces the same golden dataset hash (the default and
+	// telemetry rows of TestCampaignDeterminism).
 	Telemetry *telemetry.Registry
 
 	// Trace, when non-nil, receives one JSONL telemetry.Span line per
@@ -265,19 +267,12 @@ func Run(o Options) (*Dataset, error) {
 	if o.Days < 1 || o.Days > 64 {
 		return nil, fmt.Errorf("study: Days must be in [1,64], got %d", o.Days)
 	}
-	// The session/ticket/keyex collectors report through the process
-	// global (they have no per-campaign injection point), so install the
-	// campaign's registry for the run's duration. A trace or observer
-	// without a registry still needs one for span and delta accounting —
-	// a private one, installed globally all the same so the deep-layer
-	// counters (STEK rotations above all) reach the flight recorder.
+	// A trace, an observer or the traffic plane without a registry still
+	// needs one for span, delta and progress accounting: a private one.
 	trafficOn := o.Traffic != nil && o.Traffic.Users > 0
 	reg := o.Telemetry
 	if reg == nil && (o.Trace != nil || o.Observer != nil || trafficOn) {
 		reg = telemetry.NewRegistry()
-	}
-	if reg != nil {
-		defer telemetry.SetGlobal(reg)()
 	}
 	world, err := population.Build(population.Options{ListSize: o.ListSize, Seed: o.Seed, WeakCrypto: o.WeakCrypto})
 	if err != nil {

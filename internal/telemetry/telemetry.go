@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -106,7 +107,10 @@ const (
 // Counter is a monotonically increasing atomic counter. A nil Counter
 // no-ops on writes and reads as zero, so instrumentation sites never
 // need a registry nil-check of their own.
-type Counter struct{ v atomic.Uint64 }
+type Counter struct {
+	v    atomic.Uint64
+	lazy bool // resolved ahead of its first event; see LazyCounter
+}
 
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) {
@@ -197,7 +201,14 @@ func NewRegistry() *Registry {
 }
 
 // Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
+func (r *Registry) Counter(name string) *Counter { return r.counter(name, false) }
+
+// LazyCounter is Counter for a handle resolved once, ahead of the events
+// it counts: until it first counts, snapshots leave it out, as they
+// would a counter created at its first event.
+func (r *Registry) LazyCounter(name string) *Counter { return r.counter(name, true) }
+
+func (r *Registry) counter(name string, lazy bool) *Counter {
 	if r == nil {
 		return nil
 	}
@@ -210,7 +221,7 @@ func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c = r.counters[name]; c == nil {
-		c = &Counter{}
+		c = &Counter{lazy: lazy}
 		r.counters[name] = c
 	}
 	return c
@@ -273,14 +284,21 @@ func (h HistogramSnapshot) Mean() time.Duration {
 }
 
 // Quantile returns an upper-bound estimate of the q-quantile
-// (0 < q <= 1): the bound of the bucket the quantile falls in, or Max
-// for the overflow bucket. Coarse by design — the ladder is fixed so
-// estimates stay comparable across runs.
+// (0 < q <= 1): the bound of the bucket holding the nearest-rank
+// observation, the ⌈q·Count⌉-th smallest, or Max for the overflow
+// bucket. Coarse by design — the ladder is fixed so estimates stay
+// comparable across runs.
 func (h HistogramSnapshot) Quantile(q float64) time.Duration {
 	if h.Count == 0 || q <= 0 {
 		return 0
 	}
-	target := uint64(q * float64(h.Count))
+	// A product within float error of an integer is that integer: the
+	// p50 of 100 observations is rank 50, not 51.
+	x := q * float64(h.Count)
+	target := uint64(math.Ceil(x))
+	if r := math.Round(x); math.Abs(x-r) < 1e-9*x {
+		target = uint64(r)
+	}
 	if target < 1 {
 		target = 1
 	}
@@ -319,7 +337,9 @@ func (r *Registry) Snapshot() *Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
+		if v := c.Value(); v != 0 || !c.lazy {
+			s.Counters[name] = v
+		}
 	}
 	for name, h := range r.histograms {
 		hs := HistogramSnapshot{
@@ -431,37 +451,6 @@ func MergeSnapshots(shards ...*Snapshot) *Snapshot {
 	return out
 }
 
-// MergeSnapshotsKeyed merges per-shard snapshots into one cross-shard
-// view the way a live aggregator needs it: metrics outside the wall/
-// subtree sum exactly as MergeSnapshots (they are deterministic and
-// shard-additive), but wall/ metrics — real latencies, busy time,
-// cache-fill counts — are per-process observations that would be
-// meaningless summed across machines, so each shard's wall subtree is
-// kept separate under "wall/<key>/<rest>". Keys must be unique.
-func MergeSnapshotsKeyed(shards map[string]*Snapshot) *Snapshot {
-	det := make([]*Snapshot, 0, len(shards))
-	for _, s := range shards {
-		det = append(det, s.Deterministic())
-	}
-	out := MergeSnapshots(det...)
-	for key, s := range shards {
-		if s == nil {
-			continue
-		}
-		for name, v := range s.Counters {
-			if strings.HasPrefix(name, WallPrefix) {
-				out.Counters[WallPrefix+key+"/"+name[len(WallPrefix):]] = v
-			}
-		}
-		for name, h := range s.Histograms {
-			if strings.HasPrefix(name, WallPrefix) {
-				out.Histograms[WallPrefix+key+"/"+name[len(WallPrefix):]] = h
-			}
-		}
-	}
-	return out
-}
-
 // PrefixCounters returns the counters under prefix, keyed by the name
 // with the prefix stripped (e.g. PrefixCounters(CounterErrorPrefix)
 // yields failure counts by error class). Zero-valued counters are
@@ -555,24 +544,6 @@ func (s *Snapshot) Render() string {
 			width, name, h.Count, h.Quantile(0.50), h.Quantile(0.99), h.Max)
 	}
 	return b.String()
-}
-
-// global is the process-wide registry deep subsystems (session, ticket,
-// keyex) report through; they have no per-campaign injection point, so
-// study.Run installs its registry here for the duration of the run.
-var global atomic.Pointer[Registry]
-
-// Global returns the installed process-wide registry, or nil (meaning
-// telemetry off — and nil is a valid no-op registry everywhere).
-func Global() *Registry { return global.Load() }
-
-// SetGlobal installs r as the process-wide registry and returns a
-// function that restores the previous one:
-//
-//	defer telemetry.SetGlobal(reg)()
-func SetGlobal(r *Registry) (restore func()) {
-	old := global.Swap(r)
-	return func() { global.Store(old) }
 }
 
 // Span is one scan phase's trace record: each lifetime-probe pass, each

@@ -167,22 +167,42 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantiles sanity-checks the bucket-upper-bound estimate.
+// TestHistogramQuantiles checks that each quantile is the bound of the
+// bucket holding the nearest-rank observation, ⌈q·N⌉: never a bucket
+// below the quantile, and an integral q·N is that rank exactly.
 func TestHistogramQuantiles(t *testing.T) {
+	type obs struct {
+		d time.Duration
+		n int
+	}
+	for _, tc := range []struct {
+		name string
+		obs  []obs
+		q    float64
+		want time.Duration
+	}{
+		{"p50 of 99 fast and one slow", []obs{{2 * time.Microsecond, 99}, {10 * time.Second, 1}}, 0.50, 4 * time.Microsecond},
+		{"p100 reaches the tail", []obs{{2 * time.Microsecond, 99}, {10 * time.Second, 1}}, 1.0, 16777216 * time.Microsecond},
+		{"integral rank: p50 of 50+50", []obs{{time.Microsecond, 50}, {time.Second, 50}}, 0.50, time.Microsecond},
+		{"integral rank: p7 of 7+93", []obs{{time.Microsecond, 7}, {time.Second, 93}}, 0.07, time.Microsecond},
+		{"p99 of 148 fast and 2 slow", []obs{{time.Microsecond, 148}, {time.Second, 2}}, 0.99, 1048576 * time.Microsecond},
+		{"p99 of one fast and one slow", []obs{{time.Microsecond, 1}, {time.Second, 1}}, 0.99, 1048576 * time.Microsecond},
+	} {
+		r := NewRegistry()
+		h := r.Histogram("q")
+		for _, o := range tc.obs {
+			for i := 0; i < o.n; i++ {
+				h.Observe(o.d)
+			}
+		}
+		if got := r.Snapshot().Histograms["q"].Quantile(tc.q); got != tc.want {
+			t.Errorf("%s: q=%v = %v, want %v", tc.name, tc.q, got, tc.want)
+		}
+	}
 	r := NewRegistry()
-	h := r.Histogram("q")
-	for i := 0; i < 99; i++ {
-		h.Observe(2 * time.Microsecond) // bucket le=4µs
-	}
-	h.Observe(10 * time.Second) // far tail
-	s := r.Snapshot().Histograms["q"]
-	if got := s.Quantile(0.50); got != 4*time.Microsecond {
-		t.Fatalf("p50 = %v, want 4µs", got)
-	}
-	if got := s.Quantile(1.0); got < 10*time.Second {
-		t.Fatalf("p100 = %v, want >= 10s", got)
-	}
-	if s.Mean() <= 2*time.Microsecond {
+	r.Histogram("q").Observe(2 * time.Microsecond)
+	r.Histogram("q").Observe(10 * time.Second)
+	if s := r.Snapshot().Histograms["q"]; s.Mean() <= 2*time.Microsecond {
 		t.Fatalf("mean = %v, want > 2µs", s.Mean())
 	}
 }
@@ -205,25 +225,6 @@ func TestMergeHistograms(t *testing.T) {
 	}
 	if last := m.Buckets[len(m.Buckets)-1]; last.LE != -1 {
 		t.Fatalf("overflow bucket not last: %+v", m.Buckets)
-	}
-}
-
-// TestGlobalInstallRestore: SetGlobal must swap the process registry
-// and hand back an exact restore.
-func TestGlobalInstallRestore(t *testing.T) {
-	orig := Global()
-	r := NewRegistry()
-	restore := SetGlobal(r)
-	if Global() != r {
-		t.Fatal("SetGlobal did not install")
-	}
-	Global().Counter("g").Inc()
-	restore()
-	if Global() != orig {
-		t.Fatal("restore did not reinstate the previous registry")
-	}
-	if r.Value("g") != 1 {
-		t.Fatal("write through Global lost")
 	}
 }
 
@@ -283,9 +284,9 @@ func TestMergeSnapshots(t *testing.T) {
 }
 
 // TestQuantileMeanEdgeCases pins the histogram-snapshot estimators on
-// the degenerate inputs the cross-shard aggregator feeds them: empty
-// histograms (a shard that never observed the family), q at and outside
-// the [0,1] ends, and single-bucket distributions.
+// degenerate inputs: empty histograms (a shard journal that never
+// observed the family), q at and outside the [0,1] ends, and
+// single-bucket distributions.
 func TestQuantileMeanEdgeCases(t *testing.T) {
 	var empty HistogramSnapshot
 	if got := empty.Quantile(0.5); got != 0 {
@@ -337,8 +338,8 @@ func TestQuantileMeanEdgeCases(t *testing.T) {
 	}
 }
 
-// TestMergeSnapshotsAssociative: the cross-shard aggregator merges in
-// whatever order peers answer, so merge(a, merge(b, c)) must equal
+// TestMergeSnapshotsAssociative: shard journals merge in whatever order
+// they are listed, so merge(a, merge(b, c)) must equal
 // merge(merge(a, b), c) — and both must equal the flat three-way merge.
 func TestMergeSnapshotsAssociative(t *testing.T) {
 	mk := func(seed int, obs ...time.Duration) *Snapshot {
@@ -370,38 +371,26 @@ func TestMergeSnapshotsAssociative(t *testing.T) {
 	}
 }
 
-// TestMergeSnapshotsKeyed: deterministic metrics sum across shards,
-// wall/ metrics survive per shard under wall/<key>/ and never sum.
-func TestMergeSnapshotsKeyed(t *testing.T) {
-	mk := func(probes, busy uint64) *Snapshot {
-		r := NewRegistry()
-		r.Counter("scanner/probes").Add(probes)
-		r.Counter("wall/scanner/busy_ns").Add(busy)
-		r.Histogram("wall/scanner/latency/daily|ticket").Observe(time.Millisecond)
-		r.Histogram("scanner/vlatency/daily|ticket").Observe(time.Second)
-		return r.Snapshot()
+// TestLazyCounterHiddenUntilCounted: a counter resolved ahead of its
+// events shows in snapshots only once it counts, while an eagerly
+// created one shows at zero.
+func TestLazyCounterHiddenUntilCounted(t *testing.T) {
+	r := NewRegistry()
+	lazy := r.LazyCounter("lazy")
+	r.Counter("eager")
+	lazy.Add(0)
+	if _, ok := r.Snapshot().Counters["lazy"]; ok {
+		t.Fatal("uncounted lazy counter in the snapshot")
 	}
-	m := MergeSnapshotsKeyed(map[string]*Snapshot{
-		"shard0": mk(10, 100),
-		"shard1": mk(20, 999),
-	})
-	if got := m.Counters["scanner/probes"]; got != 30 {
-		t.Fatalf("deterministic counter = %d, want 30", got)
+	if _, ok := r.Snapshot().Counters["eager"]; !ok {
+		t.Fatal("eager counter missing at zero")
 	}
-	if _, ok := m.Counters["wall/scanner/busy_ns"]; ok {
-		t.Fatal("wall counter was summed across shards")
+	lazy.Inc()
+	if got := r.Snapshot().Counters["lazy"]; got != 1 || r.Counter("lazy") != lazy {
+		t.Fatalf("lazy counter = %d after one event, or not the registry's handle", got)
 	}
-	if got := m.Counters["wall/shard0/scanner/busy_ns"]; got != 100 {
-		t.Fatalf("shard0 wall counter = %d, want 100", got)
-	}
-	if got := m.Counters["wall/shard1/scanner/busy_ns"]; got != 999 {
-		t.Fatalf("shard1 wall counter = %d, want 999", got)
-	}
-	if h := m.Histograms["scanner/vlatency/daily|ticket"]; h.Count != 2 {
-		t.Fatalf("deterministic histogram count = %d, want 2", h.Count)
-	}
-	if h := m.Histograms["wall/shard1/scanner/latency/daily|ticket"]; h.Count != 1 {
-		t.Fatalf("shard1 wall histogram count = %d, want 1", h.Count)
+	if (*Registry)(nil).LazyCounter("x") != nil {
+		t.Fatal("nil registry must hand out nil counters")
 	}
 }
 

@@ -23,21 +23,6 @@ import (
 	"tlsshortcuts/internal/telemetry"
 )
 
-// countOpen records a ticket-resumption decrypt outcome on the process
-// registry. Telemetry observes, never perturbs: with no registry
-// installed this is a single atomic load and branch.
-func countOpen(ok bool) {
-	r := telemetry.Global()
-	if r == nil {
-		return
-	}
-	if ok {
-		r.Counter("ticket/open_ok").Inc()
-	} else {
-		r.Counter("ticket/open_miss").Inc()
-	}
-}
-
 // Format is a ticket wire format.
 type Format int
 
@@ -364,10 +349,13 @@ func DetectKeyID(t1, t2 []byte) []byte {
 }
 
 // Manager is a server's STEK policy: which key seals new tickets now, and
-// which keys are still accepted for resumption.
+// which keys are still accepted for resumption. The two methods a server
+// calls take the registry that counts the key derivations and rotations
+// they cause (ticket/stek_derived, ticket/stek_rotations); nil counts
+// nothing.
 type Manager interface {
 	// IssuingKey returns the key sealing tickets at time now.
-	IssuingKey(now time.Time) *STEK
+	IssuingKey(now time.Time, reg *telemetry.Registry) *STEK
 	// LookupKey returns the accepted key that sealed tkt, or nil.
 	LookupKey(tkt []byte, now time.Time) *STEK
 	// OpenTicketInto authenticates and decrypts tkt with whichever
@@ -375,7 +363,7 @@ type Manager interface {
 	// decrypts twice), decoding into caller-owned state and reporting
 	// acceptance; a ticket open on the server's resume path costs no
 	// State allocation.
-	OpenTicketInto(dst *session.State, tkt []byte, now time.Time) bool
+	OpenTicketInto(dst *session.State, tkt []byte, now time.Time, reg *telemetry.Registry) bool
 	// ActiveKeys returns every key accepted at time now, issuing first.
 	ActiveKeys(now time.Time) []*STEK
 }
@@ -399,7 +387,7 @@ func NewStaticFromKey(k *STEK) *Static {
 	return &Static{key: k, keys: []*STEK{k}}
 }
 
-func (s *Static) IssuingKey(time.Time) *STEK { return s.key }
+func (s *Static) IssuingKey(time.Time, *telemetry.Registry) *STEK { return s.key }
 func (s *Static) ActiveKeys(time.Time) []*STEK {
 	return s.keys
 }
@@ -410,10 +398,8 @@ func (s *Static) LookupKey(tkt []byte, _ time.Time) *STEK {
 	return nil
 }
 
-func (s *Static) OpenTicketInto(dst *session.State, tkt []byte, _ time.Time) bool {
-	ok := s.key.OpenInto(dst, tkt)
-	countOpen(ok)
-	return ok
+func (s *Static) OpenTicketInto(dst *session.State, tkt []byte, _ time.Time, _ *telemetry.Registry) bool {
+	return s.key.OpenInto(dst, tkt)
 }
 
 // Rotating derives a fresh key every Period from Base, and keeps accepting
@@ -447,7 +433,7 @@ func (r *Rotating) epoch(now time.Time) int64 {
 	return int64(d / r.Period)
 }
 
-func (r *Rotating) key(epoch int64) *STEK {
+func (r *Rotating) key(epoch int64, reg *telemetry.Registry) *STEK {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.cache == nil {
@@ -461,7 +447,7 @@ func (r *Rotating) key(epoch int64) *STEK {
 	r.cache[epoch] = k
 	// Counted under r.mu: exactly one derivation per distinct epoch,
 	// whatever the worker interleaving.
-	telemetry.Global().Counter("ticket/stek_derived").Inc()
+	reg.Counter("ticket/stek_derived").Inc()
 	// Evict keys the acceptance window can no longer reach from the
 	// epoch just derived. Derive is a pure function of (Seed, epoch), so
 	// an evicted key that is somehow needed again — a test rewinding the
@@ -484,19 +470,21 @@ func (r *Rotating) key(epoch int64) *STEK {
 	return k
 }
 
-func (r *Rotating) IssuingKey(now time.Time) *STEK {
+func (r *Rotating) IssuingKey(now time.Time, reg *telemetry.Registry) *STEK {
 	e := r.epoch(now)
 	// Exactly one caller observes each epoch transition (the atomic swap
 	// hands the previous value to a single winner), and the lockstep
 	// virtual clock fixes every phase's epoch, so the rotation count is
 	// deterministic across worker counts.
 	if prev := r.lastIssued.Swap(e + 1); prev != 0 && prev != e+1 {
-		telemetry.Global().Counter(telemetry.CounterSTEKRotations).Inc()
+		reg.Counter(telemetry.CounterSTEKRotations).Inc()
 	}
-	return r.key(e)
+	return r.key(e, reg)
 }
 
-func (r *Rotating) ActiveKeys(now time.Time) []*STEK {
+func (r *Rotating) ActiveKeys(now time.Time) []*STEK { return r.activeKeys(now, nil) }
+
+func (r *Rotating) activeKeys(now time.Time, reg *telemetry.Registry) []*STEK {
 	e := r.epoch(now)
 	r.mu.Lock()
 	if out, ok := r.keysCache[e]; ok {
@@ -504,9 +492,9 @@ func (r *Rotating) ActiveKeys(now time.Time) []*STEK {
 		return out
 	}
 	r.mu.Unlock()
-	out := []*STEK{r.key(e)}
+	out := []*STEK{r.key(e, reg)}
 	for i := int64(1); i <= int64(r.AcceptPrevious) && e-i >= 0; i++ {
-		out = append(out, r.key(e-i))
+		out = append(out, r.key(e-i, reg))
 	}
 	r.mu.Lock()
 	if r.keysCache == nil {
@@ -526,13 +514,11 @@ func (r *Rotating) LookupKey(tkt []byte, now time.Time) *STEK {
 	return nil
 }
 
-func (r *Rotating) OpenTicketInto(dst *session.State, tkt []byte, now time.Time) bool {
-	for _, k := range r.ActiveKeys(now) {
+func (r *Rotating) OpenTicketInto(dst *session.State, tkt []byte, now time.Time, reg *telemetry.Registry) bool {
+	for _, k := range r.activeKeys(now, reg) {
 		if k.OpenInto(dst, tkt) {
-			countOpen(true)
 			return true
 		}
 	}
-	countOpen(false)
 	return false
 }

@@ -129,7 +129,7 @@ func TestDetectKeyID(t *testing.T) {
 func TestStaticManager(t *testing.T) {
 	mgr := NewStatic([]byte("static"), FormatRFC5077)
 	now := simclock.Epoch
-	tkt, err := mgr.IssuingKey(now).Seal(testState(), rand.Reader)
+	tkt, err := mgr.IssuingKey(now, nil).Seal(testState(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRotatingPreviousKeyWindow(t *testing.T) {
 		Seed: []byte("rot"), Base: base, Period: 14 * time.Hour,
 		AcceptPrevious: 1, Format: FormatRFC5077,
 	}
-	tkt, err := mgr.IssuingKey(base).Seal(testState(), rand.Reader)
+	tkt, err := mgr.IssuingKey(base, nil).Seal(testState(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +163,8 @@ func TestRotatingPreviousKeyWindow(t *testing.T) {
 		t.Error("ticket accepted after the previous-key window closed")
 	}
 	// Issuing keys differ across epochs.
-	k0 := mgr.IssuingKey(base)
-	k1 := mgr.IssuingKey(base.Add(14 * time.Hour))
+	k0 := mgr.IssuingKey(base, nil)
+	k1 := mgr.IssuingKey(base.Add(14*time.Hour), nil)
 	if bytes.Equal(k0.Name, k1.Name) {
 		t.Error("rotation produced identical key names across epochs")
 	}
@@ -179,14 +179,16 @@ func TestRotatingDeterminism(t *testing.T) {
 	a := &Rotating{Seed: []byte("same"), Base: base, Period: time.Hour, Format: FormatMbedTLS}
 	b := &Rotating{Seed: []byte("same"), Base: base, Period: time.Hour, Format: FormatMbedTLS}
 	at := base.Add(90 * time.Minute)
-	if !bytes.Equal(a.IssuingKey(at).Name, b.IssuingKey(at).Name) {
+	if !bytes.Equal(a.IssuingKey(at, nil).Name, b.IssuingKey(at, nil).Name) {
 		t.Error("identically-seeded managers derived different keys")
 	}
 }
 
 // TestOpenTicketIntoCountsOutcomes requires every STEK manager to report
-// each resumption decrypt outcome on the process registry: a ticket it
-// sealed counts one ticket/open_ok, a foreign ticket one ticket/open_miss.
+// each resumption decrypt outcome, which the terminator counts as
+// ticket/open_ok or ticket/open_miss, and to count the key derivations
+// an issue or an open causes into the registry it is handed: a rotating
+// manager derives the issuing key and the one previous key it accepts.
 func TestOpenTicketIntoCountsOutcomes(t *testing.T) {
 	st := testState()
 	now := simclock.Epoch.Add(90 * time.Minute)
@@ -195,27 +197,26 @@ func TestOpenTicketIntoCountsOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		mgr  Manager
+		name    string
+		mgr     Manager
+		derived uint64
 	}{
-		{"static", NewStatic([]byte("count-static"), FormatRFC5077)},
-		{"rotating", &Rotating{Seed: []byte("count-rotating"), Base: simclock.Epoch, Period: time.Hour, AcceptPrevious: 1, Format: FormatRFC5077}},
+		{"static", NewStatic([]byte("count-static"), FormatRFC5077), 0},
+		{"rotating", &Rotating{Seed: []byte("count-rotating"), Base: simclock.Epoch, Period: time.Hour, AcceptPrevious: 1, Format: FormatRFC5077}, 2},
 	} {
-		own, err := tc.mgr.IssuingKey(now).Seal(st, rand.Reader)
+		reg := telemetry.NewRegistry()
+		own, err := tc.mgr.IssuingKey(now, reg).Seal(st, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := telemetry.NewRegistry()
-		restore := telemetry.SetGlobal(reg)
 		var dst session.State
-		opened := tc.mgr.OpenTicketInto(&dst, own, now)
-		rejected := !tc.mgr.OpenTicketInto(&dst, foreign, now)
-		restore()
+		opened := tc.mgr.OpenTicketInto(&dst, own, now, reg)
+		rejected := !tc.mgr.OpenTicketInto(&dst, foreign, now, nil)
 		if !opened || !rejected {
 			t.Fatalf("%s: own ticket opened %v, foreign ticket rejected %v", tc.name, opened, rejected)
 		}
-		if ok, miss := reg.Value("ticket/open_ok"), reg.Value("ticket/open_miss"); ok != 1 || miss != 1 {
-			t.Errorf("%s: counted %d ok and %d miss, want 1 and 1", tc.name, ok, miss)
+		if got := reg.Value("ticket/stek_derived"); got != tc.derived {
+			t.Errorf("%s: counted %d key derivations, want %d", tc.name, got, tc.derived)
 		}
 	}
 }

@@ -32,7 +32,7 @@ import (
 // show which amortized path served each row.
 func TestPremasterCachesMatchRecomputation(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	defer telemetry.SetGlobal(reg)()
+	client := NewCounters(reg)
 
 	now := time.Date(2016, 3, 1, 12, 0, 0, 0, time.UTC)
 	root, err := pki.NewRootCA("oracle root", pki.ECDSAP256, drbg.NewString("tlsclient-test|root"))
@@ -92,6 +92,7 @@ func TestPremasterCachesMatchRecomputation(t *testing.T) {
 		s.cfg.RandSeed = []byte("tlsclient-test|" + s.name)
 		n := simnet.New()
 		n.Register("oracle.example", 1, []string{"10.0.0.1"}, &simnet.Endpoint{Config: s.cfg})
+		n.SetTelemetry(reg)
 		var serverPubs [][]byte
 		for conn := 0; conn < conns; conn++ {
 			label := []string{"tlsclient-test|client", s.name, fmt.Sprint(conn)}
@@ -109,6 +110,7 @@ func TestPremasterCachesMatchRecomputation(t *testing.T) {
 				Clock:      simclock.Fixed(now),
 				Rand:       drbg.NewString(label...),
 				ReuseKex:   true,
+				Telemetry:  client,
 			})
 			cli.Close()
 			if err != nil {

@@ -24,6 +24,7 @@ import (
 	"tlsshortcuts/internal/pki"
 	"tlsshortcuts/internal/record"
 	"tlsshortcuts/internal/simclock"
+	"tlsshortcuts/internal/telemetry"
 	"tlsshortcuts/internal/ticket"
 	"tlsshortcuts/internal/wire"
 )
@@ -98,6 +99,35 @@ type Config struct {
 	// signature is not checked inline (the probe never acts on the
 	// channel).
 	KexOnly bool
+
+	// Telemetry, when non-nil, counts the hand-offs the connection takes
+	// from an in-process server. Telemetry observes, never perturbs.
+	Telemetry *Counters
+}
+
+// Counters counts the hand-offs a client takes into one registry: the
+// server's ECDHE key for the premaster, its SKE signature nonce, and
+// its AEAD. NewCounters resolves them once, so every connection of a
+// scanner or traffic engine can share one.
+type Counters struct{ scalarHit, skeNonceHit, aeadHandedOver *telemetry.Counter }
+
+// NewCounters resolves r's client counters.
+func NewCounters(r *telemetry.Registry) *Counters {
+	return &Counters{
+		scalarHit:      r.LazyCounter("keyex/scalar_exchange_hit"),
+		skeNonceHit:    r.LazyCounter("pki/ske_nonce_hit"),
+		aeadHandedOver: r.LazyCounter("record/aead_cache_hit"),
+	}
+}
+
+// uncounted serves Configs without Telemetry: every counter is nil.
+var uncounted Counters
+
+func (c *Config) counters() *Counters {
+	if c.Telemetry != nil {
+		return c.Telemetry
+	}
+	return &uncounted
 }
 
 // Capture is everything the scanner records about one connection. Every
@@ -282,7 +312,7 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		if cfg.KexOnly {
 			return nil
 		}
-		if err := verifySKE(hc, cfg.Roots, chain, ske, ch.Random[:], sh.Random[:]); err != nil {
+		if err := verifySKE(hc, cfg, chain, ske, ch.Random[:], sh.Random[:]); err != nil {
 			return err
 		}
 		// The fixed-key path draws no randomness, so however the premaster
@@ -298,7 +328,9 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 				// it generated, so the skipped on-curve check cannot
 				// admit a bad value.
 				priv, clientPub = keyex.FixedClientECDHE()
-				premaster = keyex.FixedClientPremaster(hc.Record.Link().ServerKey(ske.Public))
+				if premaster = keyex.FixedClientPremaster(hc.Record.Link().ServerKey(ske.Public)); premaster != nil {
+					cfg.counters().scalarHit.Inc()
+				}
 			} else {
 				if priv, err = ecdh.P256().GenerateKey(cfg.rand()); err != nil {
 					return err
@@ -378,7 +410,7 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 	if !ccs {
 		return fmt.Errorf("tls: expected server ChangeCipherSpec")
 	}
-	if err := hc.ReadFinished(handshake.Server); err != nil {
+	if err := hc.ReadFinished(handshake.Server, cfg.counters().aeadHandedOver); err != nil {
 		return err
 	}
 
@@ -409,7 +441,7 @@ func finishResumed(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, 
 			return errors.New("tls: expected CCS after reissued ticket")
 		}
 	}
-	if err := hc.ReadFinished(handshake.Server); err != nil {
+	if err := hc.ReadFinished(handshake.Server, cfg.counters().aeadHandedOver); err != nil {
 		return err
 	}
 	if err := hc.SendFinished(handshake.Client); err != nil {
@@ -503,14 +535,14 @@ func fixedDHEKey(p, g *big.Int) (x *big.Int, pub []byte) {
 // verifySKE checks the ServerKeyExchange signature against the chain's
 // leaf. The root store, when there is one, keeps each parsed leaf for
 // its world's lifetime; without one the leaf is parsed afresh.
-func verifySKE(hc *hsConn, roots *pki.RootStore, chain [][]byte, ske *wire.SKE, clientRandom, serverRandom []byte) error {
+func verifySKE(hc *hsConn, cfg *Config, chain [][]byte, ske *wire.SKE, clientRandom, serverRandom []byte) error {
 	if len(chain) == 0 {
 		return errors.New("tls: no certificate to verify ServerKeyExchange")
 	}
 	var leaf *x509.Certificate
 	var err error
-	if roots != nil {
-		leaf, err = roots.Leaf(chain[0])
+	if cfg.Roots != nil {
+		leaf, err = cfg.Roots.Leaf(chain[0])
 	} else {
 		leaf, err = x509.ParseCertificate(chain[0])
 	}
@@ -519,5 +551,5 @@ func verifySKE(hc *hsConn, roots *pki.RootStore, chain [][]byte, ske *wire.SKE, 
 	}
 	hc.sp = ske.AppendSignedParams(hc.sp[:0], clientRandom, serverRandom)
 	digest := sha256.Sum256(hc.sp)
-	return hc.Record.Link().SKE().Verify(leaf, digest[:], ske.Sig)
+	return hc.Record.Link().SKE().Verify(leaf, digest[:], ske.Sig, cfg.counters().skeNonceHit)
 }

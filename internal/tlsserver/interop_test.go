@@ -1,6 +1,7 @@
 package tlsserver
 
 import (
+	"crypto/rand"
 	"crypto/tls"
 	"crypto/x509"
 	"io"
@@ -27,13 +28,13 @@ import (
 // full handshake, so session-ID resumption is left to this repository's
 // own client.
 func TestStdlibClientInterop(t *testing.T) {
-	root, err := pki.NewRootCA("interop root", pki.ECDSAP256, pki.DefaultRand)
+	root, err := pki.NewRootCA("interop root", pki.ECDSAP256, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const name = "interop.example"
 	now := time.Now()
-	leaf, err := root.IssueLeaf([]string{name}, pki.ECDSAP256, now.Add(-time.Hour), now.Add(24*time.Hour), pki.DefaultRand)
+	leaf, err := root.IssueLeaf([]string{name}, pki.ECDSAP256, now.Add(-time.Hour), now.Add(24*time.Hour), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}

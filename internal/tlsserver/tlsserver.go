@@ -25,6 +25,7 @@ import (
 	"tlsshortcuts/internal/record"
 	"tlsshortcuts/internal/session"
 	"tlsshortcuts/internal/simclock"
+	"tlsshortcuts/internal/telemetry"
 	"tlsshortcuts/internal/ticket"
 	"tlsshortcuts/internal/wire"
 )
@@ -71,6 +72,46 @@ type Config struct {
 	// Respond maps one application-data record to a response; nil gives
 	// a canned HTTP 200.
 	Respond func([]byte) []byte
+
+	// Telemetry, when non-nil, counts the terminator's events. Telemetry
+	// observes, never perturbs: it changes no byte on the wire.
+	Telemetry *Counters
+}
+
+// Counters counts terminator events into one registry: ticket
+// resumption lookups and hand-offs taken from in-process clients, and
+// through the layers below the key-exchange values served, session-cache
+// lookups and sweeps, and STEK derivations and rotations. NewCounters
+// resolves them once, so every Config of a world can share one.
+type Counters struct {
+	reg                          *telemetry.Registry // for the STEK managers
+	openOK, openMiss             *telemetry.Counter
+	premasterHit, aeadHandedOver *telemetry.Counter
+	keyex                        keyex.Counters
+	session                      session.Counters
+}
+
+// NewCounters resolves r's terminator counters.
+func NewCounters(r *telemetry.Registry) *Counters {
+	return &Counters{
+		reg:            r,
+		openOK:         r.LazyCounter("ticket/open_ok"),
+		openMiss:       r.LazyCounter("ticket/open_miss"),
+		premasterHit:   r.LazyCounter("keyex/premaster_exchange_hit"),
+		aeadHandedOver: r.LazyCounter("record/aead_cache_hit"),
+		keyex:          keyex.NewCounters(r),
+		session:        session.NewCounters(r),
+	}
+}
+
+// uncounted serves Configs without Telemetry: every counter is nil.
+var uncounted Counters
+
+func (c *Config) counters() *Counters {
+	if c.Telemetry != nil {
+		return c.Telemetry
+	}
+	return &uncounted
 }
 
 func (c *Config) now() time.Time {
@@ -194,19 +235,26 @@ func serverHandshake(hc *hsConn, cfg *Config) error {
 		return record.WithAlert(record.AlertUnexpectedMessage, err)
 	}
 	now := cfg.now()
+	tel := cfg.counters()
 
 	// Ticket resumption?
 	if len(ch.Ticket) > 0 && cfg.Tickets != nil {
 		// Decode into the pooled connection's scratch: the resume path's
 		// state is transient (never stored), so a per-ticket State and
 		// decrypt buffer would be pure overhead.
-		if cfg.Tickets.OpenTicketInto(&hc.st, ch.Ticket, now) && suiteOffered(ch.Suites, hc.st.Suite) {
+		opened := cfg.Tickets.OpenTicketInto(&hc.st, ch.Ticket, now, tel.reg)
+		if opened {
+			tel.openOK.Inc()
+		} else {
+			tel.openMiss.Inc()
+		}
+		if opened && suiteOffered(ch.Suites, hc.st.Suite) {
 			return resume(hc, cfg, ch, &hc.st, now)
 		}
 	}
 	// Session-ID resumption?
 	if len(ch.SessionID) > 0 && cfg.Cache != nil {
-		if st := cfg.Cache.Get(ch.SessionID, now); st != nil && suiteOffered(ch.Suites, st.Suite) {
+		if st := tel.session.Get(cfg.Cache, ch.SessionID, now); st != nil && suiteOffered(ch.Suites, st.Suite) {
 			return resume(hc, cfg, ch, st, now)
 		}
 	}
@@ -280,6 +328,7 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 	// The value, the ECDHE key and the signature's nonce go to the
 	// connection's hand-off before the SKE that carries them is queued.
 	link := hc.Record.Link()
+	tel := cfg.counters()
 	var ecdhePriv *ecdh.PrivateKey
 	var dheGroup *ffdh.Group
 	var dhePriv *big.Int
@@ -287,7 +336,7 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 	*ske = wire.SKE{Kex: wire.SuiteKex(suite)}
 	switch ske.Kex {
 	case wire.KexECDHE:
-		priv, pub, err := keyex.ECDHEKeyPub(cfg.ECDHEPolicy, now, rnd)
+		priv, pub, err := tel.keyex.ECDHEKeyPub(cfg.ECDHEPolicy, now, rnd)
 		if err != nil {
 			return err
 		}
@@ -299,7 +348,7 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 		if g == nil {
 			g = ffdh.TestGroup512()
 		}
-		priv, pub, err := keyex.DHEKey(g, cfg.DHEPolicy, now, rnd)
+		priv, pub, err := tel.keyex.DHEKey(g, cfg.DHEPolicy, now, rnd)
 		if err != nil {
 			return err
 		}
@@ -353,7 +402,9 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 	// Without one (a client outside this process, or a client value
 	// other than the one it published) the server computes it.
 	premaster := link.Premaster(clientPub)
-	if premaster == nil {
+	if premaster != nil {
+		tel.premasterHit.Inc()
+	} else {
 		if ecdhePriv != nil {
 			pk, err := ecdh.P256().NewPublicKey(clientPub)
 			if err != nil {
@@ -373,7 +424,7 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 	if err := readCCS(hc); err != nil {
 		return err
 	}
-	if err := hc.ReadFinished(handshake.Client); err != nil {
+	if err := hc.ReadFinished(handshake.Client, tel.aeadHandedOver); err != nil {
 		return err
 	}
 
@@ -393,7 +444,7 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 		if err := hc.Record.Flush(); err != nil {
 			return err
 		}
-		cfg.Cache.Put(sh.SessionID, st, now)
+		tel.session.Put(cfg.Cache, sh.SessionID, st, now)
 	}
 	return hc.SendFinished(handshake.Server)
 }
@@ -425,7 +476,7 @@ func resume(hc *hsConn, cfg *Config, ch *wire.ClientHello, st *session.State, no
 	if err := readCCS(hc); err != nil {
 		return err
 	}
-	return hc.ReadFinished(handshake.Client)
+	return hc.ReadFinished(handshake.Client, cfg.counters().aeadHandedOver)
 }
 
 // readCCS reads the client's ChangeCipherSpec.
@@ -438,7 +489,7 @@ func readCCS(hc *hsConn) error {
 }
 
 func sendTicket(hc *hsConn, cfg *Config, st *session.State, now time.Time, rnd io.Reader) error {
-	k := cfg.Tickets.IssuingKey(now)
+	k := cfg.Tickets.IssuingKey(now, cfg.counters().reg)
 	hint := cfg.TicketHint
 	if hint == 0 {
 		hint = 2 * time.Hour

@@ -29,7 +29,7 @@ func TestSendTicketMatchesSeal(t *testing.T) {
 			cfg := &Config{Tickets: ticket.NewStatic([]byte("tlsserver-test|"+f.String()), f), TicketHint: hint}
 			entropy := func() *drbg.Reader { return drbg.NewString("tlsserver-test|nst", f.String(), hint.String()) }
 
-			k := cfg.Tickets.IssuingKey(now)
+			k := cfg.Tickets.IssuingKey(now, nil)
 			tkt, err := k.Seal(st, entropy())
 			if err != nil {
 				t.Fatal(err)

@@ -102,6 +102,8 @@ type Engine struct {
 	ctrHSStart, ctrHSDone, ctrBusy                         *telemetry.Counter
 	polVisits, polResumed                                  []*telemetry.Counter
 	chainHist                                              []*telemetry.Histogram
+	sessions                                               session.Counters // the users' session stores
+	client                                                 *tlsclient.Counters
 }
 
 // NewEngine builds the traffic plane over an existing world. The
@@ -194,6 +196,8 @@ func NewEngine(world *population.World, opts Options, reg *telemetry.Registry) (
 	e.ctrHSStart = reg.Counter(telemetry.CounterHandshakesStarted)
 	e.ctrHSDone = reg.Counter(telemetry.CounterHandshakesCompleted)
 	e.ctrBusy = reg.Counter(telemetry.CounterBusyNanos)
+	e.sessions = session.NewCounters(reg)
+	e.client = tlsclient.NewCounters(reg)
 	for i := range e.policies {
 		name := e.policies[i].Name
 		e.polVisits = append(e.polVisits, reg.Counter(telemetry.CounterTrafficPolicyPrefix+name+"/visits"))
@@ -278,7 +282,7 @@ func (e *Engine) liveSession(us *userState, d string, now time.Time, pt *PolicyS
 	if st == nil {
 		return nil
 	}
-	if us.cache.Get([]byte(d), now) == nil || now.Sub(st.sess.CreatedAt) > st.effLife {
+	if e.sessions.Get(us.cache, []byte(d), now) == nil || now.Sub(st.sess.CreatedAt) > st.effLife {
 		delete(us.sess, d)
 		pt.Dropped++
 		e.releaseChain(us, st.ch, pt)
@@ -349,7 +353,7 @@ func (e *Engine) storePut(us *userState, d string, sess *tlsclient.Session, effL
 	}
 	ch.refs++
 	us.sess[d] = &stored{sess: sess, effLife: effLife, ch: ch}
-	us.cache.Put([]byte(d), liveMarker, now)
+	e.sessions.Put(us.cache, []byte(d), liveMarker, now)
 }
 
 // doVisit runs one scheduled visit: resolve the offered session, dial
@@ -393,6 +397,7 @@ func (e *Engine) doVisit(w int, us *userState, day, slot, k int, v visit, now ti
 		AppData:         req,
 		Rand:            &ar.rng,
 		ReuseKex:        true,
+		Telemetry:       e.client,
 	}
 
 	start := time.Now()
