@@ -189,11 +189,9 @@ func (c *Conn) SendFinished(s Side) error {
 // handshake_failure alert. handedOver counts a read direction armed with
 // the AEAD the peer handed over.
 func (c *Conn) ReadFinished(s Side, handedOver *telemetry.Counter) error {
-	if err := c.Record.ArmRead(c.keys(s)); err != nil {
+	key, salt := c.keys(s)
+	if err := c.Record.ArmReadCounted(key, salt, handedOver); err != nil {
 		return err
-	}
-	if c.Record.ReadHandedOver() {
-		handedOver.Inc()
 	}
 	pre := c.transcript()
 	m, _, err := c.ReadMsg()

@@ -86,11 +86,11 @@ func TestSignSKEP256Verifies(t *testing.T) {
 			t.Fatal(err)
 		}
 		parseSig(t, sig)
-		if !agree(t, &h, crt.Leaf, digest, sig) {
+		if !agree(t, &h, crt.Leaf, digest, sig, nil) {
 			t.Fatalf("signature %d does not verify", i)
 		}
 		digest[i%len(digest)] ^= 1 << (i % 8)
-		if agree(t, &h, crt.Leaf, digest, sig) {
+		if agree(t, &h, crt.Leaf, digest, sig, nil) {
 			t.Fatalf("signature %d verifies a flipped digest", i)
 		}
 	}

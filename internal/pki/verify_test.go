@@ -21,11 +21,12 @@ import (
 )
 
 // agree requires h.Verify (h may be nil) to reach ecdsa.VerifyASN1's
-// verdict on one input and returns that verdict.
-func agree(t testing.TB, h *SKENonce, leaf *x509.Certificate, digest, sig []byte) bool {
+// verdict on one input, counting a nonce hit into hits (nil counts
+// nothing), and returns that verdict.
+func agree(t testing.TB, h *SKENonce, leaf *x509.Certificate, digest, sig []byte, hits *telemetry.Counter) bool {
 	t.Helper()
 	want := ecdsa.VerifyASN1(leaf.PublicKey.(*ecdsa.PublicKey), digest, sig)
-	if got := h.Verify(leaf, digest, sig, nonceHits) == nil; got != want {
+	if got := h.Verify(leaf, digest, sig, hits) == nil; got != want {
 		t.Fatalf("Verify accepts = %v, ecdsa.VerifyASN1 = %v\n  digest %x\n  sig    %x", got, want, digest, sig)
 	}
 	return want
@@ -143,7 +144,7 @@ func TestVerifySKEMatchesStdlibMalformed(t *testing.T) {
 		r, s := sigInts(t, sig)
 		accepted := 0
 		for _, m := range malformed(r, s) {
-			if agree(t, &h, crt.Leaf, digest, m) {
+			if agree(t, &h, crt.Leaf, digest, m, nil) {
 				accepted++
 			}
 		}
@@ -156,11 +157,11 @@ func TestVerifySKEMatchesStdlibMalformed(t *testing.T) {
 	priv := crt.Key.(*ecdsa.PrivateKey)
 	for _, sv := range []*big.Int{big.NewInt(1), big.NewInt(2), new(big.Int).Lsh(big.NewInt(1), 200)} {
 		digest, sig := craftSig(t, priv, sv)
-		if !agree(t, &h, crt.Leaf, digest, sig) {
+		if !agree(t, &h, crt.Leaf, digest, sig, nil) {
 			t.Fatalf("crafted signature with s = %x does not verify", sv)
 		}
 		for _, m := range malformed(sigInts(t, sig)) {
-			agree(t, &h, crt.Leaf, digest, m)
+			agree(t, &h, crt.Leaf, digest, m, nil)
 		}
 	}
 }
@@ -202,13 +203,13 @@ func TestVerifySKEMatchesStdlibDigestWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !agree(t, &h, crt.Leaf, digest, sig) {
+		if !agree(t, &h, crt.Leaf, digest, sig, nil) {
 			t.Fatalf("stdlib signature over %d-byte digest does not verify", len(digest))
 		}
 		flipped := append([]byte{}, digest...)
 		if len(flipped) > 0 {
 			flipped[0] ^= 0x80
-			agree(t, &h, crt.Leaf, flipped, sig)
+			agree(t, &h, crt.Leaf, flipped, sig, nil)
 		}
 	}
 }
@@ -226,7 +227,7 @@ func TestVerifySKEInfinityRejected(t *testing.T) {
 		digest := e.FillBytes(make([]byte, 32))
 		sig := derSig(derInt(big.NewInt(r)), derInt(big.NewInt(7)))
 		h := SKENonce{signer: crt, r: scalar{uint64(r)}, k: scalar{3}}
-		if agree(t, &h, crt.Leaf, digest, sig) {
+		if agree(t, &h, crt.Leaf, digest, sig, nil) {
 			t.Fatalf("r = %d: accepted a signature whose point is at infinity", r)
 		}
 	}
@@ -236,7 +237,7 @@ func TestVerifySKEInfinityRejected(t *testing.T) {
 // library: one by a key outside any certificate, one checked with no
 // hand-off, and one checked with the hand-off of another certificate.
 func TestVerifySKEFallbacks(t *testing.T) {
-	hits := countHits(t)
+	hits := new(telemetry.Counter)
 	crt := p256Cert(t)
 	other, err := newLeaf(ECDSAP256)
 	if err != nil {
@@ -252,15 +253,15 @@ func TestVerifySKEFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !agree(t, nil, bare(&priv.PublicKey), digest, sig) {
+		if !agree(t, nil, bare(&priv.PublicKey), digest, sig, hits) {
 			t.Fatalf("fallback signature %d does not verify", i)
 		}
 		r, s := sigInts(t, sig)
 		for _, m := range malformed(r, s)[:20] {
-			agree(t, nil, bare(&priv.PublicKey), digest, m)
+			agree(t, nil, bare(&priv.PublicKey), digest, m, hits)
 		}
 		digest[0] ^= 1
-		agree(t, nil, bare(&priv.PublicKey), digest, sig)
+		agree(t, nil, bare(&priv.PublicKey), digest, sig, hits)
 
 		var h, oh SKENonce
 		digest = digestOf(i)
@@ -271,7 +272,7 @@ func TestVerifySKEFallbacks(t *testing.T) {
 		if _, err := other.SignSKE(rand.Reader, digest, &oh); err != nil {
 			t.Fatal(err)
 		}
-		if !agree(t, nil, crt.Leaf, digest, sig) || !agree(t, &oh, crt.Leaf, digest, sig) {
+		if !agree(t, nil, crt.Leaf, digest, sig, hits) || !agree(t, &oh, crt.Leaf, digest, sig, hits) {
 			t.Fatalf("signature %d does not verify without its hand-off", i)
 		}
 	}
@@ -287,7 +288,7 @@ func TestVerifySKEFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !agree(t, nil, bare(&p384.PublicKey), digestOf(0), sig) {
+	if !agree(t, nil, bare(&p384.PublicKey), digestOf(0), sig, hits) {
 		t.Fatal("P-384 signature does not verify")
 	}
 
@@ -345,12 +346,12 @@ func TestVerifySKEConcurrentIssue(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := h.Verify(crt.Leaf, digest, sig, nonceHits); err != nil {
+				if err := h.Verify(crt.Leaf, digest, sig, nil); err != nil {
 					t.Errorf("concurrent verify: %v", err)
 					return
 				}
 				digest[1] ^= 1
-				if h.Verify(crt.Leaf, digest, sig, nonceHits) == nil {
+				if h.Verify(crt.Leaf, digest, sig, nil) == nil {
 					t.Error("concurrent verify accepted a flipped digest")
 					return
 				}
@@ -358,16 +359,6 @@ func TestVerifySKEConcurrentIssue(t *testing.T) {
 		}(crt)
 	}
 	vg.Wait()
-}
-
-// nonceHits is the counter the tests' Verify calls count nonce hits
-// into; countHits gives the calling test a fresh one.
-var nonceHits *telemetry.Counter
-
-func countHits(t testing.TB) *telemetry.Counter {
-	nonceHits = new(telemetry.Counter)
-	t.Cleanup(func() { nonceHits = nil })
-	return nonceHits
 }
 
 // Signatures checked with their own hand-off must get ecdsa.VerifyASN1's
@@ -379,7 +370,7 @@ func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := crt.Key.(*ecdsa.PrivateKey).D
-	hits := countHits(t)
+	hits := new(telemetry.Counter)
 	for i := 0; i < 64; i++ {
 		var h, oh SKENonce
 		digest := digestOf(i)
@@ -424,7 +415,7 @@ func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
 			{"this hand-off, another leaf", &h, other.Leaf, digest, sig, false},
 		} {
 			before := hits.Value()
-			if got := agree(t, c.h, c.leaf, c.digest, c.sig); got != c.want {
+			if got := agree(t, c.h, c.leaf, c.digest, c.sig, hits); got != c.want {
 				t.Fatalf("signature %d, %s: verdict %v, want %v", i, c.name, got, c.want)
 			}
 			var wantHits uint64
@@ -441,7 +432,7 @@ func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := hits.Value()
-		if !agree(t, &h, crt.Leaf, digest, sig) {
+		if !agree(t, &h, crt.Leaf, digest, sig, hits) {
 			t.Fatalf("signature %d: rejected after its hand-off moved on", i)
 		}
 		if hits.Value() != before {
@@ -458,7 +449,7 @@ func TestVerifySKENonceHitsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := countHits(t)
+	hits := new(telemetry.Counter)
 	const n = 16
 	for i := 0; i < n; i++ {
 		var h SKENonce
@@ -466,7 +457,7 @@ func TestVerifySKENonceHitsCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Verify(crt.Leaf, digestOf(i), sig, nonceHits); err != nil {
+		if err := h.Verify(crt.Leaf, digestOf(i), sig, hits); err != nil {
 			t.Fatal(err)
 		}
 		sig, err = signP256(outside, rand.Reader, digestOf(i), nil)
@@ -497,13 +488,13 @@ func TestVerifySKEFastPathAfterManyKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits := countHits(t)
+	hits := new(telemetry.Counter)
 	var h SKENonce
 	sig, err := first.SignSKE(rand.Reader, digestOf(0), &h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !agree(t, &h, first.Leaf, digestOf(0), sig) {
+	if !agree(t, &h, first.Leaf, digestOf(0), sig, hits) {
 		t.Fatal("the first leaf's signature does not verify")
 	}
 	if got := hits.Value(); got != 1 {
@@ -556,7 +547,7 @@ func TestVerifySKENonceTableConcurrent(t *testing.T) {
 			defer vg.Done()
 			for x := range out {
 				check := func(leaf *x509.Certificate, digest, sig []byte, want bool) {
-					got := x.h.Verify(leaf, digest, sig, nonceHits) == nil
+					got := x.h.Verify(leaf, digest, sig, nil) == nil
 					if std := ecdsa.VerifyASN1(leaf.PublicKey.(*ecdsa.PublicKey), digest, sig); got != std || got != want {
 						t.Errorf("Verify = %v, ecdsa.VerifyASN1 = %v, want %v", got, std, want)
 					}
@@ -643,7 +634,7 @@ func FuzzVerifySKE(f *testing.F) {
 	}
 	f.Add(digest, sig)
 	f.Fuzz(func(t *testing.T, digest, sig []byte) {
-		agree(t, &h, crt.Leaf, digest, sig)
+		agree(t, &h, crt.Leaf, digest, sig, nil)
 	})
 }
 
@@ -690,7 +681,7 @@ func BenchmarkVerifySKE(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := h.Verify(leaf, digest, sig, nonceHits); err != nil {
+				if err := h.Verify(leaf, digest, sig, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

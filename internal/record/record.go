@@ -15,6 +15,7 @@ import (
 	"net"
 
 	"tlsshortcuts/internal/handoff"
+	"tlsshortcuts/internal/telemetry"
 )
 
 // Record content types.
@@ -41,8 +42,6 @@ type halfConn struct {
 	aead cipher.AEAD
 	salt [4]byte
 	seq  uint64
-	// handedOver is set when the AEAD came from the peer's writer.
-	handedOver bool
 	// nonce and aadBuf are scratch handed to the AEAD. They live on the
 	// (heap-resident) connection rather than the stack because slices
 	// passed through the cipher.AEAD interface escape: stack locals here
@@ -110,24 +109,24 @@ func (rc *Conn) ArmWrite(key, salt []byte) error {
 // ArmRead switches the read direction to AES-128-GCM, with the AEAD the
 // peer's writer handed over for the same key when there is one. GCM
 // state is read-only after construction, so both ends may use one AEAD.
-func (rc *Conn) ArmRead(key, salt []byte) error {
+func (rc *Conn) ArmRead(key, salt []byte) error { return rc.ArmReadCounted(key, salt, nil) }
+
+// ArmReadCounted is ArmRead counting into handedOver (nil counts
+// nothing) when the peer's AEAD is taken.
+func (rc *Conn) ArmReadCounted(key, salt []byte, handedOver *telemetry.Counter) error {
 	link, end := handoff.Of(rc.c)
 	aead := link.PeerAEAD(end, key)
-	handedOver := aead != nil
-	if !handedOver {
+	if aead != nil {
+		handedOver.Inc()
+	} else {
 		var err error
 		if aead, err = NewAEAD(key); err != nil {
 			return err
 		}
 	}
 	rc.in.arm(aead, salt)
-	rc.in.handedOver = handedOver
 	return nil
 }
-
-// ReadHandedOver reports whether the read direction runs on the AEAD
-// the peer handed over.
-func (rc *Conn) ReadHandedOver() bool { return rc.in.handedOver }
 
 func (h *halfConn) arm(aead cipher.AEAD, salt []byte) {
 	h.aead = aead

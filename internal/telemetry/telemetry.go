@@ -285,9 +285,9 @@ func (h HistogramSnapshot) Mean() time.Duration {
 
 // Quantile returns an upper-bound estimate of the q-quantile
 // (0 < q <= 1): the bound of the bucket holding the nearest-rank
-// observation, the ⌈q·Count⌉-th smallest, or Max for the overflow
-// bucket. Coarse by design — the ladder is fixed so estimates stay
-// comparable across runs.
+// observation, the ⌈q·Count⌉-th smallest, capped at Max (which also
+// stands for the overflow bucket's bound). Coarse by design — the
+// ladder is fixed so estimates stay comparable across runs.
 func (h HistogramSnapshot) Quantile(q float64) time.Duration {
 	if h.Count == 0 || q <= 0 {
 		return 0
@@ -306,7 +306,7 @@ func (h HistogramSnapshot) Quantile(q float64) time.Duration {
 	for _, b := range h.Buckets {
 		cum += b.N
 		if cum >= target {
-			if b.LE < 0 {
+			if b.LE < 0 || b.LE > h.Max {
 				return h.Max
 			}
 			return b.LE

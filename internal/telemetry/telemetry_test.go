@@ -168,8 +168,9 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 }
 
 // TestHistogramQuantiles checks that each quantile is the bound of the
-// bucket holding the nearest-rank observation, ⌈q·N⌉: never a bucket
-// below the quantile, and an integral q·N is that rank exactly.
+// bucket holding the nearest-rank observation, ⌈q·N⌉, capped at Max:
+// never a bucket below the quantile, never above the largest
+// observation, and an integral q·N is that rank exactly.
 func TestHistogramQuantiles(t *testing.T) {
 	type obs struct {
 		d time.Duration
@@ -182,11 +183,12 @@ func TestHistogramQuantiles(t *testing.T) {
 		want time.Duration
 	}{
 		{"p50 of 99 fast and one slow", []obs{{2 * time.Microsecond, 99}, {10 * time.Second, 1}}, 0.50, 4 * time.Microsecond},
-		{"p100 reaches the tail", []obs{{2 * time.Microsecond, 99}, {10 * time.Second, 1}}, 1.0, 16777216 * time.Microsecond},
+		{"p100 reaches the tail", []obs{{2 * time.Microsecond, 99}, {10 * time.Second, 1}}, 1.0, 10 * time.Second},
 		{"integral rank: p50 of 50+50", []obs{{time.Microsecond, 50}, {time.Second, 50}}, 0.50, time.Microsecond},
 		{"integral rank: p7 of 7+93", []obs{{time.Microsecond, 7}, {time.Second, 93}}, 0.07, time.Microsecond},
-		{"p99 of 148 fast and 2 slow", []obs{{time.Microsecond, 148}, {time.Second, 2}}, 0.99, 1048576 * time.Microsecond},
-		{"p99 of one fast and one slow", []obs{{time.Microsecond, 1}, {time.Second, 1}}, 0.99, 1048576 * time.Microsecond},
+		{"p99 of 148 fast and 2 slow", []obs{{time.Microsecond, 148}, {time.Second, 2}}, 0.99, time.Second},
+		{"p99 of one fast and one slow", []obs{{time.Microsecond, 1}, {time.Second, 1}}, 0.99, time.Second},
+		{"never above Max: bucket le=4.096ms", []obs{{time.Millisecond, 1}, {1697 * time.Microsecond, 1}}, 0.99, 1697 * time.Microsecond},
 	} {
 		r := NewRegistry()
 		h := r.Histogram("q")
@@ -308,7 +310,8 @@ func TestQuantileMeanEdgeCases(t *testing.T) {
 	if len(s.Buckets) != 1 {
 		t.Fatalf("want single bucket, got %+v", s.Buckets)
 	}
-	// q<=0 is defined as 0; every in-range q lands in the only bucket.
+	// q<=0 is defined as 0; every in-range q lands in the only bucket,
+	// whose 4µs bound is capped at the 3µs Max.
 	if got := s.Quantile(0); got != 0 {
 		t.Fatalf("q=0 = %v, want 0", got)
 	}
@@ -316,8 +319,8 @@ func TestQuantileMeanEdgeCases(t *testing.T) {
 		t.Fatalf("q=-1 = %v, want 0", got)
 	}
 	for _, q := range []float64{0.0001, 0.5, 1} {
-		if got := s.Quantile(q); got != 4*time.Microsecond {
-			t.Fatalf("single-bucket q=%v = %v, want 4µs", q, got)
+		if got := s.Quantile(q); got != 3*time.Microsecond {
+			t.Fatalf("single-bucket q=%v = %v, want 3µs", q, got)
 		}
 	}
 	// q>1 asks past the last observation; the estimator saturates at Max.

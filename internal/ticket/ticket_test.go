@@ -185,8 +185,9 @@ func TestRotatingDeterminism(t *testing.T) {
 }
 
 // TestOpenTicketIntoCountsOutcomes requires every STEK manager to report
-// each resumption decrypt outcome, which the terminator counts as
-// ticket/open_ok or ticket/open_miss, and to count the key derivations
+// each resumption decrypt outcome (the terminator counts these as
+// ticket/open_ok or ticket/open_miss, which tlsserver's
+// TestServeCountsTicketOpens checks), and to count the key derivations
 // an issue or an open causes into the registry it is handed: a rotating
 // manager derives the issuing key and the one previous key it accepts.
 func TestOpenTicketIntoCountsOutcomes(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 
 	"tlsshortcuts/internal/pki"
 	"tlsshortcuts/internal/session"
+	"tlsshortcuts/internal/telemetry"
 	"tlsshortcuts/internal/ticket"
 )
 
@@ -28,19 +29,7 @@ import (
 // full handshake, so session-ID resumption is left to this repository's
 // own client.
 func TestStdlibClientInterop(t *testing.T) {
-	root, err := pki.NewRootCA("interop root", pki.ECDSAP256, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const name = "interop.example"
-	now := time.Now()
-	leaf, err := root.IssueLeaf([]string{name}, pki.ECDSAP256, now.Add(-time.Hour), now.Add(24*time.Hour), rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots := x509.NewCertPool()
-	roots.AddCert(root.Cert)
-
+	leaf, roots := interopPKI(t)
 	type interopCase struct {
 		name   string
 		cfg    *Config
@@ -53,15 +42,8 @@ func TestStdlibClientInterop(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Respond = func(req []byte) []byte { return append([]byte("echo: "), req...) }
-			client := &tls.Config{
-				RootCAs:            roots,
-				ServerName:         name,
-				MinVersion:         tls.VersionTLS12,
-				MaxVersion:         tls.VersionTLS12,
-				CipherSuites:       []uint16{tls.TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256},
-				ClientSessionCache: tls.NewLRUClientSessionCache(1),
-			}
+			tc.cfg.Respond = echo
+			client := stdlibClient(roots)
 			for conn := 0; conn < 2; conn++ {
 				cs := stdlibRoundTrip(t, tc.cfg, client)
 				if cs.CipherSuite != tls.TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256 || cs.Version != tls.VersionTLS12 {
@@ -74,6 +56,72 @@ func TestStdlibClientInterop(t *testing.T) {
 		})
 	}
 }
+
+// TestServeCountsTicketOpens requires the terminator to count every
+// ticket it is offered into the registry its Config attaches: a
+// resumption by its own ticket as one ticket/open_ok, and a ticket
+// another terminator's STEK sealed as one ticket/open_miss, after which
+// the handshake runs in full.
+func TestServeCountsTicketOpens(t *testing.T) {
+	leaf, roots := interopPKI(t)
+	reg := telemetry.NewRegistry()
+	tel := NewCounters(reg)
+	issuer := &Config{DefaultCert: leaf, Tickets: ticket.NewStatic([]byte("count|issuer"), ticket.FormatRFC5077), Respond: echo, Telemetry: tel}
+	foreign := &Config{DefaultCert: leaf, Tickets: ticket.NewStatic([]byte("count|foreign"), ticket.FormatRFC5077), Respond: echo, Telemetry: tel}
+	client := stdlibClient(roots)
+	for i, step := range []struct {
+		cfg      *Config
+		resumed  bool
+		ok, miss uint64
+	}{
+		{issuer, false, 0, 0},  // no ticket offered yet
+		{issuer, true, 1, 0},   // the issuer's own ticket
+		{foreign, false, 1, 1}, // the issuer's ticket at another STEK
+	} {
+		if cs := stdlibRoundTrip(t, step.cfg, client); cs.DidResume != step.resumed {
+			t.Fatalf("conn %d: DidResume = %v, want %v", i, cs.DidResume, step.resumed)
+		}
+		if ok, miss := reg.Value("ticket/open_ok"), reg.Value("ticket/open_miss"); ok != step.ok || miss != step.miss {
+			t.Fatalf("conn %d: open_ok %d, open_miss %d; want %d, %d", i, ok, miss, step.ok, step.miss)
+		}
+	}
+}
+
+const interopName = "interop.example"
+
+// interopPKI issues an ECDSA P-256 leaf for interopName under a fresh
+// root and returns it with a pool holding that root.
+func interopPKI(t *testing.T) (*pki.Certificate, *x509.CertPool) {
+	t.Helper()
+	root, err := pki.NewRootCA("interop root", pki.ECDSAP256, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	leaf, err := root.IssueLeaf([]string{interopName}, pki.ECDSAP256, now.Add(-time.Hour), now.Add(24*time.Hour), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := x509.NewCertPool()
+	roots.AddCert(root.Cert)
+	return leaf, roots
+}
+
+// stdlibClient is a crypto/tls TLS 1.2 client of interopName offering
+// only ECDHE-ECDSA-AES128-GCM-SHA256, with a one-entry session cache.
+func stdlibClient(roots *x509.CertPool) *tls.Config {
+	return &tls.Config{
+		RootCAs:            roots,
+		ServerName:         interopName,
+		MinVersion:         tls.VersionTLS12,
+		MaxVersion:         tls.VersionTLS12,
+		CipherSuites:       []uint16{tls.TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256},
+		ClientSessionCache: tls.NewLRUClientSessionCache(1),
+	}
+}
+
+// echo is the Respond of stdlibRoundTrip's servers.
+func echo(req []byte) []byte { return append([]byte("echo: "), req...) }
 
 // stdlibRoundTrip runs one crypto/tls client connection against Serve
 // over net.Pipe: a handshake, one request and its response, then
@@ -97,7 +145,7 @@ func stdlibRoundTrip(t *testing.T, cfg *Config, client *tls.Config) tls.Connecti
 		cli.Close() // unblocks a server still writing
 		t.Fatalf("crypto/tls handshake: %v (server: %v)", err, <-served)
 	}
-	req := []byte("GET / HTTP/1.1\r\nHost: interop.example\r\n\r\n")
+	req := []byte("GET / HTTP/1.1\r\nHost: " + interopName + "\r\n\r\n")
 	if _, err := c.Write(req); err != nil {
 		t.Fatal(err)
 	}
