@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"tlsshortcuts/internal/telemetry"
-	"tlsshortcuts/internal/wire"
 )
 
 // Alg selects the leaf/CA signature algorithm.
@@ -37,21 +36,28 @@ const (
 // Certificate bundles a leaf with its chain and private key — everything a
 // terminator needs to serve it.
 type Certificate struct {
-	Leaf  *x509.Certificate
 	Chain [][]byte // DER, leaf first
 	Key   crypto.Signer
-
-	msgOnce sync.Once
-	msg     []byte
 }
 
-// Message returns the framed TLS Certificate handshake message that
-// carries Chain, marshaled on first use. The chain never changes, so
-// every full handshake serving the certificate sends these bytes, and
-// they live exactly as long as the certificate does.
-func (c *Certificate) Message() []byte {
-	c.msgOnce.Do(func() { c.msg = wire.MarshalCertificate(c.Chain).Marshal() })
-	return c.msg
+// Leaf is what a ServerKeyExchange check reads of a leaf certificate: its
+// DER, which identifies the certificate, and its public key.
+type Leaf struct {
+	Raw       []byte
+	PublicKey crypto.PublicKey
+}
+
+// leaf returns c's Leaf without a parse: its DER is Chain[0], and its
+// public key is Key's.
+func (c *Certificate) leaf() *Leaf { return &Leaf{Raw: c.Chain[0], PublicKey: c.Key.Public()} }
+
+// ParseLeaf parses a leaf certificate's DER. The Leaf aliases der.
+func ParseLeaf(der []byte) (*Leaf, error) {
+	c, err := x509.ParseCertificate(der)
+	if err != nil {
+		return nil, err
+	}
+	return &Leaf{Raw: der, PublicKey: c.PublicKey}, nil
 }
 
 // SignSKE signs the SHA-256 digest of a ServerKeyExchange's signed
@@ -178,7 +184,7 @@ type SKENonce struct {
 // Every other signature, and every one the fast check does not accept,
 // goes to VerifySKE. h may be nil. handedOver counts the signatures
 // the nonce verified.
-func (h *SKENonce) Verify(leaf *x509.Certificate, digest, sig []byte, handedOver *telemetry.Counter) error {
+func (h *SKENonce) Verify(leaf *Leaf, digest, sig []byte, handedOver *telemetry.Counter) error {
 	if h != nil && h.signer != nil && bytes.Equal(h.signer.Chain[0], leaf.Raw) && h.verify(digest, sig) {
 		handedOver.Inc()
 		return nil
@@ -325,21 +331,25 @@ func (r *RootCA) IssueLeaf(names []string, alg Alg, nb, na time.Time, rnd io.Rea
 	if err != nil {
 		return nil, err
 	}
-	leaf, err := x509.ParseCertificate(der)
-	if err != nil {
-		return nil, err
-	}
-	return &Certificate{Leaf: leaf, Chain: [][]byte{der, r.Cert.Raw}, Key: key}, nil
+	return &Certificate{Chain: [][]byte{der, r.Cert.Raw}, Key: key}, nil
 }
 
-// RootStore is the simulated browser trust store. It also keeps the
-// parsed leaves its world serves, so they live exactly as long as the
-// world does.
+// RootStore is the simulated browser trust store. It also keeps, for
+// each leaf its world serves, the Leaf a ServerKeyExchange check reads,
+// so those live exactly as long as the world does; it keeps no parsed
+// certificate.
 type RootStore struct {
 	pool   *x509.CertPool
 	nb, na time.Time // the window in which every root is valid
-	cache  sync.Map  // [32]byte leaf+name fingerprint -> *trust
-	leaves sync.Map  // [32]byte leaf DER fingerprint -> *x509.Certificate
+	cache  sync.Map  // trustKey -> *trust
+	leaves sync.Map  // [32]byte leaf DER fingerprint -> *Leaf
+}
+
+// trustKey names one memoized verdict: a leaf by its DER's SHA-256, and
+// the name it was checked for.
+type trustKey struct {
+	leaf [sha256.Size]byte
+	name string
 }
 
 // trust is a memoized verdict and the window [nb, na] in which it holds.
@@ -363,28 +373,28 @@ func NewRootStore(roots ...*RootCA) *RootStore {
 }
 
 // AddLeaf records a certificate the store's world serves, so Leaf
-// returns the issuer's own parse of it instead of a second one.
+// returns it without a parse: its DER is the certificate's own
+// Chain[0], and its public key is Key's.
 func (s *RootStore) AddLeaf(c *Certificate) {
-	s.leaves.Store(sha256.Sum256(c.Chain[0]), c.Leaf)
+	s.leaves.Store(sha256.Sum256(c.Chain[0]), c.leaf())
 }
 
-// Leaf returns the parsed certificate for a leaf's DER: the issuer's
-// parse for a leaf added with AddLeaf, otherwise a parse the store keeps
+// Leaf returns the Leaf for a leaf's DER: the one AddLeaf recorded, or
+// else a copy of der and the key from one parse, which the store keeps
 // for its lifetime. The scanner checks ServerKeyExchange signatures
 // against the same few hundred leaves tens of thousands of times. The
-// caller may reuse der afterwards: a kept parse is of a copy, because
-// x509.ParseCertificate aliases its input.
-func (s *RootStore) Leaf(der []byte) (*x509.Certificate, error) {
+// caller may reuse der afterwards.
+func (s *RootStore) Leaf(der []byte) (*Leaf, error) {
 	key := sha256.Sum256(der)
 	if v, ok := s.leaves.Load(key); ok {
-		return v.(*x509.Certificate), nil
+		return v.(*Leaf), nil
 	}
-	leaf, err := x509.ParseCertificate(bytes.Clone(der))
+	leaf, err := ParseLeaf(bytes.Clone(der))
 	if err != nil {
 		return nil, err
 	}
 	v, _ := s.leaves.LoadOrStore(key, leaf)
-	return v.(*x509.Certificate), nil
+	return v.(*Leaf), nil
 }
 
 // narrow intersects the window [nb, na] with c's validity period.
@@ -408,11 +418,7 @@ func (s *RootStore) Verify(chain [][]byte, name string, now time.Time) bool {
 	if len(chain) == 0 {
 		return false
 	}
-	h := sha256.New()
-	h.Write(chain[0])
-	h.Write([]byte(name))
-	var key [32]byte
-	h.Sum(key[:0])
+	key := trustKey{sha256.Sum256(chain[0]), name}
 	if v, ok := s.cache.Load(key); ok {
 		if t := v.(*trust); t.holdsAt(now) {
 			return t.ok
@@ -429,7 +435,7 @@ func (t *trust) holdsAt(now time.Time) bool { return !now.Before(t.nb) && !now.A
 
 func (s *RootStore) verify(chain [][]byte, name string, now time.Time) *trust {
 	t := &trust{nb: s.nb, na: s.na}
-	leaf, err := s.Leaf(chain[0])
+	leaf, err := x509.ParseCertificate(chain[0])
 	if err != nil {
 		return t
 	}

@@ -3,6 +3,7 @@ package pki
 import (
 	"bytes"
 	"crypto"
+	"crypto/ecdsa"
 	"crypto/elliptic"
 	crand "crypto/rand"
 	"crypto/rsa"
@@ -15,8 +16,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"tlsshortcuts/internal/wire"
 )
 
 var (
@@ -86,11 +85,11 @@ func TestSignSKEP256Verifies(t *testing.T) {
 			t.Fatal(err)
 		}
 		parseSig(t, sig)
-		if !agree(t, &h, crt.Leaf, digest, sig, nil) {
+		if !agree(t, &h, crt.leaf(), digest, sig, nil) {
 			t.Fatalf("signature %d does not verify", i)
 		}
 		digest[i%len(digest)] ^= 1 << (i % 8)
-		if agree(t, &h, crt.Leaf, digest, sig, nil) {
+		if agree(t, &h, crt.leaf(), digest, sig, nil) {
 			t.Fatalf("signature %d verifies a flipped digest", i)
 		}
 	}
@@ -181,10 +180,12 @@ func BenchmarkSignSKE(b *testing.B) {
 }
 
 // TestRootStoreLeafConcurrent has scanner-like workers ask one store for
-// a leaf it was given and one it was not, and ask one certificate for its
-// Certificate message, all at once: every worker must get the issuer's
-// own parse for the added leaf, one shared parse for the other, and one
-// message equal to a fresh marshaling.
+// a leaf it was given and one it was not, all at once: every worker must
+// get the one entry AddLeaf stored for the added leaf, whose DER is the
+// certificate's own and whose key is the one x509 parses from it, and
+// one shared entry for the other. The Certificate message that used to
+// be memoized beside the leaf is checked on the wire, in tlsserver's
+// TestCertificateMessageOnWire.
 func TestRootStoreLeafConcurrent(t *testing.T) {
 	root, err := NewRootCA("test root", ECDSAP256, crand.Reader)
 	if err != nil {
@@ -201,10 +202,7 @@ func TestRootStoreLeafConcurrent(t *testing.T) {
 	s := NewRootStore(root)
 	s.AddLeaf(added)
 	const workers = 8
-	type got struct {
-		added, other *x509.Certificate
-		msg          []byte
-	}
+	type got struct{ added, other *Leaf }
 	results := make([]got, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -218,24 +216,132 @@ func TestRootStoreLeafConcurrent(t *testing.T) {
 			if results[w].other, err = s.Leaf(other.Chain[0]); err != nil {
 				t.Error(err)
 			}
-			results[w].msg = other.Message()
 		}(w)
 	}
 	wg.Wait()
-	want := wire.MarshalCertificate(other.Chain).Marshal()
 	for w, r := range results {
-		if r.added != added.Leaf {
-			t.Fatalf("worker %d: the added leaf was parsed again", w)
+		if r.added == nil || r.added != results[0].added || &r.added.Raw[0] != &added.Chain[0][0] {
+			t.Fatalf("worker %d: the added leaf's entry is not the one AddLeaf stored over Chain[0]", w)
 		}
 		if r.other == nil || r.other != results[0].other || !bytes.Equal(r.other.Raw, other.Chain[0]) {
-			t.Fatalf("worker %d: the other leaf parse is not the store's one copy", w)
+			t.Fatalf("worker %d: the other leaf's entry is not the store's one copy", w)
 		}
-		if !bytes.Equal(r.msg, want) || &r.msg[0] != &results[0].msg[0] {
-			t.Fatalf("worker %d: Certificate message differs from MarshalCertificate or was marshaled twice", w)
+	}
+	for _, c := range []struct {
+		crt   *Certificate
+		entry *Leaf
+	}{{added, results[0].added}, {other, results[0].other}} {
+		parsed, err := x509.ParseCertificate(c.crt.Chain[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !parsed.PublicKey.(*ecdsa.PublicKey).Equal(c.entry.PublicKey) {
+			t.Fatalf("%v: the store's key is not the one x509 parses from the leaf", parsed.DNSNames)
 		}
 	}
 	if _, err := s.Leaf([]byte("not a certificate")); err == nil {
 		t.Fatal("a malformed leaf parsed")
+	}
+}
+
+// TestRootStoreVerifyMatchesX509 requires every RootStore.Verify verdict
+// to equal a fresh x509.Certificate.Verify with the store's options, from
+// a fresh store and from one store that has memoized the rows before
+// it. Rows cover a leaf given with AddLeaf and one not, the right and a
+// wrong name, instants on and past each end of the validity window, a
+// foreign root and a garbage intermediate. The last row appends "www."
+// to a leaf issued for www.example.com and checks it for example.com:
+// leaf DER and name concatenate to the bytes of an earlier trusted row,
+// so a memo keyed by their concatenation answers it from that row.
+func TestRootStoreVerifyMatchesX509(t *testing.T) {
+	root, err := NewRootCA("verify root", ECDSAP256, crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreignRoot, err := NewRootCA("foreign root", ECDSAP256, crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issue := func(r *RootCA, name string) *Certificate {
+		crt, err := r.IssueLeaf([]string{name}, ECDSAP256, nb, na, crand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return crt
+	}
+	added, other := issue(root, "www.example.com"), issue(root, "other.example")
+	foreign := issue(foreignRoot, "foreign.example")
+	newStore := func() *RootStore {
+		s := NewRootStore(root)
+		s.AddLeaf(added)
+		return s
+	}
+	pool := x509.NewCertPool()
+	pool.AddCert(root.Cert)
+	x509Verdict := func(chain [][]byte, name string, at time.Time) bool {
+		leaf, err := x509.ParseCertificate(chain[0])
+		if err != nil {
+			return false
+		}
+		inter := x509.NewCertPool()
+		for _, der := range chain[1:] {
+			if c, err := x509.ParseCertificate(der); err == nil {
+				inter.AddCert(c)
+			}
+		}
+		_, err = leaf.Verify(x509.VerifyOptions{
+			DNSName:       name,
+			Roots:         pool,
+			Intermediates: inter,
+			CurrentTime:   at,
+			KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth},
+		})
+		return err == nil
+	}
+
+	type row struct {
+		desc  string
+		chain [][]byte
+		name  string
+		at    time.Time
+		want  bool
+	}
+	mid := nb.Add(30 * 24 * time.Hour)
+	var rows []row
+	for _, l := range []struct {
+		desc string
+		crt  *Certificate
+		name string
+	}{{"added", added, "www.example.com"}, {"not added", other, "other.example"}} {
+		rows = append(rows,
+			row{l.desc + ", right name", l.crt.Chain, l.name, mid, true},
+			row{l.desc + ", wrong name", l.crt.Chain, "wrong.example", mid, false},
+			row{l.desc + ", at NotBefore", l.crt.Chain, l.name, nb, true},
+			row{l.desc + ", before NotBefore", l.crt.Chain, l.name, nb.Add(-time.Second), false},
+			row{l.desc + ", at NotAfter", l.crt.Chain, l.name, na, true},
+			row{l.desc + ", after NotAfter", l.crt.Chain, l.name, na.Add(time.Second), false},
+			row{l.desc + ", garbage intermediate", [][]byte{l.crt.Chain[0], []byte("garbage"), l.crt.Chain[1]}, l.name, mid, true},
+			row{l.desc + ", only a garbage intermediate", [][]byte{l.crt.Chain[0], []byte("garbage")}, l.name, mid, true},
+		)
+	}
+	rows = append(rows,
+		row{"foreign root", foreign.Chain, "foreign.example", mid, false},
+		row{"foreign root, trusted root as intermediate", [][]byte{foreign.Chain[0], root.Cert.Raw}, "foreign.example", mid, false},
+		row{"garbage leaf", [][]byte{[]byte("garbage"), root.Cert.Raw}, "www.example.com", mid, false},
+		row{"leaf with trailing bytes", [][]byte{append(bytes.Clone(added.Chain[0]), "www."...), added.Chain[1]}, "example.com", mid, false},
+	)
+	shared := newStore()
+	for _, r := range rows {
+		want := x509Verdict(r.chain, r.name, r.at)
+		if want != r.want {
+			t.Fatalf("%s: x509 says %v, the row expects %v", r.desc, want, r.want)
+		}
+		if got := newStore().Verify(r.chain, r.name, r.at); got != want {
+			t.Errorf("%s: a fresh store says %v, x509 %v", r.desc, got, want)
+		}
+		if got := shared.Verify(r.chain, r.name, r.at); got != want {
+			t.Errorf("%s: a store that has seen the rows before says %v, x509 %v", r.desc, got, want)
+		}
 	}
 }
 

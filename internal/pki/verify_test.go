@@ -23,7 +23,7 @@ import (
 // agree requires h.Verify (h may be nil) to reach ecdsa.VerifyASN1's
 // verdict on one input, counting a nonce hit into hits (nil counts
 // nothing), and returns that verdict.
-func agree(t testing.TB, h *SKENonce, leaf *x509.Certificate, digest, sig []byte, hits *telemetry.Counter) bool {
+func agree(t testing.TB, h *SKENonce, leaf *Leaf, digest, sig []byte, hits *telemetry.Counter) bool {
 	t.Helper()
 	want := ecdsa.VerifyASN1(leaf.PublicKey.(*ecdsa.PublicKey), digest, sig)
 	if got := h.Verify(leaf, digest, sig, hits) == nil; got != want {
@@ -33,7 +33,7 @@ func agree(t testing.TB, h *SKENonce, leaf *x509.Certificate, digest, sig []byte
 }
 
 // bare wraps a key that has no certificate for Verify.
-func bare(pub crypto.PublicKey) *x509.Certificate { return &x509.Certificate{PublicKey: pub} }
+func bare(pub crypto.PublicKey) *Leaf { return &Leaf{PublicKey: pub} }
 
 // DER building blocks for hand-made signatures.
 
@@ -144,7 +144,7 @@ func TestVerifySKEMatchesStdlibMalformed(t *testing.T) {
 		r, s := sigInts(t, sig)
 		accepted := 0
 		for _, m := range malformed(r, s) {
-			if agree(t, &h, crt.Leaf, digest, m, nil) {
+			if agree(t, &h, crt.leaf(), digest, m, nil) {
 				accepted++
 			}
 		}
@@ -157,11 +157,11 @@ func TestVerifySKEMatchesStdlibMalformed(t *testing.T) {
 	priv := crt.Key.(*ecdsa.PrivateKey)
 	for _, sv := range []*big.Int{big.NewInt(1), big.NewInt(2), new(big.Int).Lsh(big.NewInt(1), 200)} {
 		digest, sig := craftSig(t, priv, sv)
-		if !agree(t, &h, crt.Leaf, digest, sig, nil) {
+		if !agree(t, &h, crt.leaf(), digest, sig, nil) {
 			t.Fatalf("crafted signature with s = %x does not verify", sv)
 		}
 		for _, m := range malformed(sigInts(t, sig)) {
-			agree(t, &h, crt.Leaf, digest, m, nil)
+			agree(t, &h, crt.leaf(), digest, m, nil)
 		}
 	}
 }
@@ -203,13 +203,13 @@ func TestVerifySKEMatchesStdlibDigestWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !agree(t, &h, crt.Leaf, digest, sig, nil) {
+		if !agree(t, &h, crt.leaf(), digest, sig, nil) {
 			t.Fatalf("stdlib signature over %d-byte digest does not verify", len(digest))
 		}
 		flipped := append([]byte{}, digest...)
 		if len(flipped) > 0 {
 			flipped[0] ^= 0x80
-			agree(t, &h, crt.Leaf, flipped, sig, nil)
+			agree(t, &h, crt.leaf(), flipped, sig, nil)
 		}
 	}
 }
@@ -227,7 +227,7 @@ func TestVerifySKEInfinityRejected(t *testing.T) {
 		digest := e.FillBytes(make([]byte, 32))
 		sig := derSig(derInt(big.NewInt(r)), derInt(big.NewInt(7)))
 		h := SKENonce{signer: crt, r: scalar{uint64(r)}, k: scalar{3}}
-		if agree(t, &h, crt.Leaf, digest, sig, nil) {
+		if agree(t, &h, crt.leaf(), digest, sig, nil) {
 			t.Fatalf("r = %d: accepted a signature whose point is at infinity", r)
 		}
 	}
@@ -272,7 +272,7 @@ func TestVerifySKEFallbacks(t *testing.T) {
 		if _, err := other.SignSKE(rand.Reader, digest, &oh); err != nil {
 			t.Fatal(err)
 		}
-		if !agree(t, nil, crt.Leaf, digest, sig, hits) || !agree(t, &oh, crt.Leaf, digest, sig, hits) {
+		if !agree(t, nil, crt.leaf(), digest, sig, hits) || !agree(t, &oh, crt.leaf(), digest, sig, hits) {
 			t.Fatalf("signature %d does not verify without its hand-off", i)
 		}
 	}
@@ -346,12 +346,12 @@ func TestVerifySKEConcurrentIssue(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := h.Verify(crt.Leaf, digest, sig, nil); err != nil {
+				if err := h.Verify(crt.leaf(), digest, sig, nil); err != nil {
 					t.Errorf("concurrent verify: %v", err)
 					return
 				}
 				digest[1] ^= 1
-				if h.Verify(crt.Leaf, digest, sig, nil) == nil {
+				if h.Verify(crt.leaf(), digest, sig, nil) == nil {
 					t.Error("concurrent verify accepted a flipped digest")
 					return
 				}
@@ -398,21 +398,21 @@ func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
 		for _, c := range []struct {
 			name   string
 			h      *SKENonce
-			leaf   *x509.Certificate
+			leaf   *Leaf
 			digest []byte
 			sig    []byte
 			want   bool
 		}{
-			{"valid", &h, crt.Leaf, digest, sig, true},
-			{"flipped digest", &h, crt.Leaf, flipped, sig, false},
-			{"(r, n-s)", &h, crt.Leaf, digest, derSig(derInt(r), derInt(new(big.Int).Sub(p256N, s))), true},
-			{"s+1", &h, crt.Leaf, digest, derSig(derInt(r), derInt(new(big.Int).Add(s, big.NewInt(1)))), false},
-			{"r of this, s of another", &h, crt.Leaf, digest, derSig(derInt(r), derInt(ps)), false},
-			{"r of another, s of this", &h, crt.Leaf, digest, derSig(derInt(pr), derInt(s)), false},
-			{"another r, s for this nonce", &h, crt.Leaf, digest, derSig(derInt(fr), derInt(fs)), false},
-			{"another certificate's signature", &h, crt.Leaf, digest, otherSig, false},
-			{"another certificate's hand-off", &oh, crt.Leaf, digest, sig, true},
-			{"this hand-off, another leaf", &h, other.Leaf, digest, sig, false},
+			{"valid", &h, crt.leaf(), digest, sig, true},
+			{"flipped digest", &h, crt.leaf(), flipped, sig, false},
+			{"(r, n-s)", &h, crt.leaf(), digest, derSig(derInt(r), derInt(new(big.Int).Sub(p256N, s))), true},
+			{"s+1", &h, crt.leaf(), digest, derSig(derInt(r), derInt(new(big.Int).Add(s, big.NewInt(1)))), false},
+			{"r of this, s of another", &h, crt.leaf(), digest, derSig(derInt(r), derInt(ps)), false},
+			{"r of another, s of this", &h, crt.leaf(), digest, derSig(derInt(pr), derInt(s)), false},
+			{"another r, s for this nonce", &h, crt.leaf(), digest, derSig(derInt(fr), derInt(fs)), false},
+			{"another certificate's signature", &h, crt.leaf(), digest, otherSig, false},
+			{"another certificate's hand-off", &oh, crt.leaf(), digest, sig, true},
+			{"this hand-off, another leaf", &h, other.leaf(), digest, sig, false},
 		} {
 			before := hits.Value()
 			if got := agree(t, c.h, c.leaf, c.digest, c.sig, hits); got != c.want {
@@ -432,7 +432,7 @@ func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := hits.Value()
-		if !agree(t, &h, crt.Leaf, digest, sig, hits) {
+		if !agree(t, &h, crt.leaf(), digest, sig, hits) {
 			t.Fatalf("signature %d: rejected after its hand-off moved on", i)
 		}
 		if hits.Value() != before {
@@ -457,7 +457,7 @@ func TestVerifySKENonceHitsCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Verify(crt.Leaf, digestOf(i), sig, hits); err != nil {
+		if err := h.Verify(crt.leaf(), digestOf(i), sig, hits); err != nil {
 			t.Fatal(err)
 		}
 		sig, err = signP256(outside, rand.Reader, digestOf(i), nil)
@@ -494,7 +494,7 @@ func TestVerifySKEFastPathAfterManyKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !agree(t, &h, first.Leaf, digestOf(0), sig, hits) {
+	if !agree(t, &h, first.leaf(), digestOf(0), sig, hits) {
 		t.Fatal("the first leaf's signature does not verify")
 	}
 	if got := hits.Value(); got != 1 {
@@ -546,21 +546,21 @@ func TestVerifySKENonceTableConcurrent(t *testing.T) {
 		go func() {
 			defer vg.Done()
 			for x := range out {
-				check := func(leaf *x509.Certificate, digest, sig []byte, want bool) {
+				check := func(leaf *Leaf, digest, sig []byte, want bool) {
 					got := x.h.Verify(leaf, digest, sig, nil) == nil
 					if std := ecdsa.VerifyASN1(leaf.PublicKey.(*ecdsa.PublicKey), digest, sig); got != std || got != want {
 						t.Errorf("Verify = %v, ecdsa.VerifyASN1 = %v, want %v", got, std, want)
 					}
 				}
-				check(x.crt.Leaf, x.digest, x.sig, true)
+				check(x.crt.leaf(), x.digest, x.sig, true)
 				flipped := append([]byte(nil), x.digest...)
 				flipped[0] ^= 1
-				check(x.crt.Leaf, flipped, x.sig, false)
+				check(x.crt.leaf(), flipped, x.sig, false)
 				wrong := crt
 				if wrong == x.crt {
 					wrong = other
 				}
-				check(wrong.Leaf, x.digest, x.sig, false)
+				check(wrong.leaf(), x.digest, x.sig, false)
 			}
 		}()
 	}
@@ -613,11 +613,7 @@ var fuzzCert = sync.OnceValue(func() *Certificate {
 	if err != nil {
 		panic(err)
 	}
-	leaf, err := x509.ParseCertificate(der)
-	if err != nil {
-		panic(err)
-	}
-	return &Certificate{Leaf: leaf, Chain: [][]byte{der}, Key: key}
+	return &Certificate{Chain: [][]byte{der}, Key: key}
 })
 
 // FuzzVerifySKE signs with fixed entropy, so the signature is the same
@@ -634,7 +630,7 @@ func FuzzVerifySKE(f *testing.F) {
 	}
 	f.Add(digest, sig)
 	f.Fuzz(func(t *testing.T, digest, sig []byte) {
-		agree(t, &h, crt.Leaf, digest, sig, nil)
+		agree(t, &h, crt.leaf(), digest, sig, nil)
 	})
 }
 
@@ -660,7 +656,7 @@ func BenchmarkVerifySKE(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			digest := digestOf(0)
 			var h *SKENonce
-			var leaf *x509.Certificate
+			var leaf *Leaf
 			var sig []byte
 			if bc.crt == nil {
 				leaf = bare(&outside.PublicKey)
@@ -668,7 +664,7 @@ func BenchmarkVerifySKE(b *testing.B) {
 					b.Fatal(err)
 				}
 			} else {
-				h, leaf = new(SKENonce), bc.crt.Leaf
+				h, leaf = new(SKENonce), bc.crt.leaf()
 				if sig, err = bc.crt.SignSKE(rand.Reader, digest, h); err != nil {
 					b.Fatal(err)
 				}

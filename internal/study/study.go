@@ -394,28 +394,34 @@ func Run(o Options) (*Dataset, error) {
 	agg.foldLifetime("lifetime-id", ds.IDLifetime)
 	agg.foldLifetime("lifetime-ticket", ds.TicketLifetime)
 
-	// Daily scans, folded into per-secret aggregates as each day
-	// completes. The three observation buffers are reused across the
-	// whole campaign, so the daily loop retains no observation; what it
-	// keeps grows with the distinct secrets seen (see aggregator).
-	var tBuf, dBuf, eBuf []scanner.Observation
+	// Daily scans, each folded into per-secret aggregates (and on day 0
+	// snapshotted) before the next one starts. The ticket, DHE and ECDHE
+	// scans take turns in one observation buffer, reused across the whole
+	// campaign, so the daily loop retains one scan's observations; what
+	// it keeps beyond them grows with the distinct secrets seen (see
+	// aggregator).
+	var obs []scanner.Observation
 	for day := 0; day < o.Days; day++ {
 		clock.Set(start.Add(time.Duration(day) * 24 * time.Hour))
 		if err := sp.begin("day", day, len(scanAll)); err != nil {
 			return nil, err
 		}
-		tBuf = scan.DailyInto(tBuf, scanAll, day, nil, true)
-		dBuf = scan.DailyInto(dBuf, scanCore, day, []uint16{wire.SuiteDHE}, false)
-		eBuf = scan.DailyInto(eBuf, scanCore, day, []uint16{wire.SuiteECDHE}, false)
+		obs = scan.DailyInto(obs, scanAll, day, nil, true)
 		if day == 0 {
-			ds.TicketSnapshot = ticketSnapshot(tBuf)
-			ds.DHESnapshot = kexSnapshot(dBuf, wire.KexDHE)
-			ds.ECDHESnapshot = kexSnapshot(eBuf, wire.KexECDHE)
+			ds.TicketSnapshot = ticketSnapshot(obs)
 		}
-		dayFails, pairFails := agg.foldTicketDay(tBuf, day)
-		df, pf := agg.foldKexDay(dBuf, "dhe", wire.KexDHE, agg.dhe, day)
+		dayFails, pairFails := agg.foldTicketDay(obs, day)
+		obs = scan.DailyInto(obs, scanCore, day, []uint16{wire.SuiteDHE}, false)
+		if day == 0 {
+			ds.DHESnapshot = kexSnapshot(obs, wire.KexDHE)
+		}
+		df, pf := agg.foldKexDay(obs, "dhe", wire.KexDHE, agg.dhe, day)
 		dayFails, pairFails = dayFails+df, pairFails+pf
-		df, pf = agg.foldKexDay(eBuf, "ecdhe", wire.KexECDHE, agg.ecdhe, day)
+		obs = scan.DailyInto(obs, scanCore, day, []uint16{wire.SuiteECDHE}, false)
+		if day == 0 {
+			ds.ECDHESnapshot = kexSnapshot(obs, wire.KexECDHE)
+		}
+		df, pf = agg.foldKexDay(obs, "ecdhe", wire.KexECDHE, agg.ecdhe, day)
 		dayFails, pairFails = dayFails+df, pairFails+pf
 		reg.Counter(telemetry.CounterDaysCompleted).Inc()
 		if err := sp.end("day", day, len(scanAll), dayFails, pairFails); err != nil {

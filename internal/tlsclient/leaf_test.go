@@ -1,20 +1,21 @@
 package tlsclient
 
 import (
-	"crypto/x509"
 	"runtime"
 	"testing"
 	"time"
 
+	"tlsshortcuts/internal/pki"
 	"tlsshortcuts/internal/population"
 	"tlsshortcuts/internal/wire"
 )
 
-// TestWorldLeavesCollectable pins that parsed leaves are scoped to their
-// world. The world's root store hands the client the leaf population
-// issued — no second parse — and once the world is dropped after real
-// handshakes against it, that leaf is collected: no package state of the
-// client, the server or pki holds a certificate.
+// TestWorldLeavesCollectable pins that the root store's leaves are
+// scoped to their world. The world's root store hands the client the
+// entry population recorded for the leaf it issued — its DER is the
+// served chain's, with no second parse — and once the world is dropped
+// after real handshakes against it, that entry is collected: no package
+// state of the client, the server or pki holds it.
 func TestWorldLeavesCollectable(t *testing.T) {
 	collected := make(chan struct{})
 	func() {
@@ -24,8 +25,9 @@ func TestWorldLeavesCollectable(t *testing.T) {
 		}
 		domain := w.TrustedCoreDomains()[0]
 		cert := w.Domains[domain].Terms[0].Config.DefaultCert
-		if leaf, err := w.Roots.Leaf(cert.Chain[0]); err != nil || leaf != cert.Leaf {
-			t.Fatalf("root store leaf for %s: %p, %v; want the issuer's parse %p", domain, leaf, err, cert.Leaf)
+		leaf, err := w.Roots.Leaf(cert.Chain[0])
+		if err != nil || &leaf.Raw[0] != &cert.Chain[0][0] {
+			t.Fatalf("root store leaf for %s: %v; want the entry over the issued DER", domain, err)
 		}
 		for _, suite := range []uint16{wire.SuiteECDHE, wire.SuiteDHE} {
 			conn, err := w.Net.Dial(domain)
@@ -41,7 +43,7 @@ func TestWorldLeavesCollectable(t *testing.T) {
 				t.Fatalf("%s: trusted core domain's chain not trusted", domain)
 			}
 		}
-		runtime.SetFinalizer(cert.Leaf, func(*x509.Certificate) { close(collected) })
+		runtime.SetFinalizer(leaf, func(*pki.Leaf) { close(collected) })
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -52,5 +54,5 @@ func TestWorldLeavesCollectable(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	t.Fatal("a dropped world's leaf certificate is still reachable: package state holds it")
+	t.Fatal("a dropped world's root-store leaf is still reachable: package state holds it")
 }

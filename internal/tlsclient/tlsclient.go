@@ -8,7 +8,6 @@ import (
 	"crypto/ecdh"
 	crand "crypto/rand"
 	"crypto/sha256"
-	"crypto/x509"
 	"errors"
 	"fmt"
 	"io"
@@ -533,18 +532,18 @@ func fixedDHEKey(p, g *big.Int) (x *big.Int, pub []byte) {
 }
 
 // verifySKE checks the ServerKeyExchange signature against the chain's
-// leaf. The root store, when there is one, keeps each parsed leaf for
+// leaf. The root store, when there is one, keeps each leaf's key for
 // its world's lifetime; without one the leaf is parsed afresh.
 func verifySKE(hc *hsConn, cfg *Config, chain [][]byte, ske *wire.SKE, clientRandom, serverRandom []byte) error {
 	if len(chain) == 0 {
 		return errors.New("tls: no certificate to verify ServerKeyExchange")
 	}
-	var leaf *x509.Certificate
+	var leaf *pki.Leaf
 	var err error
 	if cfg.Roots != nil {
 		leaf, err = cfg.Roots.Leaf(chain[0])
 	} else {
-		leaf, err = x509.ParseCertificate(chain[0])
+		leaf, err = pki.ParseLeaf(chain[0])
 	}
 	if err != nil {
 		return err

@@ -318,7 +318,8 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 	if err := hc.WriteMsg(hc.mbuf); err != nil {
 		return err
 	}
-	if err := hc.WriteMsg(crt.Message()); err != nil {
+	hc.mbuf = wire.AppendCertificate(hc.mbuf[:0], crt.Chain)
+	if err := hc.WriteMsg(hc.mbuf); err != nil {
 		return err
 	}
 

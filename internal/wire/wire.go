@@ -323,14 +323,25 @@ func ParseServerHelloInto(h *ServerHello, body []byte) error {
 
 // ---- Certificate ----
 
+// MarshalCertificate returns the Certificate message carrying chain
+// (DER, leaf first).
 func MarshalCertificate(chain [][]byte) *Msg {
-	inner := newBuilder()
+	b := AppendCertificate(nil, chain)
+	return &Msg{Type: TypeCertificate, Body: b[4:]}
+}
+
+// AppendCertificate appends the framed Certificate message carrying
+// chain (DER, leaf first) to dst.
+func AppendCertificate(dst []byte, chain [][]byte) []byte {
+	dst, msg := beginMsg(dst, TypeCertificate)
+	list := len(dst)
+	dst = append(dst, 0, 0, 0)
 	for _, c := range chain {
-		inner.vec24(c)
+		dst = append(dst, byte(len(c)>>16), byte(len(c)>>8), byte(len(c)))
+		dst = append(dst, c...)
 	}
-	b := newBuilder()
-	b.vec24(inner.bytes())
-	return &Msg{Type: TypeCertificate, Body: b.bytes()}
+	putUint24(dst[list:], len(dst)-list-3)
+	return endMsg(dst, msg)
 }
 
 // ParseCertificateInto parses the chain into dst's backing array (grown as
@@ -576,10 +587,6 @@ func (w *builder) vec8(v []byte) {
 }
 func (w *builder) vec16(v []byte) {
 	w.u16(uint16(len(v)))
-	w.raw(v)
-}
-func (w *builder) vec24(v []byte) {
-	w.b = append(w.b, byte(len(v)>>16), byte(len(v)>>8), byte(len(v)))
 	w.raw(v)
 }
 

@@ -59,6 +59,34 @@ func TestAppendMatchesMarshal(t *testing.T) {
 	if got, want := nst.AppendTo(nil), nst.Marshal().Marshal(); !bytes.Equal(got, want) {
 		t.Errorf("NewSessionTicket.AppendTo differs from Marshal:\n  got  %x\n  want %x", got, want)
 	}
+
+	// MarshalCertificate is built on AppendCertificate, so the Certificate
+	// framing is pinned to literal bytes, behind a prefix the append must
+	// keep, and to a parse of longer chains.
+	cert := []byte{TypeCertificate, 0, 0, 12, 0, 0, 9, 0, 0, 1, 0xaa, 0, 0, 2, 0xbb, 0xcc}
+	chain := [][]byte{{0xaa}, {0xbb, 0xcc}}
+	if got := AppendCertificate([]byte("prefix"), chain); !bytes.Equal(got, append([]byte("prefix"), cert...)) {
+		t.Errorf("AppendCertificate:\n  got  %x\n  want prefix ‖ %x", got, cert)
+	}
+	if got := MarshalCertificate(chain); got.Type != TypeCertificate || !bytes.Equal(got.Body, cert[4:]) {
+		t.Errorf("MarshalCertificate: type %d body %x, want %d %x", got.Type, got.Body, TypeCertificate, cert[4:])
+	}
+	for n := 0; n <= 3; n++ {
+		chain := [][]byte{bytes.Repeat([]byte{1}, 300), {2}, bytes.Repeat([]byte{3}, 70000)}[:n]
+		msgs, err := ParseMsgs(AppendCertificate(nil, chain))
+		if err != nil || len(msgs) != 1 || msgs[0].Type != TypeCertificate {
+			t.Fatalf("chain of %d: %d messages, %v", n, len(msgs), err)
+		}
+		got, err := ParseCertificateInto(nil, msgs[0].Body)
+		if err != nil || len(got) != n {
+			t.Fatalf("chain of %d parses to %d certificates, %v", n, len(got), err)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], chain[i]) {
+				t.Fatalf("chain of %d: certificate %d does not round-trip", n, i)
+			}
+		}
+	}
 }
 
 // TestParseIntoReuse pins the pooled-destination parsers: repeated
