@@ -24,6 +24,9 @@ type Group struct {
 
 	baseOnce sync.Once
 	base     *fixedBase
+
+	privOnce sync.Once
+	pMinus3  *big.Int // PrivateFromSeed's clamp modulus
 }
 
 // ParamBytes returns the big-endian encodings of P and G, computed once
@@ -95,13 +98,22 @@ func derivePrime(seed string, bits int) *big.Int {
 }
 
 // PrivateFromSeed derives a deterministic private exponent from arbitrary
-// seed material — the mechanism behind epoch-based KEX value reuse.
+// seed material — the mechanism behind epoch-based KEX value reuse. The
+// hashes run on the stack, and only the returned exponent is allocated
+// unless the clamp has to reduce it.
 func (g *Group) PrivateFromSeed(seed []byte) *big.Int {
-	h1 := sha256.Sum256(append([]byte("ffdh-priv-1:"), seed...))
-	h2 := sha256.Sum256(append([]byte("ffdh-priv-2:"), seed...))
-	x := new(big.Int).SetBytes(append(h1[:], h2[:]...))
+	var mb [len("ffdh-priv-1:") + 32]byte
+	msg := append(append(mb[:0], "ffdh-priv-1:"...), seed...)
+	var h [2 * sha256.Size]byte
+	*(*[sha256.Size]byte)(h[:]) = sha256.Sum256(msg)
+	copy(msg, "ffdh-priv-2:")
+	*(*[sha256.Size]byte)(h[sha256.Size:]) = sha256.Sum256(msg)
+	x := new(big.Int).SetBytes(h[:])
 	// Clamp into [2, P-2].
-	x.Mod(x, new(big.Int).Sub(g.P, big.NewInt(3)))
+	g.privOnce.Do(func() { g.pMinus3 = new(big.Int).Sub(g.P, big.NewInt(3)) })
+	if x.Cmp(g.pMinus3) >= 0 {
+		x.Mod(x, g.pMinus3)
+	}
 	return x.Add(x, big.NewInt(2))
 }
 
@@ -183,15 +195,25 @@ func newFixedBase(p, gen *big.Int) *fixedBase {
 	return f
 }
 
+// expStackLimbs is the widest modulus, in 64-bit limbs, whose exp
+// scratch lives on the stack: 512 bits, the population's groups.
+const expStackLimbs = 8
+
 // exp returns g^x mod P.
 func (f *fixedBase) exp(x *big.Int) *big.Int {
 	if x.Sign() < 0 || x.BitLen() > 4*f.wins {
 		x = new(big.Int).Mod(x, f.order)
 	}
 	n := len(f.p)
-	buf := make([]byte, 8*n) // exponent in, result out
+	// Scratch for moduli up to expStackLimbs limbs stays on the stack.
+	var bufs [8 * expStackLimbs]byte
+	var scratchs [3 * expStackLimbs]uint64
+	buf, scratch := bufs[:], scratchs[:] // exponent in, result out; limbs
+	if n > expStackLimbs {
+		buf, scratch = make([]byte, 8*n), make([]uint64, 3*n)
+	}
+	buf, scratch = buf[:8*n], scratch[:3*n]
 	x.FillBytes(buf)
-	scratch := make([]uint64, 3*n)
 	acc, one, t := scratch[:n], scratch[n:2*n], scratch[2*n:]
 	started := false
 	for i := 0; i < f.wins; i++ {

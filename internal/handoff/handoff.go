@@ -6,8 +6,9 @@
 // direction's AEAD for the peer's reader, and the signer's nonce for
 // the ServerKeyExchange check.
 //
-// A Link lives in the transport of one connection and is freed with it,
-// so nothing handed over outlives its connection or reaches another.
+// A Link lives in the transport of one connection and is cleared when
+// the connection closes, so nothing handed over outlives its connection
+// or reaches another.
 // Each slot has one writer and one reader, the two ends: the writer
 // fills it before it queues the flight carrying the value's public
 // form, and the reader looks only after reading that flight, so the

@@ -11,6 +11,7 @@
 package keyex
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"crypto/sha256"
 	"encoding/binary"
@@ -145,20 +146,33 @@ func (p *Policy) key(kind uint8, e uint64) cacheKey {
 	return cacheKey{kind: kind, seed: string(p.Seed), base: p.Base.UnixNano(), period: p.Period, epoch: e}
 }
 
-// deriveECDHE runs the deterministic P-256 derivation loop for seed.
-func deriveECDHE(seed []byte) (*ecdh.PrivateKey, error) {
-	curve := ecdh.P256()
+// deriveECDHE runs the deterministic P-256 derivation loop for seed,
+// hashing on the stack. Each candidate scalar reaches ecdh.Curve through
+// buf, which the curve's key constructor keeps reachable, so those 32
+// bytes are the derivation's only scratch that can leave the stack; buf
+// may alias seed.
+func deriveECDHE(seed []byte, buf *[32]byte) (*ecdh.PrivateKey, error) {
+	var mb [len("ecdhe-priv") + 32 + 1]byte // label ‖ seed ‖ counter
+	msg := append(append(mb[:0], "ecdhe-priv"...), seed...)
+	msg = append(msg, 0)
 	for i := 0; i < 64; i++ {
-		h := sha256.New()
-		h.Write([]byte("ecdhe-priv"))
-		h.Write(seed)
-		h.Write([]byte{byte(i)})
-		if k, err := curve.NewPrivateKey(h.Sum(nil)); err == nil {
+		msg[len(msg)-1] = byte(i)
+		*buf = sha256.Sum256(msg)
+		if k, err := ecdh.P256().NewPrivateKey(buf[:]); err == nil {
 			return k, nil
 		}
 	}
 	return nil, fmt.Errorf("keyex: could not derive P-256 key")
 }
+
+// publicBytes returns k's public point in a slice of its own size:
+// returned as is, the 133-byte array ecdh's Bytes fills would move to
+// the heap with it. Out of line, so that array is not part of the frame
+// under the server's key derivation, the deepest point of its stack
+// after the signature's.
+//
+//go:noinline
+func publicBytes(k *ecdh.PrivateKey) []byte { return bytes.Clone(k.PublicKey().Bytes()) }
 
 // ECDHEKeyPub returns the server's P-256 private key for this handshake
 // under the policy, plus the serialized public value (the bytes the
@@ -177,16 +191,17 @@ func (c Counters) ECDHEKeyPub(p *Policy, now time.Time, rand io.Reader) (*ecdh.P
 		// Draw explicit scalar bytes instead of ecdh.GenerateKey(rand):
 		// GenerateKey does not consume a caller-supplied reader
 		// deterministically, which would make fresh server values (and the
-		// recorded ECDHE spans) differ between same-seed runs.
-		var seed [32]byte
-		if _, err := rand.Read(seed[:]); err != nil {
+		// recorded ECDHE spans) differ between same-seed runs. The seed
+		// and the derivation share one buffer.
+		buf := new([32]byte)
+		if _, err := rand.Read(buf[:]); err != nil {
 			return nil, nil, err
 		}
-		k, err := deriveECDHE(seed[:])
+		k, err := deriveECDHE(buf[:], buf)
 		if err != nil {
 			return nil, nil, err
 		}
-		return k, k.PublicKey().Bytes(), nil
+		return k, publicBytes(k), nil
 	}
 	c.reuse.Inc()
 	e := p.epoch(now)
@@ -195,11 +210,11 @@ func (c Counters) ECDHEKeyPub(p *Policy, now time.Time, rand io.Reader) (*ecdh.P
 		c.hit.Inc()
 		return v.ecdheKey, v.ecdhePub, nil
 	}
-	k, err := deriveECDHE(p.epochSeedAt(e))
+	k, err := deriveECDHE(p.epochSeedAt(e), new([32]byte))
 	if err != nil {
 		return nil, nil, err
 	}
-	pub := k.PublicKey().Bytes()
+	pub := publicBytes(k)
 	cachePut(ck, &cacheVal{ecdheKey: k, ecdhePub: pub}, c.fill)
 	scalarStore(pub, k)
 	return k, pub, nil

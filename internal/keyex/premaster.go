@@ -111,5 +111,6 @@ func FixedClientPremaster(server *ecdh.PrivateKey) []byte {
 	if err != nil {
 		return nil // fall back to the real computation
 	}
-	return pk.PublicKey().Bytes()[1:33]
+	// The x-coordinate alone, in a slice of its own size.
+	return publicBytes(pk)[1:33]
 }

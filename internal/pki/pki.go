@@ -15,11 +15,14 @@ import (
 	"crypto/sha512"
 	"crypto/x509"
 	"crypto/x509/pkix"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tlsshortcuts/internal/telemetry"
@@ -60,74 +63,126 @@ func ParseLeaf(der []byte) (*Leaf, error) {
 	return &Leaf{Raw: der, PublicKey: c.PublicKey}, nil
 }
 
-// SignSKE signs the SHA-256 digest of a ServerKeyExchange's signed
-// parameters with the certificate's key. P-256 ECDSA keys use a lean
-// hedged signer (signP256), which also hands the signature's nonce to a
-// verifier through h when h is not nil; other keys sign through
-// crypto.Signer.
-func (c *Certificate) SignSKE(entropy io.Reader, digest []byte, h *SKENonce) ([]byte, error) {
+// SignSKE appends to dst a signature of the SHA-256 digest of a
+// ServerKeyExchange's signed parameters by the certificate's key. P-256
+// ECDSA keys use a lean hedged signer (signP256), which also hands the
+// signature's nonce to a verifier through h when h is not nil; other
+// keys sign through crypto.Signer.
+func (c *Certificate) SignSKE(dst []byte, entropy io.Reader, digest []byte, h *SKENonce) ([]byte, error) {
 	if k, ok := c.Key.(*ecdsa.PrivateKey); ok && k.Curve == elliptic.P256() {
-		sig, err := signP256(k, entropy, digest, h)
+		out, err := signP256(dst, k, entropy, digest, h)
 		if err == nil && h != nil {
 			h.signer = c
 		}
-		return sig, err
+		return out, err
 	}
-	return c.Key.Sign(entropy, digest, crypto.SHA256)
+	return signOther(dst, c.Key, entropy, digest)
 }
 
-// signP256 returns an ASN.1 DER ECDSA signature of a SHA-256 digest. The
-// nonce k is hedged: SHA-512(d ‖ digest ‖ 32 entropy bytes ‖ ctr), whose
-// first 32 bytes are rejection-sampled into [1, n-1]. A repeated entropy
-// draw still gives a distinct nonce per (key, digest), and the signature
-// is a function of (key, digest, entropy). R = k·G comes from
-// crypto/ecdh's base-point multiplication and s = k⁻¹(e + r·d) from the
-// scalar helper. This skips the standard library's per-signature DRBG
-// set-up and constant-time inversion, which cost more than the
-// multiplication; like the rest of the simulator it is not hardened
-// against timing side channels. When h is not nil it receives the
-// signature's r and k.
-func signP256(key *ecdsa.PrivateKey, entropy io.Reader, digest []byte, h *SKENonce) ([]byte, error) {
+// signOther appends a crypto.Signer signature. It stays out of line so
+// its temporaries are not part of SignSKE's frame (see signP256).
+//
+//go:noinline
+func signOther(dst []byte, key crypto.Signer, entropy io.Reader, digest []byte) ([]byte, error) {
+	sig, err := key.Sign(entropy, digest, crypto.SHA256)
+	return append(dst, sig...), err
+}
+
+// maxP256SigLen is the longest DER signature signP256 makes: a SEQUENCE
+// of two INTEGERs of at most 33 bytes each.
+const maxP256SigLen = 2 + 2*(2+33)
+
+// p256MsgLen is the length of the message signP256 hashes into a nonce:
+// d ‖ digest ‖ entropy ‖ ctr.
+const p256MsgLen = 32 + sha256.Size + 32 + 1
+
+// signP256 appends to dst an ASN.1 DER ECDSA signature of a SHA-256
+// digest. The nonce k is hedged: SHA-512(d ‖ digest ‖ 32 entropy bytes
+// ‖ ctr), whose first 32 bytes are rejection-sampled into [1, n-1]. A
+// repeated entropy draw still gives a distinct nonce per (key, digest),
+// and the signature is a function of (key, digest, entropy). R = k·G
+// comes from crypto/ecdh's base-point multiplication and s = k⁻¹(e + r·d)
+// from the scalar helper. This skips the standard library's
+// per-signature DRBG set-up and constant-time inversion, which cost more
+// than the multiplication; like the rest of the simulator it is not
+// hardened against timing side channels. When h is not nil it receives
+// the signature's r and k.
+//
+// The signer's scratch, the message (it holds d) and the nonce
+// candidate, lives in the spare capacity of dst and is cleared before
+// the signature is appended over it: bytes that pass through an
+// interface (the entropy read, the candidate handed to ecdh.Curve) would
+// move a local array to the heap. The curve multiplication is the
+// deepest point of a server goroutine's stack, close to a doubling, so
+// the hash and the arithmetic around it run in helpers whose frames are
+// gone by then, and signP256's own frame stays smaller than it was with
+// its scratch on the heap.
+func signP256(dst []byte, key *ecdsa.PrivateKey, entropy io.Reader, digest []byte, h *SKENonce) ([]byte, error) {
 	if len(digest) != sha256.Size {
-		return nil, fmt.Errorf("pki: SKE digest is %d bytes, want %d", len(digest), sha256.Size)
+		return dst, fmt.Errorf("pki: SKE digest is %d bytes, want %d", len(digest), sha256.Size)
 	}
-	var msg [32 + sha256.Size + 32 + 1]byte // d ‖ digest ‖ entropy ‖ ctr
+	dst = slices.Grow(dst, max(maxP256SigLen, p256MsgLen+32))
+	scratch := dst[len(dst) : len(dst)+p256MsgLen+32]
+	msg, cand := scratch[:p256MsgLen], scratch[p256MsgLen:]
 	key.D.FillBytes(msg[:32])
 	copy(msg[32:], digest)
-	if _, err := io.ReadFull(entropy, msg[32+sha256.Size:len(msg)-1]); err != nil {
-		return nil, fmt.Errorf("pki: reading signing entropy: %w", err)
+	if _, err := io.ReadFull(entropy, msg[32+sha256.Size:p256MsgLen-1]); err != nil {
+		clear(scratch)
+		return dst, fmt.Errorf("pki: reading signing entropy: %w", err)
 	}
-	// The digest is as wide as the order, so it is e unshifted.
-	var d, e, k, r, s, kInv scalar
-	d.setBytes(msg[:32])
-	e.setBytes(digest)
 	for ctr := 0; ctr < 256; ctr++ {
-		msg[len(msg)-1] = byte(ctr)
-		sum := sha512.Sum512(msg[:])
-		R, err := ecdh.P256().NewPrivateKey(sum[:32]) // rejects 0 and k >= n
+		msg[p256MsgLen-1] = byte(ctr)
+		hashNonce(cand, msg)
+		R, err := ecdh.P256().NewPrivateKey(cand) // rejects 0 and k >= n
 		if err != nil {
 			continue
 		}
-		r.setBytes(R.PublicKey().Bytes()[1:33]) // x(R) mod n
-		if r.isZero() {
-			continue
+		if sig, ok := finishP256(dst, scratch, R, digest, h); ok {
+			return sig, nil
 		}
-		k.setBytes(sum[:32])
-		s.mul(&r, &d).add(&s, &e).mul(&s, kInv.inv(&k))
-		if s.isZero() {
-			continue
-		}
-		if h != nil {
-			h.r, h.k = r, k
-		}
-		sig := make([]byte, 2, 2+2*(2+33))
-		sig[0] = 0x30 // SEQUENCE
-		sig = appendASN1Int(sig, &r)
-		sig = appendASN1Int(sig, &s)
-		sig[1] = byte(len(sig) - 2)
-		return sig, nil
 	}
-	return nil, fmt.Errorf("pki: no valid ECDSA nonce in 256 candidates")
+	clear(scratch)
+	return dst, fmt.Errorf("pki: no valid ECDSA nonce in 256 candidates")
+}
+
+// hashNonce sets cand to the first 32 bytes of SHA-512(msg).
+//
+//go:noinline
+func hashNonce(cand, msg []byte) {
+	sum := sha512.Sum512(msg)
+	copy(cand, sum[:32])
+}
+
+// finishP256 completes signP256's signature for the nonce candidate k in
+// scratch (d ‖ digest ‖ entropy ‖ ctr ‖ k) and its point R: unless r or
+// s is 0 it hands r and k to h, clears scratch and appends the DER
+// signature to dst, over it.
+//
+//go:noinline
+func finishP256(dst, scratch []byte, R *ecdh.PrivateKey, digest []byte, h *SKENonce) ([]byte, bool) {
+	// The digest is as wide as the order, so it is e unshifted.
+	var d, e, k, r, s, kInv scalar
+	r.setBytes(R.PublicKey().Bytes()[1:33]) // x(R) mod n
+	if r.isZero() {
+		return dst, false
+	}
+	d.setBytes(scratch[:32])
+	e.setBytes(digest)
+	k.setBytes(scratch[p256MsgLen:])
+	s.mul(&r, &d).add(&s, &e).mul(&s, kInv.inv(&k))
+	if s.isZero() {
+		return dst, false
+	}
+	if h != nil {
+		h.r, h.k = r, k
+	}
+	clear(scratch)
+	start := len(dst)
+	sig := append(dst, 0x30, 0) // SEQUENCE
+	sig = appendASN1Int(sig, &r)
+	sig = appendASN1Int(sig, &s)
+	sig[start+1] = byte(len(sig) - start - 2)
+	return sig, true
 }
 
 // appendASN1Int appends a nonzero v as a DER INTEGER.
@@ -341,18 +396,22 @@ func (r *RootCA) IssueLeaf(names []string, alg Alg, nb, na time.Time, rnd io.Rea
 type RootStore struct {
 	pool   *x509.CertPool
 	nb, na time.Time // the window in which every root is valid
-	cache  sync.Map  // trustKey -> *trust
+	chains sync.Map  // [32]byte chain key -> *trust
+	names  sync.Map  // nameKey -> bool, whether the chain's leaf is valid for the name
 	leaves sync.Map  // [32]byte leaf DER fingerprint -> *Leaf
+
+	chainChecks atomic.Uint64 // x509 chain verifications run
 }
 
-// trustKey names one memoized verdict: a leaf by its DER's SHA-256, and
-// the name it was checked for.
-type trustKey struct {
-	leaf [sha256.Size]byte
-	name string
+// nameKey names one memoized hostname verdict: a chain by its key, and
+// the name its leaf was checked for.
+type nameKey struct {
+	chain [sha256.Size]byte
+	name  string
 }
 
-// trust is a memoized verdict and the window [nb, na] in which it holds.
+// trust is a memoized chain verdict and the window [nb, na] in which it
+// holds.
 type trust struct {
 	ok     bool
 	nb, na time.Time
@@ -409,35 +468,73 @@ func narrow(nb, na time.Time, c *x509.Certificate) (time.Time, time.Time) {
 }
 
 // Verify reports whether the DER chain is browser-trusted for name at the
-// given time. Results are memoized by (leaf, name) — the study re-checks
-// the same chain tens of thousands of times — but only for the window in
-// which every certificate of the chain and every root is valid. Inside
-// it no validity check can fail, so the verdict cannot depend on the
-// time; outside it the chain is verified again.
+// given time, as x509's Verify with the store's roots would: the chain
+// builds to a root at that time, and its leaf is valid for name (any
+// name when name is empty). The study re-checks the same chains tens of
+// thousands of times, so both halves are memoized. A chain's verdict is
+// keyed by the SHA-256 of every certificate in it, so a chain that
+// differs in any certificate is checked on its own, and is reused only
+// in the window in which every certificate of the chain and every root
+// is valid: inside it no validity check can fail, so the verdict cannot
+// depend on the time, and outside it the chain is verified again. The
+// name's verdict does not depend on the time, so a leaf served under
+// several names has its chain and signature checked once.
 func (s *RootStore) Verify(chain [][]byte, name string, now time.Time) bool {
 	if len(chain) == 0 {
 		return false
 	}
-	key := trustKey{sha256.Sum256(chain[0]), name}
-	if v, ok := s.cache.Load(key); ok {
-		if t := v.(*trust); t.holdsAt(now) {
-			return t.ok
+	key := chainKey(chain)
+	var t *trust
+	var leaf *x509.Certificate // parsed by this call's chain check, if any
+	if v, ok := s.chains.Load(key); ok && v.(*trust).holdsAt(now) {
+		t = v.(*trust)
+	} else {
+		t, leaf = s.verify(chain, now)
+		if t.holdsAt(now) {
+			s.chains.Store(key, t)
 		}
 	}
-	t := s.verify(chain, name, now)
-	if t.holdsAt(now) {
-		s.cache.Store(key, t)
+	if !t.ok || name == "" {
+		return t.ok
 	}
-	return t.ok
+	nk := nameKey{key, name}
+	if v, ok := s.names.Load(nk); ok {
+		return v.(bool)
+	}
+	if leaf == nil {
+		leaf, _ = x509.ParseCertificate(chain[0])
+	}
+	valid := leaf != nil && leaf.VerifyHostname(name) == nil
+	s.names.Store(nk, valid)
+	return valid
+}
+
+// chainKey is the SHA-256 of the chain's certificates, each prefixed
+// with its length.
+func chainKey(chain [][]byte) [sha256.Size]byte {
+	h := sha256.New()
+	var n [4]byte
+	for _, der := range chain {
+		binary.BigEndian.PutUint32(n[:], uint32(len(der)))
+		h.Write(n[:])
+		h.Write(der)
+	}
+	var key [sha256.Size]byte
+	h.Sum(key[:0])
+	return key
 }
 
 func (t *trust) holdsAt(now time.Time) bool { return !now.Before(t.nb) && !now.After(t.na) }
 
-func (s *RootStore) verify(chain [][]byte, name string, now time.Time) *trust {
+// verify checks that the chain builds to a root at now, whatever the
+// leaf's names, and returns the leaf it parsed (nil if it does not
+// parse).
+func (s *RootStore) verify(chain [][]byte, now time.Time) (*trust, *x509.Certificate) {
+	s.chainChecks.Add(1)
 	t := &trust{nb: s.nb, na: s.na}
 	leaf, err := x509.ParseCertificate(chain[0])
 	if err != nil {
-		return t
+		return t, nil
 	}
 	t.nb, t.na = narrow(t.nb, t.na, leaf)
 	inter := x509.NewCertPool()
@@ -448,12 +545,11 @@ func (s *RootStore) verify(chain [][]byte, name string, now time.Time) *trust {
 		}
 	}
 	_, err = leaf.Verify(x509.VerifyOptions{
-		DNSName:       name,
 		Roots:         s.pool,
 		Intermediates: inter,
 		CurrentTime:   now,
 		KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth},
 	})
 	t.ok = err == nil
-	return t
+	return t, leaf
 }

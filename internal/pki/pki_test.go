@@ -3,12 +3,14 @@ package pki
 import (
 	"bytes"
 	"crypto"
+	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	crand "crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
 	"crypto/x509"
+	"crypto/x509/pkix"
 	"encoding/asn1"
 	"encoding/binary"
 	"math/big"
@@ -80,7 +82,7 @@ func TestSignSKEP256Verifies(t *testing.T) {
 	var h SKENonce
 	for i := 0; i < n; i++ {
 		digest := digestOf(i)
-		sig, err := crt.SignSKE(rng, digest, &h)
+		sig, err := crt.SignSKE(nil, rng, digest, &h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +101,7 @@ func TestSignSKEP256Hedged(t *testing.T) {
 	crt := p256Cert(t)
 	digest := digestOf(7)
 	sign := func(seed int64) []byte {
-		sig, err := crt.SignSKE(rand.New(rand.NewSource(seed)), digest, nil)
+		sig, err := crt.SignSKE(nil, rand.New(rand.NewSource(seed)), digest, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +117,7 @@ func TestSignSKEP256Hedged(t *testing.T) {
 		t.Fatal("different entropy gave the same r")
 	}
 	// The same entropy under a different digest must not reuse the nonce.
-	sig, err := crt.SignSKE(rand.New(rand.NewSource(1)), digestOf(8), nil)
+	sig, err := crt.SignSKE(nil, rand.New(rand.NewSource(1)), digestOf(8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +128,56 @@ func TestSignSKEP256Hedged(t *testing.T) {
 
 func TestSignSKERejectsBadInput(t *testing.T) {
 	crt := p256Cert(t)
-	if _, err := crt.SignSKE(bytes.NewReader(make([]byte, 31)), digestOf(0), nil); err == nil {
+	if _, err := crt.SignSKE(nil, bytes.NewReader(make([]byte, 31)), digestOf(0), nil); err == nil {
 		t.Fatal("signed with 31 bytes of entropy")
 	}
-	if _, err := crt.SignSKE(rand.New(rand.NewSource(1)), digestOf(0)[:20], nil); err == nil {
+	if _, err := crt.SignSKE(nil, rand.New(rand.NewSource(1)), digestOf(0)[:20], nil); err == nil {
 		t.Fatal("signed a 20-byte digest")
+	}
+}
+
+// TestSignSKEAppendsWithoutScratch signs into a caller's buffer that
+// already holds the signed parameters: the signature is appended after
+// them and verifies, the spare capacity it used as scratch (the private
+// key, the nonce candidate) is left zeroed, and the signer allocates no
+// more than crypto/ecdh's key constructor does for the nonce's point:
+// nothing for the message, the hash or the signature.
+func TestSignSKEAppendsWithoutScratch(t *testing.T) {
+	crt := p256Cert(t)
+	digest := digestOf(5)
+	params := []byte("signed params")
+	buf := append(make([]byte, 0, 512), params...)
+	out, err := crt.SignSKE(buf, rand.New(rand.NewSource(1)), digest, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out[:len(params)], params) || &out[0] != &buf[0] {
+		t.Fatal("SignSKE did not append to the caller's buffer")
+	}
+	if err := VerifySKE(crt.Key.Public(), digest, out[len(params):]); err != nil {
+		t.Fatalf("appended signature: %v", err)
+	}
+	if spare := out[len(out):cap(out)]; !bytes.Equal(spare, make([]byte, len(spare))) {
+		t.Fatal("the signer left scratch in the buffer's spare capacity")
+	}
+
+	scalar := make([]byte, 32)
+	scalar[31] = 7
+	curve := testing.AllocsPerRun(100, func() {
+		if _, err := ecdh.P256().NewPrivateKey(scalar); err != nil {
+			t.Fatal(err)
+		}
+	})
+	rng := rand.New(rand.NewSource(2))
+	var h SKENonce
+	sign := func() {
+		if buf, err = crt.SignSKE(buf[:0], rng, digest, &h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sign()
+	if a := testing.AllocsPerRun(100, sign); a > curve {
+		t.Fatalf("a signature allocates %v objects, crypto/ecdh's key %v", a, curve)
 	}
 }
 
@@ -142,7 +189,7 @@ func TestSignSKERSA(t *testing.T) {
 	pub := crt.Key.Public().(*rsa.PublicKey)
 	for i := 0; i < 4; i++ {
 		digest := digestOf(i)
-		sig, err := crt.SignSKE(crand.Reader, digest, nil)
+		sig, err := crt.SignSKE(nil, crand.Reader, digest, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +218,7 @@ func BenchmarkSignSKE(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sig, err := crt.SignSKE(rng, digest, nil)
+		sig, err := crt.SignSKE(nil, rng, digest, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -271,6 +318,33 @@ func TestRootStoreVerifyMatchesX509(t *testing.T) {
 	}
 	added, other := issue(root, "www.example.com"), issue(root, "other.example")
 	foreign := issue(foreignRoot, "foreign.example")
+	// An intermediate CA under the root, and a leaf it issues: the chain
+	// builds only with the intermediate.
+	interKey, err := ecdsa.GenerateKey(elliptic.P256(), crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interDER, err := x509.CreateCertificate(crand.Reader, &x509.Certificate{
+		SerialNumber:          big.NewInt(77),
+		Subject:               pkix.Name{CommonName: "verify intermediate"},
+		NotBefore:             nb.Add(-time.Hour),
+		NotAfter:              na.Add(time.Hour),
+		IsCA:                  true,
+		BasicConstraintsValid: true,
+		KeyUsage:              x509.KeyUsageCertSign,
+	}, root.Cert, interKey.Public(), root.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interCert, err := x509.ParseCertificate(interDER)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaInter := issue(&RootCA{Cert: interCert, Key: interKey}, "inter.example")
+	twoNames, err := root.IssueLeaf([]string{"one.example", "two.example"}, ECDSAP256, nb, na, crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
 	newStore := func() *RootStore {
 		s := NewRootStore(root)
 		s.AddLeaf(added)
@@ -329,6 +403,15 @@ func TestRootStoreVerifyMatchesX509(t *testing.T) {
 		row{"foreign root, trusted root as intermediate", [][]byte{foreign.Chain[0], root.Cert.Raw}, "foreign.example", mid, false},
 		row{"garbage leaf", [][]byte{[]byte("garbage"), root.Cert.Raw}, "www.example.com", mid, false},
 		row{"leaf with trailing bytes", [][]byte{append(bytes.Clone(added.Chain[0]), "www."...), added.Chain[1]}, "example.com", mid, false},
+		// A verdict for one chain must not answer for the same leaf in
+		// another: the shared store has trusted [leaf, intermediate].
+		row{"via intermediate", viaInter.Chain, "inter.example", mid, true},
+		row{"intermediate swapped out", viaInter.Chain[:1], "inter.example", mid, false},
+		row{"intermediate swapped for the root", [][]byte{viaInter.Chain[0], root.Cert.Raw}, "inter.example", mid, false},
+		row{"no name", added.Chain, "", mid, true},
+		row{"two names, first", twoNames.Chain, "one.example", mid, true},
+		row{"two names, second", twoNames.Chain, "two.example", mid, true},
+		row{"two names, neither", twoNames.Chain, "three.example", mid, false},
 	)
 	shared := newStore()
 	for _, r := range rows {
@@ -342,6 +425,15 @@ func TestRootStoreVerifyMatchesX509(t *testing.T) {
 		if got := shared.Verify(r.chain, r.name, r.at); got != want {
 			t.Errorf("%s: a store that has seen the rows before says %v, x509 %v", r.desc, got, want)
 		}
+	}
+
+	// A leaf served under several names has its chain checked once.
+	s := newStore()
+	for _, name := range []string{"one.example", "two.example", "three.example", "one.example"} {
+		s.Verify(twoNames.Chain, name, mid)
+	}
+	if n := s.chainChecks.Load(); n != 1 {
+		t.Errorf("four names on one chain ran %d chain checks, want 1", n)
 	}
 }
 

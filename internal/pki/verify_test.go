@@ -137,7 +137,7 @@ func TestVerifySKEMatchesStdlibMalformed(t *testing.T) {
 	var h SKENonce
 	for i := 0; i < 8; i++ {
 		digest := digestOf(i)
-		sig, err := crt.SignSKE(rand.Reader, digest, &h)
+		sig, err := crt.SignSKE(nil, rand.Reader, digest, &h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestVerifySKEMatchesStdlibDigestWidths(t *testing.T) {
 	crt := p256Cert(t)
 	priv := crt.Key.(*ecdsa.PrivateKey)
 	var h SKENonce
-	if _, err := crt.SignSKE(rand.Reader, digestOf(0), &h); err != nil {
+	if _, err := crt.SignSKE(nil, rand.Reader, digestOf(0), &h); err != nil {
 		t.Fatal(err)
 	}
 	long := sha512.Sum512([]byte("wide"))
@@ -249,7 +249,7 @@ func TestVerifySKEFallbacks(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		digest := digestOf(i)
-		sig, err := signP256(priv, rand.Reader, digest, nil)
+		sig, err := signP256(nil, priv, rand.Reader, digest, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,11 +265,11 @@ func TestVerifySKEFallbacks(t *testing.T) {
 
 		var h, oh SKENonce
 		digest = digestOf(i)
-		sig, err = crt.SignSKE(rand.Reader, digest, &h)
+		sig, err = crt.SignSKE(nil, rand.Reader, digest, &h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := other.SignSKE(rand.Reader, digest, &oh); err != nil {
+		if _, err := other.SignSKE(nil, rand.Reader, digest, &oh); err != nil {
 			t.Fatal(err)
 		}
 		if !agree(t, nil, crt.leaf(), digest, sig, hits) || !agree(t, &oh, crt.leaf(), digest, sig, hits) {
@@ -341,7 +341,7 @@ func TestVerifySKEConcurrentIssue(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				var h SKENonce
 				digest := digestOf(i)
-				sig, err := crt.SignSKE(rand.Reader, digest, &h)
+				sig, err := crt.SignSKE(nil, rand.Reader, digest, &h)
 				if err != nil {
 					t.Error(err)
 					return
@@ -374,15 +374,15 @@ func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		var h, oh SKENonce
 		digest := digestOf(i)
-		prev, err := crt.SignSKE(rand.Reader, digestOf(i+1000), nil)
+		prev, err := crt.SignSKE(nil, rand.Reader, digestOf(i+1000), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		otherSig, err := other.SignSKE(rand.Reader, digest, &oh)
+		otherSig, err := other.SignSKE(nil, rand.Reader, digest, &oh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sig, err := crt.SignSKE(rand.Reader, digest, &h)
+		sig, err := crt.SignSKE(nil, rand.Reader, digest, &h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,7 +428,7 @@ func TestVerifySKENonceMemoMatchesStdlib(t *testing.T) {
 		}
 		// A hand-off that moved on to the next signature sends this one
 		// to ecdsa.VerifyASN1.
-		if _, err := crt.SignSKE(rand.Reader, digestOf(i+2000), &h); err != nil {
+		if _, err := crt.SignSKE(nil, rand.Reader, digestOf(i+2000), &h); err != nil {
 			t.Fatal(err)
 		}
 		before := hits.Value()
@@ -453,14 +453,14 @@ func TestVerifySKENonceHitsCounted(t *testing.T) {
 	const n = 16
 	for i := 0; i < n; i++ {
 		var h SKENonce
-		sig, err := crt.SignSKE(rand.Reader, digestOf(i), &h)
+		sig, err := crt.SignSKE(nil, rand.Reader, digestOf(i), &h)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := h.Verify(crt.leaf(), digestOf(i), sig, hits); err != nil {
 			t.Fatal(err)
 		}
-		sig, err = signP256(outside, rand.Reader, digestOf(i), nil)
+		sig, err = signP256(nil, outside, rand.Reader, digestOf(i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -490,7 +490,7 @@ func TestVerifySKEFastPathAfterManyKeys(t *testing.T) {
 	}
 	hits := new(telemetry.Counter)
 	var h SKENonce
-	sig, err := first.SignSKE(rand.Reader, digestOf(0), &h)
+	sig, err := first.SignSKE(nil, rand.Reader, digestOf(0), &h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func TestVerifySKENonceTableConcurrent(t *testing.T) {
 			for i := 0; i < perSigner; i++ {
 				h := new(SKENonce)
 				digest := digestOf(w*perSigner + i)
-				sig, err := c.SignSKE(rand.Reader, digest, h)
+				sig, err := c.SignSKE(nil, rand.Reader, digest, h)
 				if err != nil {
 					t.Error(err)
 					return
@@ -624,7 +624,7 @@ func FuzzVerifySKE(f *testing.F) {
 	crt := fuzzCert()
 	var h SKENonce
 	digest := digestOf(0)
-	sig, err := crt.SignSKE(bytes.NewReader(make([]byte, 32)), digest, &h)
+	sig, err := crt.SignSKE(nil, bytes.NewReader(make([]byte, 32)), digest, &h)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -660,16 +660,16 @@ func BenchmarkVerifySKE(b *testing.B) {
 			var sig []byte
 			if bc.crt == nil {
 				leaf = bare(&outside.PublicKey)
-				if sig, err = signP256(outside, rand.Reader, digest, nil); err != nil {
+				if sig, err = signP256(nil, outside, rand.Reader, digest, nil); err != nil {
 					b.Fatal(err)
 				}
 			} else {
 				h, leaf = new(SKENonce), bc.crt.leaf()
-				if sig, err = bc.crt.SignSKE(rand.Reader, digest, h); err != nil {
+				if sig, err = bc.crt.SignSKE(nil, rand.Reader, digest, h); err != nil {
 					b.Fatal(err)
 				}
 				if bc.miss {
-					if _, err := bc.crt.SignSKE(rand.Reader, digestOf(1), h); err != nil {
+					if _, err := bc.crt.SignSKE(nil, rand.Reader, digestOf(1), h); err != nil {
 						b.Fatal(err)
 					}
 				}

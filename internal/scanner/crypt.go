@@ -33,21 +33,21 @@ func (s *Scanner) CryptanalysisCapture(domains []string, appData []byte) []Crypt
 	s.ensureArenas()
 	out := make([]CryptCapture, len(domains))
 	par.ForEach(s.workers(), len(domains), func(w, i int) {
-		out[i] = s.captureDomain(domains[i], appData)
+		out[i] = s.captureDomain(s.arenas[w], domains[i], appData)
 	})
 	return out
 }
 
-func (s *Scanner) captureDomain(domain string, appData []byte) CryptCapture {
+func (s *Scanner) captureDomain(ar *workerArena, domain string, appData []byte) CryptCapture {
 	cc := CryptCapture{Domain: domain}
-	conv, hcap, err := s.tapProbe(domain, "crypt|full|1", &tlsclient.Config{
+	conv, hcap, err := s.tapProbe(ar, domain, "crypt|full|1", &tlsclient.Config{
 		OfferTicket: true, AppData: appData,
 	})
 	if err == nil {
 		cc.Convs = append(cc.Convs, conv)
 		if hcap.TicketIssued {
 			cc.Tickets = append(cc.Tickets, append([]byte(nil), hcap.Ticket...))
-			conv2, rcap, err2 := s.tapProbe(domain, "crypt|resume|1", &tlsclient.Config{
+			conv2, rcap, err2 := s.tapProbe(ar, domain, "crypt|resume|1", &tlsclient.Config{
 				Resume: hcap.Session, ResumeViaTicket: true, AppData: appData,
 			})
 			if err2 == nil {
@@ -60,7 +60,7 @@ func (s *Scanner) captureDomain(domain string, appData []byte) CryptCapture {
 	}
 	// FFDH parameter capture: force the DHE suite and record through the
 	// SKE. Domains without DHE answer with an alert and are skipped.
-	if conv3, _, err3 := s.tapProbe(domain, "crypt|dhe|1", &tlsclient.Config{
+	if conv3, _, err3 := s.tapProbe(ar, domain, "crypt|dhe|1", &tlsclient.Config{
 		Suites: []uint16{wire.SuiteDHE}, KexOnly: true,
 	}); err3 == nil {
 		if rec, perr := attacker.Parse(conv3); perr == nil && len(rec.DHPrime) > 0 {
@@ -70,11 +70,12 @@ func (s *Scanner) captureDomain(domain string, appData []byte) CryptCapture {
 	return cc
 }
 
-// tapProbe opens one tap-recorded connection. No retries: the pass is a
-// single post-campaign sweep, and a retried probe would be a different
-// recorded conversation anyway.
-func (s *Scanner) tapProbe(domain, label string, cfg *tlsclient.Config) (*attacker.Conversation, *tlsclient.Capture, error) {
-	conn, err := s.Dialer.DialProbeStable(domain, label)
+// tapProbe opens one tap-recorded connection on the worker's Line and
+// closes it before returning. No retries: the pass is a single
+// post-campaign sweep, and a retried probe would be a different recorded
+// conversation anyway.
+func (s *Scanner) tapProbe(ar *workerArena, domain, label string, cfg *tlsclient.Config) (*attacker.Conversation, *tlsclient.Capture, error) {
+	conn, err := s.Dialer.DialProbeStableInto(&ar.line, domain, label)
 	if err != nil {
 		return nil, nil, err
 	}

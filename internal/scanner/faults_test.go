@@ -10,14 +10,21 @@ import (
 	"tlsshortcuts/internal/faults"
 	"tlsshortcuts/internal/population"
 	"tlsshortcuts/internal/simclock"
+	"tlsshortcuts/internal/simnet"
 )
 
 // dialFunc adapts a fake's dial method to Dialer. The fakes ignore the
-// probe label, so both dial paths are the one function.
+// worker's Line and the probe label, so both dial paths are the one
+// function.
 type dialFunc func(domain string) (net.Conn, error)
 
-func (f dialFunc) DialProbe(domain, _ string) (net.Conn, error)       { return f(domain) }
-func (f dialFunc) DialProbeStable(domain, _ string) (net.Conn, error) { return f(domain) }
+func (f dialFunc) DialProbeInto(_ *simnet.Line, domain, _ string) (net.Conn, error) {
+	return f(domain)
+}
+
+func (f dialFunc) DialProbeStableInto(_ *simnet.Line, domain, _ string) (net.Conn, error) {
+	return f(domain)
+}
 
 // stallDialer returns connections whose server side swallows every byte
 // and never answers — the pathology that used to deadlock a worker.

@@ -21,24 +21,26 @@ import (
 	"tlsshortcuts/internal/par"
 	"tlsshortcuts/internal/pki"
 	"tlsshortcuts/internal/simclock"
+	"tlsshortcuts/internal/simnet"
 	"tlsshortcuts/internal/telemetry"
 	"tlsshortcuts/internal/ticket"
 	"tlsshortcuts/internal/tlsclient"
 	"tlsshortcuts/internal/wire"
 )
 
-// Dialer opens connections to domains (in the simulation, *simnet.Net).
-// Both methods carry the probe's identity label. DialProbe lets the
-// network key per-dial decisions (fault injection, balancer choice under
-// a fault plan) on the probe rather than on racy global dial order.
-// DialProbeStable keys the balancer choice on (domain, label) even with
-// no fault plan active; post-campaign passes use it so the backend they
-// land on does not depend on how many dials the campaign already issued
-// to the domain — a count that differs between monolithic and sharded
-// runs of the same campaign.
+// Dialer opens connections to domains (in the simulation, *simnet.Net)
+// on the worker's Line, which holds no open connection when a probe
+// dials. Both methods carry the probe's identity label. DialProbeInto
+// lets the network key per-dial decisions (fault injection, balancer
+// choice under a fault plan) on the probe rather than on racy global
+// dial order. DialProbeStableInto keys the balancer choice on (domain,
+// label) even with no fault plan active; post-campaign passes use it so
+// the backend they land on does not depend on how many dials the
+// campaign already issued to the domain — a count that differs between
+// monolithic and sharded runs of the same campaign.
 type Dialer interface {
-	DialProbe(domain, label string) (net.Conn, error)
-	DialProbeStable(domain, label string) (net.Conn, error)
+	DialProbeInto(l *simnet.Line, domain, label string) (net.Conn, error)
+	DialProbeStableInto(l *simnet.Line, domain, label string) (net.Conn, error)
 }
 
 // Topology exposes the AS/IP neighbor lists the cross-domain probes walk.
@@ -98,13 +100,14 @@ type Scanner struct {
 	client *tlsclient.Counters
 }
 
-// workerArena is one worker's recycled per-connection state: the Config
-// rebuilt per probe, the two Captures a two-connection scan fills, the
-// reseedable client-entropy stream, and the source re-seeded for each
-// cross-domain candidate draw. Everything a probe retains past the
-// connection (Sessions, Observation bytes) is copied out of the arena
-// before the next probe overwrites it.
+// workerArena is one worker's recycled per-connection state: the Line
+// every probe dials, the Config rebuilt per probe, the two Captures a
+// two-connection scan fills, the reseedable client-entropy stream, and
+// the source re-seeded for each cross-domain candidate draw. Everything
+// a probe retains past the connection (Sessions, Observation bytes) is
+// copied out of the arena before the next probe overwrites it.
 type workerArena struct {
+	line    simnet.Line
 	cfg     tlsclient.Config
 	cap1    tlsclient.Capture
 	cap2    tlsclient.Capture
@@ -249,7 +252,7 @@ func metricLabel(label string) string {
 // would race against other workers and shift every concurrent probe), the
 // attempt sees a per-connection offset view of virtual time.
 func (s *Scanner) connectOnce(ar *workerArena, dst *tlsclient.Capture, domain, label string, cfg *tlsclient.Config, callerRand io.Reader, wait time.Duration) (faults.ErrClass, error) {
-	conn, err := s.Dialer.DialProbe(domain, label)
+	conn, err := s.Dialer.DialProbeInto(&ar.line, domain, label)
 	if err != nil {
 		return faults.ClassDial, err
 	}

@@ -71,24 +71,25 @@ func NewBufferedPipe() (net.Conn, net.Conn) {
 }
 
 // pipePair packs a pipe's two directions and two endpoints into a single
-// allocation; a campaign makes one pipe per handshake, so the four
-// separate allocations this replaces were a visible slice of the profile.
+// allocation. A bare NewBufferedPipe makes one per pipe; a dialed
+// connection uses the one its Line holds, so a redial makes none.
 type pipePair struct {
 	ab, ba pipeBuf // data flowing a -> b, b -> a
 	a, b   bufConn
-	served sync.WaitGroup // the goroutine serving b, when dial started one
-	// link is the connection's hand-off. Only a dial attaches it to the
-	// ends, so a bare NewBufferedPipe carries none.
-	link handoff.Link
 }
 
 func newPipePair() *pipePair {
 	p := &pipePair{}
+	p.init()
+	return p
+}
+
+// init wires the pair's locks and ends; it runs once per pair.
+func (p *pipePair) init() {
 	p.ab.cond.L = &p.ab.mu
 	p.ba.cond.L = &p.ba.mu
 	p.a = bufConn{rd: &p.ba, wr: &p.ab}
 	p.b = bufConn{rd: &p.ab, wr: &p.ba}
-	return p
 }
 
 // pipeBuf is one direction's byte queue.
@@ -115,8 +116,8 @@ type pipeBuf struct {
 // bufConn is one endpoint: reads from rd, writes into wr.
 type bufConn struct {
 	rd, wr *pipeBuf
-	served *sync.WaitGroup // the peer's serving goroutine; Close waits for it
-	link   *handoff.Link   // the pair's hand-off, on dialed pipes
+	line   *Line         // on a dialed connection's client end: Close closes the Line
+	link   *handoff.Link // the Line's hand-off, on dialed pipes
 	end    handoff.End
 
 	mu     sync.Mutex
@@ -229,6 +230,15 @@ func (b *pipeBuf) closeWrite() {
 func (b *pipeBuf) closeRead() {
 	b.mu.Lock()
 	b.rGone = true
+	b.release()
+	b.cond.Broadcast()
+	b.mu.Unlock()
+}
+
+// release returns the wake-up timer and the buffer to their pools; b.mu
+// is held, and rGone is set or no end is open, so neither read nor write
+// touches buf again.
+func (b *pipeBuf) release() {
 	if b.wake != nil {
 		b.wake.t.Stop()
 		b.wake.b.Store(nil)
@@ -236,8 +246,7 @@ func (b *pipeBuf) closeRead() {
 		b.wake = nil
 	}
 	if b.buf != nil {
-		// rGone is set: read and write both bail before touching buf, so
-		// the (possibly grown) buffer can migrate to the next pipe. Reuse
+		// The (possibly grown) buffer migrates to the next pipe. Reuse
 		// the box it arrived in; only first-generation buffers box fresh.
 		box := b.box
 		if box == nil {
@@ -246,10 +255,25 @@ func (b *pipeBuf) closeRead() {
 		*box = b.buf
 		b.buf = nil
 		b.box = nil
-		b.off = 0
 		recvBufPool.Put(box)
 	}
-	b.cond.Broadcast()
+	b.off = 0
+}
+
+// clear empties a closed direction of a Line for its next connection:
+// both pools get their loans back and the deadlines go. The closed
+// flags stay set until reopen, so a read that Close woke still fails.
+func (b *pipeBuf) clear() {
+	b.mu.Lock()
+	b.release()
+	b.rdDeadline, b.wrDeadline, b.rdArmed = time.Time{}, time.Time{}, false
+	b.mu.Unlock()
+}
+
+// reopen clears the closed flags of a cleared direction.
+func (b *pipeBuf) reopen() {
+	b.mu.Lock()
+	b.wEOF, b.rGone = false, false
 	b.mu.Unlock()
 }
 
@@ -272,20 +296,24 @@ func (c *bufConn) Read(p []byte) (int, error)  { return c.rd.read(p) }
 func (c *bufConn) Write(p []byte) (int, error) { return c.wr.write(p) }
 
 func (c *bufConn) Close() error {
+	if c.line != nil {
+		return c.line.close()
+	}
 	c.mu.Lock()
 	closed := c.closed
 	c.closed = true
 	c.mu.Unlock()
 	if !closed {
-		c.rd.closeRead()  // our reads now fail, peer writes now fail
-		c.wr.closeWrite() // peer drains remaining data, then sees io.EOF
-	}
-	if c.served != nil {
-		// The peer's next read sees io.EOF or its next write fails, so
-		// its goroutine returns without anything more from this end.
-		c.served.Wait()
+		c.close()
 	}
 	return nil
+}
+
+// close shuts this end: its reads fail and the peer's writes fail at
+// once, while the peer drains what is queued and then sees io.EOF.
+func (c *bufConn) close() {
+	c.rd.closeRead()
+	c.wr.closeWrite()
 }
 
 func (c *bufConn) LocalAddr() net.Addr  { return pipeAddr{} }

@@ -128,7 +128,7 @@ func (n *Net) SetTelemetry(r *telemetry.Registry) {
 // exactly the balancer behavior that frustrates naive run-length metrics.
 // Close on the returned connection returns once its server is done.
 func (n *Net) Dial(domain string) (net.Conn, error) {
-	return n.dial(domain, "", false)
+	return n.dial(new(Line), domain, "", false)
 }
 
 // DialProbe is Dial carrying the probe's identity label. Under an active
@@ -137,7 +137,7 @@ func (n *Net) Dial(domain string) (net.Conn, error) {
 // campaign's faults replay identically for any worker count; with no plan
 // the label is ignored and the path matches Dial exactly.
 func (n *Net) DialProbe(domain, label string) (net.Conn, error) {
-	return n.dial(domain, label, false)
+	return n.dial(new(Line), domain, label, false)
 }
 
 // DialProbeStable is DialProbe with the balancer choice keyed on
@@ -153,10 +153,25 @@ func (n *Net) DialProbe(domain, label string) (net.Conn, error) {
 // daily scans ride, or enabling traffic would change scanner-visible
 // backend choices (TestStableDialsDoNotPerturbDialSequence pins this).
 func (n *Net) DialProbeStable(domain, label string) (net.Conn, error) {
-	return n.dial(domain, label, true)
+	return n.dial(new(Line), domain, label, true)
 }
 
-func (n *Net) dial(domain, label string, stable bool) (net.Conn, error) {
+// DialProbeInto is DialProbe on the caller's Line, which must not hold
+// an open connection.
+func (n *Net) DialProbeInto(l *Line, domain, label string) (net.Conn, error) {
+	return n.dial(l, domain, label, false)
+}
+
+// DialProbeStableInto is DialProbeStable on the caller's Line, which
+// must not hold an open connection.
+func (n *Net) DialProbeStableInto(l *Line, domain, label string) (net.Conn, error) {
+	return n.dial(l, domain, label, true)
+}
+
+func (n *Net) dial(l *Line, domain, label string, stable bool) (net.Conn, error) {
+	if err := l.ready(); err != nil {
+		return nil, err
+	}
 	n.mu.RLock()
 	b, ok := n.domains[domain]
 	plan := n.plan
@@ -229,35 +244,15 @@ func (n *Net) dial(domain, label string, stable bool) (net.Conn, error) {
 		case faults.Churn:
 			return nil, &faults.DialError{Domain: domain, Reason: "no such host"}
 		case faults.Stall:
-			cli, _ := NewBufferedPipe()
-			return &stallConn{Conn: cli}, nil
+			l.open(nil, nil)
+			return &stallConn{Conn: &l.p.a}, nil
 		case faults.Reset:
-			p := newPipePair()
-			p.serve(&resetConn{Conn: &p.b, allow: f.AllowWrites}, ep.Config)
-			return &p.a, nil
+			l.open(ep.Config, &resetConn{Conn: &l.p.b, allow: f.AllowWrites})
+			return &l.p.a, nil
 		}
 	}
-	p := newPipePair()
-	p.serve(&p.b, ep.Config)
-	return &p.a, nil
-}
-
-// serve runs the terminator on srv, the b end of p or a wrapper of it,
-// in a new goroutine that closes srv once Serve returns. Closing the a
-// end waits for that goroutine, so a dialed connection's Close includes
-// its server's exit, and the server state alive at once (pooled
-// handshake state, pipe buffers) is bounded by the dialing goroutines
-// instead of by how far the scheduler lags behind them. Both ends carry
-// the pair's hand-off: a as end 0, b as end 1.
-func (p *pipePair) serve(srv net.Conn, cfg *tlsserver.Config) {
-	p.a.link, p.b.link, p.b.end = &p.link, &p.link, 1
-	p.a.served = &p.served
-	p.served.Add(1)
-	go func() {
-		defer p.served.Done()
-		defer srv.Close()
-		_ = tlsserver.Serve(srv, cfg)
-	}()
+	l.open(ep.Config, &l.p.b)
+	return &l.p.a, nil
 }
 
 // stallConn is the client end of a Stall-faulted connection: a buffered

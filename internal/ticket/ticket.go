@@ -12,8 +12,8 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
-	"hash"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -130,15 +130,18 @@ type STEK struct {
 	WeakIV bool
 
 	// Lazily-built derived state: the expanded AES block cipher and the
-	// wire header are fixed per key, and MAC instances are pooled, so the
-	// scanner's thousands of opens per key skip the per-call setup.
-	initOnce  sync.Once
-	block     cipher.Block
-	hdr       []byte
-	weakIV    [aes.BlockSize]byte
-	macPool   sync.Pool
-	plainPool sync.Pool // *[]byte decrypt scratch for OpenInto
+	// wire header are fixed per key, so the scanner's thousands of opens
+	// per key skip the per-call setup.
+	initOnce sync.Once
+	block    cipher.Block
+	hdr      []byte
+	weakIV   [aes.BlockSize]byte
 }
+
+// plainPool recycles OpenInto's decrypt scratch across keys (every
+// sealed state pads to one length): the block cipher's interface would
+// move a stack buffer to the heap.
+var plainPool sync.Pool // *[]byte
 
 func (k *STEK) init() {
 	k.initOnce.Do(func() {
@@ -155,17 +158,53 @@ func (k *STEK) init() {
 	})
 }
 
-// macSum appends HMAC-SHA256(MACKey, body) to dst using a pooled MAC.
+// macSum appends HMAC-SHA256(MACKey, body) to dst (RFC 2104, the key
+// zero-padded to the block). Both digests run on the stack, so a MAC
+// allocates nothing and a key keeps no MAC state or pool of its own
+// alive between collections.
 func (k *STEK) macSum(dst, body []byte) []byte {
-	h, _ := k.macPool.Get().(hash.Hash)
-	if h == nil {
-		h = hmac.New(sha256.New, k.MACKey[:])
+	var pad [sha256.BlockSize]byte
+	copy(pad[:], k.MACKey[:])
+	for i := range pad {
+		pad[i] ^= 0x36
+	}
+	h := sha256.New()
+	h.Write(pad[:])
+	h.Write(body)
+	var inner [sha256.Size]byte
+	h.Sum(inner[:0])
+	for i := range pad {
+		pad[i] ^= 0x36 ^ 0x5c
 	}
 	h.Reset()
-	h.Write(body)
-	dst = h.Sum(dst)
-	k.macPool.Put(h)
-	return dst
+	h.Write(pad[:])
+	h.Write(inner[:])
+	return h.Sum(dst)
+}
+
+// encryptCBC encrypts b (whole blocks) in place in CBC mode under iv,
+// chaining through the key's own block, so a seal builds no mode object
+// (crypto/cipher's copies the key schedule).
+func (k *STEK) encryptCBC(iv, b []byte) {
+	prev := iv
+	for i := 0; i+aes.BlockSize <= len(b); i += aes.BlockSize {
+		blk := b[i : i+aes.BlockSize]
+		subtle.XORBytes(blk, blk, prev)
+		k.block.Encrypt(blk, blk)
+		prev = blk
+	}
+}
+
+// decryptCBC decrypts enc into dst (equal lengths, whole blocks, not
+// overlapping) in CBC mode under iv, through the key's own block.
+func (k *STEK) decryptCBC(dst, iv, enc []byte) {
+	prev := iv
+	for i := 0; i+aes.BlockSize <= len(enc); i += aes.BlockSize {
+		blk := dst[i : i+aes.BlockSize]
+		k.block.Decrypt(blk, enc[i:i+aes.BlockSize])
+		subtle.XORBytes(blk, blk, prev)
+		prev = enc[i : i+aes.BlockSize]
+	}
 }
 
 // Derive deterministically builds a STEK from seed material. Two servers
@@ -234,8 +273,7 @@ func (k *STEK) AppendSeal(dst []byte, st *session.State, rand io.Reader) ([]byte
 	for i := byte(0); i < pad; i++ {
 		dst = append(dst, pad)
 	}
-	cipher.NewCBCEncrypter(k.block, dst[ivStart:ivStart+aes.BlockSize]).
-		CryptBlocks(dst[encStart:], dst[encStart:])
+	k.encryptCBC(dst[ivStart:ivStart+aes.BlockSize], dst[encStart:])
 	return k.macSum(dst, dst[tstart:]), nil
 }
 
@@ -251,8 +289,8 @@ func (k *STEK) Open(tkt []byte) *session.State {
 }
 
 // OpenInto is Open decoding into caller-owned state, reporting whether
-// the ticket authenticated. The decrypt scratch is pooled per key, so
-// the resume hot path allocates nothing.
+// the ticket authenticated. The decrypt scratch is pooled across keys,
+// so the resume hot path allocates nothing.
 func (k *STEK) OpenInto(dst *session.State, tkt []byte) bool {
 	k.init()
 	hdr := k.hdr
@@ -272,20 +310,20 @@ func (k *STEK) OpenInto(dst *session.State, tkt []byte) bool {
 	if n != len(enc) || n == 0 || n%aes.BlockSize != 0 {
 		return false
 	}
-	buf, _ := k.plainPool.Get().(*[]byte)
+	buf, _ := plainPool.Get().(*[]byte)
 	if buf == nil || cap(*buf) < n {
 		b := make([]byte, 0, max(n, paddedStateLen))
 		buf = &b
 	}
 	plain := (*buf)[:n]
-	cipher.NewCBCDecrypter(k.block, iv).CryptBlocks(plain, enc)
+	k.decryptCBC(plain, iv, enc)
 	ok := false
 	pad := int(plain[n-1])
 	if pad > 0 && pad <= aes.BlockSize && pad <= n {
 		ok = session.UnmarshalInto(dst, plain[:n-pad]) == nil
 	}
 	*buf = plain[:0]
-	k.plainPool.Put(buf)
+	plainPool.Put(buf)
 	return ok
 }
 

@@ -2,10 +2,15 @@ package ticket
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
 	"crypto/rand"
+	"crypto/sha256"
 	"testing"
 	"time"
 
+	"tlsshortcuts/internal/drbg"
 	"tlsshortcuts/internal/session"
 	"tlsshortcuts/internal/simclock"
 	"tlsshortcuts/internal/telemetry"
@@ -218,6 +223,71 @@ func TestOpenTicketIntoCountsOutcomes(t *testing.T) {
 		}
 		if got := reg.Value("ticket/stek_derived"); got != tc.derived {
 			t.Errorf("%s: counted %d key derivations, want %d", tc.name, got, tc.derived)
+		}
+	}
+}
+
+// TestSealMatchesStdlibCBCAndHMAC checks the hand-chained CBC and the
+// stack HMAC against crypto/cipher and crypto/hmac: in every format the
+// tag is HMAC-SHA256(MACKey, ticket without tag), and CBC-decrypting the
+// body under the ticket's IV gives the marshaled state, PKCS#7-padded.
+func TestSealMatchesStdlibCBCAndHMAC(t *testing.T) {
+	st := testState()
+	want := append(st.AppendMarshal(nil), bytes.Repeat([]byte{paddedStateLen - session.MarshaledLen}, paddedStateLen-session.MarshaledLen)...)
+	for _, f := range []Format{FormatRFC5077, FormatMbedTLS, FormatSChannel} {
+		k := Derive([]byte("stdlib"), f)
+		tkt, err := k.Seal(st, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, tag := tkt[:len(tkt)-sha256.Size], tkt[len(tkt)-sha256.Size:]
+		mac := hmac.New(sha256.New, k.MACKey[:])
+		mac.Write(body)
+		if !bytes.Equal(mac.Sum(nil), tag) {
+			t.Errorf("%v: tag is not crypto/hmac's", f)
+		}
+		block, err := aes.NewCipher(k.AESKey[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := body[headerLen(f)+aes.BlockSize+2:]
+		plain := make([]byte, len(enc))
+		cipher.NewCBCDecrypter(block, IVOf(tkt)).CryptBlocks(plain, enc)
+		if !bytes.Equal(plain, want) {
+			t.Errorf("%v: crypto/cipher decrypts the body to %x, want %x", f, plain, want)
+		}
+	}
+}
+
+// TestSealOpenAllocateNothing guards the ticket hot paths in every
+// format: sealing into a buffer with room and opening into caller-owned
+// state chain CBC through the key's block and MAC on the stack, so
+// neither builds a cipher mode object or any other heap value.
+func TestSealOpenAllocateNothing(t *testing.T) {
+	st := testState()
+	iv := drbg.NewString("ticket-test|iv")
+	for _, f := range []Format{FormatRFC5077, FormatMbedTLS, FormatSChannel} {
+		k := Derive([]byte("allocs"), f)
+		buf := make([]byte, 0, k.SealedLen())
+		var err error
+		seal := func() {
+			if buf, err = k.AppendSeal(buf[:0], st, iv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seal()
+		if a := testing.AllocsPerRun(100, seal); a != 0 {
+			t.Errorf("%v: a seal allocates %v objects, want 0", f, a)
+		}
+		var got session.State
+		open := func() {
+			if !k.OpenInto(&got, buf) {
+				t.Fatal("the sealed ticket does not open")
+			}
+		}
+		open()
+		if a := testing.AllocsPerRun(100, open); a != 0 {
+			t.Errorf("%v: an open allocates %v objects, want 0", f, a)
 		}
 	}
 }

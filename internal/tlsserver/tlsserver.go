@@ -138,7 +138,7 @@ type hsConn struct {
 	rng    drbg.Reader // per-connection deterministic entropy (RandSeed mode)
 	sigRng drbg.Reader // separate stream for SKE signing (see full())
 	mbuf   []byte      // outgoing handshake-message marshal scratch
-	sp     []byte      // SKE signed-params scratch
+	sp     []byte      // SKE signed-params scratch, then its signature
 	ch     wire.ClientHello
 	sh     wire.ServerHello
 	ske    wire.SKE
@@ -372,11 +372,13 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 		hc.sigRng.ReseedParts(cfg.RandSeed, string(ch.Random[:]), "ske-sig")
 		sigRand = &hc.sigRng
 	}
-	sig, err := crt.SignSKE(sigRand, digest[:], link.SKE())
-	if err != nil {
+	// The signature goes after the signed parameters in their scratch.
+	signed := len(hc.sp)
+	var err error
+	if hc.sp, err = crt.SignSKE(hc.sp, sigRand, digest[:], link.SKE()); err != nil {
 		return err
 	}
-	ske.Sig = sig
+	ske.Sig = hc.sp[signed:]
 	hc.mbuf = ske.AppendTo(hc.mbuf[:0])
 	if err := hc.WriteMsg(hc.mbuf); err != nil {
 		return err

@@ -12,6 +12,7 @@ import (
 	"tlsshortcuts/internal/population"
 	"tlsshortcuts/internal/session"
 	"tlsshortcuts/internal/simclock"
+	"tlsshortcuts/internal/simnet"
 	"tlsshortcuts/internal/telemetry"
 	"tlsshortcuts/internal/tlsclient"
 )
@@ -57,13 +58,15 @@ type userState struct {
 // actual session lives in the sess map.
 var liveMarker = &session.State{}
 
-// arena is one worker's reusable scratch: DRBG, capture, config, and
-// request buffer, so steady-state visits allocate only session state.
+// arena is one worker's reusable scratch: the Line its visits dial,
+// DRBG, capture, config, and request buffer, so steady-state visits
+// allocate only session and handshake state.
 type arena struct {
-	rng drbg.Reader
-	cap tlsclient.Capture
-	cfg tlsclient.Config
-	req []byte
+	line simnet.Line
+	rng  drbg.Reader
+	cap  tlsclient.Capture
+	cfg  tlsclient.Config
+	req  []byte
 }
 
 // maxReqPad is the spread of per-visit request sizes ([64, 64+maxReqPad)).
@@ -404,7 +407,7 @@ func (e *Engine) doVisit(w int, us *userState, day, slot, k int, v visit, now ti
 	e.ctrVisits.Inc()
 	e.polVisits[us.prof.policy].Inc()
 	e.ctrHSStart.Inc()
-	conn, err := e.dialer.DialProbeStable(d, label)
+	conn, err := e.dialer.DialProbeStableInto(&ar.line, d, label)
 	if err == nil {
 		conn.SetDeadline(time.Now().Add(e.opts.timeout()))
 		err = tlsclient.HandshakeInto(&ar.cap, conn, cfg)

@@ -28,14 +28,17 @@ package traffic
 import (
 	"net"
 	"time"
+
+	"tlsshortcuts/internal/simnet"
 )
 
 // Dialer is the network face the engine needs: the stable dial path,
 // which keys the balancer choice on (domain, label) and never consumes
 // the per-domain dial sequence the scanner's default dials draw from
-// (*simnet.Net implements it).
+// (*simnet.Net implements it). Each visit dials its worker's Line, which
+// holds no open connection then.
 type Dialer interface {
-	DialProbeStable(domain, label string) (net.Conn, error)
+	DialProbeStableInto(l *simnet.Line, domain, label string) (net.Conn, error)
 }
 
 // Policy is one browser-style client session policy: how long the
