@@ -144,6 +144,14 @@ func (g *Group) Shared(x, peer *big.Int) ([]byte, error) {
 	return s.Bytes(), nil
 }
 
+// SharedFromExponents returns the premaster Shared(x, Public(y)) gives
+// for private exponents x and y of this group: (g^y)^x = g^(x·y mod
+// P-1), from the fixed-base table, at about a third of the cost of the
+// modexp.
+func (g *Group) SharedFromExponents(x, y *big.Int) []byte {
+	return g.Public(new(big.Int).Mul(x, y)).Bytes()
+}
+
 // Bytes returns v left-padded to the group's modulus width.
 func (g *Group) Bytes(v *big.Int) []byte {
 	out := make([]byte, (g.P.BitLen()+7)/8)

@@ -144,6 +144,28 @@ func TestSharedAgrees(t *testing.T) {
 	}
 }
 
+// TestSharedFromExponentsMatchesShared checks the exponent exchange
+// against the modexp it replaces, byte for byte (leading zeros
+// stripped), for exponents from PrivateFromSeed and for the edge and
+// random exponents of each group.
+func TestSharedFromExponentsMatchesShared(t *testing.T) {
+	for _, g := range []*Group{TestGroup512(), ExportGroup512(), group1024()} {
+		xs := []*big.Int{g.PrivateFromSeed([]byte("x")), g.PrivateFromSeed([]byte("y"))}
+		for _, x := range exponents(g, 100) {
+			if x.Sign() > 0 {
+				xs = append(xs, x)
+			}
+		}
+		for i, x := range xs {
+			y := xs[(5*i+1)%len(xs)]
+			want := new(big.Int).Exp(g.Public(y), x, g.P).Bytes()
+			if got := g.SharedFromExponents(x, y); string(got) != string(want) {
+				t.Fatalf("%d-bit group: SharedFromExponents(%x, %x) = %x, want %x", g.P.BitLen(), x, y, got, want)
+			}
+		}
+	}
+}
+
 var sink *big.Int
 
 func BenchmarkGroupPublic(b *testing.B) {
@@ -167,5 +189,17 @@ func BenchmarkGroupShared(b *testing.B) {
 		if _, err := g.Shared(x, peer); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkGroupSharedFromExponents(b *testing.B) {
+	g := TestGroup512()
+	x := g.PrivateFromSeed([]byte("bench"))
+	y := g.PrivateFromSeed([]byte("peer"))
+	g.Public(x) // build the table outside the timed region
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.SharedFromExponents(x, y)
 	}
 }

@@ -1,9 +1,9 @@
 // Package handshake is the TLS 1.2 handshake layer under both engines:
-// handshake-message reassembly over a record.Conn with the running
-// transcript hash, the master-secret and key-block derivation (RFC 5246
-// §8.1, §6.3), and the ChangeCipherSpec and Finished exchange (§7.4.9).
-// Each engine embeds Conn in its pooled per-connection state and drives
-// the message flow of its side itself.
+// handshake-message reassembly over a record.Conn with the transcript
+// hash, the master-secret and key-block derivation (RFC 5246 §8.1,
+// §6.3), and the ChangeCipherSpec and Finished exchange (§7.4.9). Each
+// engine embeds Conn in its pooled per-connection state and drives the
+// message flow of its side itself.
 package handshake
 
 import (
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash"
 	"net"
+	"slices"
 
 	"tlsshortcuts/internal/prf"
 	"tlsshortcuts/internal/record"
@@ -44,14 +45,21 @@ type Conn struct {
 	// flushes and application data.
 	Record record.Conn
 
-	// buf holds the handshake bytes received on this connection. It only
-	// grows until the next Reset, so a body ReadMsg returned stays valid
-	// while later messages are read: the client checks the
-	// ServerKeyExchange against a certificate chain parsed out of buf.
-	buf  []byte
-	off  int // consumed prefix of buf
-	hash hash.Hash
-	ex   prf.Expander // keyed with the master secret once it is known
+	// buf holds the connection's handshake messages in wire order, sent
+	// and received, followed by received bytes not yet consumed: its
+	// consumed prefix is the transcript. It only grows until the next
+	// Reset, so a body ReadMsg returned stays valid while later messages
+	// are read and sent: the client checks the ServerKeyExchange against
+	// a certificate chain parsed out of buf.
+	buf []byte
+	off int // consumed prefix of buf
+	// hash has taken in buf's first hashed bytes. Messages are hashed
+	// only when a Finished needs the transcript, so a handshake that
+	// ends before one (a kex-only probe, an aborted one) hashes nothing.
+	hashed   int
+	hash     hash.Hash
+	received bool         // ReadMsg has returned a message
+	ex       prf.Expander // keyed with the master secret once it is known
 	// Fixed derivation scratch; capacities round up to the PRF's 32-byte
 	// blocks, which it appends whole before truncating.
 	seed   [64]byte // the two hello randoms, in either order
@@ -70,17 +78,22 @@ func (c *Conn) Reset(nc net.Conn) {
 	} else {
 		c.hash.Reset()
 	}
-	c.buf, c.off = c.buf[:0], 0
+	c.buf, c.off, c.hashed, c.received = c.buf[:0], 0, 0, false
 }
 
 // transcript returns the digest of the handshake messages so far, in the
 // connection's scratch (valid until the next call).
-func (c *Conn) transcript() []byte { return c.hash.Sum(c.pre[:0]) }
+func (c *Conn) transcript() []byte {
+	c.hash.Write(c.buf[c.hashed:c.off])
+	c.hashed = c.off
+	return c.hash.Sum(c.pre[:0])
+}
 
 // WriteMsg sends one framed handshake message (header and body) and adds
-// it to the transcript.
+// it to the transcript, ahead of any received bytes not yet consumed.
 func (c *Conn) WriteMsg(frame []byte) error {
-	c.hash.Write(frame)
+	c.buf = slices.Insert(c.buf, c.off, frame...)
+	c.off += len(frame)
 	return c.Record.WriteRecord(record.TypeHandshake, frame)
 }
 
@@ -100,7 +113,7 @@ func (c *Conn) ReadMsg() (m wire.Msg, ccs bool, err error) {
 			if len(pend) >= 4+n {
 				raw := pend[:4+n]
 				c.off += 4 + n
-				c.hash.Write(raw)
+				c.received = true
 				return wire.Msg{Type: raw[0], Body: raw[4:]}, false, nil
 			}
 		}
@@ -135,27 +148,68 @@ func (c *Conn) ReadMsg() (m wire.Msg, ccs bool, err error) {
 // takes a record that is neither a handshake nor an alert record for
 // something other than TLS and answers nothing.
 func (c *Conn) outOfPlace(err error) error {
-	if c.off == 0 {
+	if !c.received {
 		return err
 	}
 	return record.WithAlert(record.AlertUnexpectedMessage, err)
 }
 
-// DeriveMaster derives the master secret from a premaster secret and the
-// hello randoms, then the key block from it (see UseMaster). The master
-// secret is returned in the connection's scratch, valid until the next
-// handshake on c.
-func (c *Conn) DeriveMaster(premaster, clientRandom, serverRandom []byte) []byte {
+// DeriveMaster derives side s's master secret of a full handshake from
+// a premaster secret and the hello randoms, then the key block from it,
+// and keys the Finished computations with it. The client derives first: it publishes both to the
+// connection's hand-off with their inputs, and must call DeriveMaster
+// before it queues its ClientKeyExchange. The server takes them when
+// its premaster and randoms are byte-equal to the client's, counting in
+// handedOver, and derives them otherwise. The master secret is returned
+// in the connection's scratch, valid until the next handshake on c.
+func (c *Conn) DeriveMaster(s Side, premaster, clientRandom, serverRandom []byte, handedOver *telemetry.Counter) []byte {
+	link := c.Record.Link()
+	if s == Server {
+		if master, block := link.KeySchedule(premaster, clientRandom, serverRandom); master != nil {
+			handedOver.Inc()
+			master = c.master[:copy(c.master[:48], master)]
+			c.ex.SetSecret(master)
+			copy(c.kb[:40], block)
+			return master
+		}
+	}
 	c.ex.SetSecret(premaster)
 	seed := append(append(c.seed[:0], clientRandom...), serverRandom...)
 	master := c.ex.AppendPRF(c.master[:0], "master secret", seed, 48)
-	c.UseMaster(master, clientRandom, serverRandom)
+	c.expandKeys(master, clientRandom, serverRandom)
+	if s == Client {
+		link.SetKeySchedule(premaster, clientRandom, serverRandom, master, c.kb[:40])
+	}
 	return master
 }
 
-// UseMaster keys the Finished computations with master, a new or a
-// resumed session's, and derives the connection's key block from it.
-func (c *Conn) UseMaster(master, clientRandom, serverRandom []byte) {
+// UseMaster keys side s's Finished computations with master, a resumed
+// session's, and derives the connection's key block from it. The server
+// derives first: it publishes the key block with master and the randoms
+// to the connection's hand-off, and must call UseMaster before it
+// queues its ChangeCipherSpec. The client, which must call it only after
+// reading that ChangeCipherSpec, takes the key block when its master and
+// randoms are byte-equal to the server's, counting in handedOver, and
+// derives it otherwise.
+func (c *Conn) UseMaster(s Side, master, clientRandom, serverRandom []byte, handedOver *telemetry.Counter) {
+	link := c.Record.Link()
+	if s == Client {
+		if _, block := link.KeySchedule(master, clientRandom, serverRandom); block != nil {
+			handedOver.Inc()
+			c.ex.SetSecret(master)
+			copy(c.kb[:40], block)
+			return
+		}
+	}
+	c.expandKeys(master, clientRandom, serverRandom)
+	if s == Server {
+		link.SetKeySchedule(master, clientRandom, serverRandom, master, c.kb[:40])
+	}
+}
+
+// expandKeys keys the Finished computations with master and derives the
+// key block from it.
+func (c *Conn) expandKeys(master, clientRandom, serverRandom []byte) {
 	c.ex.SetSecret(master)
 	seed := append(append(c.seed[:0], serverRandom...), clientRandom...)
 	c.ex.AppendPRF(c.kb[:0], "key expansion", seed, 40)

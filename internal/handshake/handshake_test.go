@@ -86,6 +86,58 @@ func TestReadMsgReassembly(t *testing.T) {
 	}
 }
 
+// TestTranscriptHashesLazily interleaves sent and received messages,
+// one of them reassembled from three records, one sent while the start
+// of that one is already buffered, and requires the transcript to equal
+// SHA-256 over the frames in wire order: when it is first asked for,
+// and again after more messages. Nothing is hashed before the first
+// call, and Reset starts an empty transcript.
+func TestTranscriptHashesLazily(t *testing.T) {
+	m1, m2, m3 := frame(wire.TypeServerHello, 70), frame(wire.TypeCertificate, 600), frame(wire.TypeServerHelloDone, 0)
+	w1, w2 := frame(wire.TypeClientHello, 90), frame(wire.TypeClientKeyExchange, 66)
+	c, _ := reader(records(record.TypeHandshake, append(bytes.Clone(m1), m2[:5]...), m2[5:300], m2[300:], m3))
+	var sent [][]byte
+	step := func(write []byte) {
+		t.Helper()
+		if write != nil {
+			if err := c.WriteMsg(write); err != nil {
+				t.Fatal(err)
+			}
+			sent = append(sent, write)
+			return
+		}
+		m, _, err := c.ReadMsg()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, append([]byte{m.Type, byte(len(m.Body) >> 16), byte(len(m.Body) >> 8), byte(len(m.Body))}, m.Body...))
+	}
+	check := func(when string) {
+		t.Helper()
+		want := sha256.Sum256(bytes.Join(sent, nil))
+		if got := c.transcript(); !bytes.Equal(got, want[:]) {
+			t.Fatalf("%s: transcript %x, want %x", when, got, want)
+		}
+	}
+	step(nil) // m1, with the start of m2 behind it
+	step(w1)
+	step(nil) // m2, from three records
+	if c.hashed != 0 {
+		t.Fatalf("%d bytes hashed before the transcript was asked for", c.hashed)
+	}
+	check("first call")
+	step(w2)
+	step(nil) // m3
+	check("after two more messages")
+	if !bytes.Equal(bytes.Join(sent, nil), bytes.Join([][]byte{m1, w1, m2, w2, m3}, nil)) {
+		t.Fatal("the messages read differ from those framed")
+	}
+
+	c.Reset(&memConn{in: bytes.NewReader(nil)})
+	sent = nil
+	check("after Reset")
+}
+
 // TestReadMsgRecordTypes pins what ReadMsg makes of each non-handshake
 // record: a ChangeCipherSpec between messages is reported and one inside
 // a message is an error, an alert becomes a *record.AlertError with its
@@ -173,7 +225,7 @@ func TestFinished(t *testing.T) {
 			out := &memConn{}
 			var w Conn
 			w.Reset(out)
-			master := w.DeriveMaster(premaster, cr, sr)
+			master := w.DeriveMaster(Client, premaster, cr, sr, nil)
 			if err := w.WriteMsg(hello); err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +237,7 @@ func TestFinished(t *testing.T) {
 			}
 
 			r, rc := reader(out.out.Bytes())
-			r.UseMaster(master, cr, sr)
+			r.UseMaster(Server, master, cr, sr, nil)
 			if _, _, err := r.ReadMsg(); err != nil {
 				t.Fatal(err)
 			}

@@ -91,6 +91,29 @@ func TestScalarExchangeMatchesECDH(t *testing.T) {
 	}
 }
 
+// TestFixedClientPremasterAllocations pins what the scalar exchange
+// allocates beyond crypto/ecdh's own objects for the derived key and
+// its public point: the product mod n is pki's allocation-free one, so
+// only the 32-byte scalar handed to ecdh.Curve may reach the heap.
+func TestFixedClientPremasterAllocations(t *testing.T) {
+	k, _, err := ECDHEKeyPub(nil, oracleBase, drbg.NewString("keyex-test|alloc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := new([32]byte)
+	copy(d[:], k.Bytes())
+	ecdhOnly := testing.AllocsPerRun(100, func() {
+		pk, err := ecdh.P256().NewPrivateKey(d[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		publicBytes(pk)
+	})
+	if got := testing.AllocsPerRun(100, func() { FixedClientPremaster(k) }); got > ecdhOnly+1 {
+		t.Fatalf("FixedClientPremaster allocates %v objects, crypto/ecdh's key and point %v: want at most one more", got, ecdhOnly)
+	}
+}
+
 // TestPremasterExchangeConsumedOnce checks that a premaster handed over
 // on a connection comes back byte-identical for its own pair of public
 // values, and for no other pair and on no other connection.
@@ -103,7 +126,7 @@ func TestPremasterExchangeConsumedOnce(t *testing.T) {
 		link := new(handoff.Link)
 		links[i] = link
 		link.SetServerValue(spub, nil)
-		link.SetPremaster(spub, cpub, pm)
+		link.SetPremaster(spub, nil, nil, cpub, pm)
 		if got := link.Premaster(cpub); !bytes.Equal(got, pm) {
 			t.Fatalf("connection %d: the server took %q, the client handed over %q", i, got, pm)
 		}
@@ -119,7 +142,7 @@ func TestPremasterExchangeConsumedOnce(t *testing.T) {
 		// A client that received another server value hands nothing over.
 		other := new(handoff.Link)
 		other.SetServerValue(spub, nil)
-		other.SetPremaster([]byte("server-none"), cpub, pm)
+		other.SetPremaster([]byte("server-none"), nil, nil, cpub, pm)
 		if got := other.Premaster(cpub); got != nil {
 			t.Fatalf("connection %d: took %q agreed for a server value the server never sent", i, got)
 		}

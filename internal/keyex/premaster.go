@@ -2,12 +2,11 @@ package keyex
 
 import (
 	"crypto/ecdh"
-	"crypto/elliptic"
 	"io"
-	"math/big"
 	"sync"
 
 	"tlsshortcuts/internal/drbg"
+	"tlsshortcuts/internal/pki"
 )
 
 // The scanning client's process-wide fixed P-256 key. The derivation
@@ -18,7 +17,7 @@ var fixedClient struct {
 	once   sync.Once
 	key    *ecdh.PrivateKey
 	pub    []byte   // marshaled public point, memoized alongside
-	scalar *big.Int // private scalar, for the server-primed exchange
+	scalar [32]byte // private scalar, for the server-primed exchange
 }
 
 func initFixedClient() {
@@ -35,7 +34,7 @@ func initFixedClient() {
 			if k, err := ecdh.P256().NewPrivateKey(seed[:]); err == nil {
 				fixedClient.key = k
 				fixedClient.pub = k.PublicKey().Bytes()
-				fixedClient.scalar = new(big.Int).SetBytes(seed[:])
+				fixedClient.scalar = seed
 				return
 			}
 		}
@@ -69,8 +68,6 @@ var sxs struct {
 	sticky map[string]*ecdh.PrivateKey // reuse serverPub -> key, one per epoch
 }
 
-var p256Order = elliptic.P256().Params().N
-
 func scalarStore(pub []byte, priv *ecdh.PrivateKey) {
 	sxs.mu.Lock()
 	if sxs.sticky == nil || len(sxs.sticky) >= maxStickyScalars {
@@ -102,12 +99,10 @@ func FixedClientPremaster(server *ecdh.PrivateKey) []byte {
 		return nil
 	}
 	initFixedClient()
-	d := new(big.Int).SetBytes(server.Bytes())
-	d.Mul(d, fixedClient.scalar).Mod(d, p256Order)
-	var buf [32]byte
-	d.FillBytes(buf[:])
+	var d [32]byte
+	pki.MulModOrder(&d, server.Bytes(), fixedClient.scalar[:])
 	// d cannot be 0 mod n: both factors are nonzero mod the prime n.
-	pk, err := ecdh.P256().NewPrivateKey(buf[:])
+	pk, err := ecdh.P256().NewPrivateKey(d[:])
 	if err != nil {
 		return nil // fall back to the real computation
 	}

@@ -41,6 +41,19 @@ const (
 type Certificate struct {
 	Chain [][]byte // DER, leaf first
 	Key   crypto.Signer
+
+	key atomic.Pointer[[sha256.Size]byte] // chainKey(Chain), on first use
+}
+
+// chainKey returns the key RootStore memoizes c's chain under, computed
+// on the first call (see RootStore.VerifyServed).
+func (c *Certificate) chainKey() [sha256.Size]byte {
+	if k := c.key.Load(); k != nil {
+		return *k
+	}
+	k := chainKey(c.Chain)
+	c.key.Store(&k)
+	return k
 }
 
 // Leaf is what a ServerKeyExchange check reads of a leaf certificate: its
@@ -480,10 +493,24 @@ func narrow(nb, na time.Time, c *x509.Certificate) (time.Time, time.Time) {
 // name's verdict does not depend on the time, so a leaf served under
 // several names has its chain and signature checked once.
 func (s *RootStore) Verify(chain [][]byte, name string, now time.Time) bool {
+	return s.VerifyServed(chain, nil, name, now)
+}
+
+// VerifyServed is Verify for a chain a server sent saying it sent
+// served's (through the connection's hand-off): when chain is
+// byte-equal to served.Chain, the verdict is looked up under served's
+// chain key, which each certificate computes once, instead of a hash of
+// chain. Any other chain, or a nil served, is hashed as Verify does.
+func (s *RootStore) VerifyServed(chain [][]byte, served *Certificate, name string, now time.Time) bool {
 	if len(chain) == 0 {
 		return false
 	}
-	key := chainKey(chain)
+	var key [sha256.Size]byte
+	if served != nil && slices.EqualFunc(chain, served.Chain, bytes.Equal) {
+		key = served.chainKey()
+	} else {
+		key = chainKey(chain)
+	}
 	var t *trust
 	var leaf *x509.Certificate // parsed by this call's chain check, if any
 	if v, ok := s.chains.Load(key); ok && v.(*trust).holdsAt(now) {

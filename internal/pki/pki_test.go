@@ -413,6 +413,10 @@ func TestRootStoreVerifyMatchesX509(t *testing.T) {
 		row{"two names, second", twoNames.Chain, "two.example", mid, true},
 		row{"two names, neither", twoNames.Chain, "three.example", mid, false},
 	)
+	// Each row is also verified with every certificate as the served
+	// one: the certificate whose chain it is, and certificates whose
+	// chains it is not, must all give x509's verdict.
+	served := map[string]*Certificate{"none": nil, "added": added, "other": other, "foreign": foreign, "via intermediate": viaInter, "two names": twoNames}
 	shared := newStore()
 	for _, r := range rows {
 		want := x509Verdict(r.chain, r.name, r.at)
@@ -424,6 +428,42 @@ func TestRootStoreVerifyMatchesX509(t *testing.T) {
 		}
 		if got := shared.Verify(r.chain, r.name, r.at); got != want {
 			t.Errorf("%s: a store that has seen the rows before says %v, x509 %v", r.desc, got, want)
+		}
+		for sname, crt := range served {
+			if got := newStore().VerifyServed(r.chain, crt, r.name, r.at); got != want {
+				t.Errorf("%s, served %s: a fresh store says %v, x509 %v", r.desc, sname, got, want)
+			}
+			if got := shared.VerifyServed(r.chain, crt, r.name, r.at); got != want {
+				t.Errorf("%s, served %s: a store that has seen the rows before says %v, x509 %v", r.desc, sname, got, want)
+			}
+		}
+	}
+
+	// The served certificate's key is the one hashing the chain gives:
+	// after Verify, VerifyServed finds the verdict without a chain check.
+	s0 := newStore()
+	s0.Verify(added.Chain, "www.example.com", mid)
+	if !s0.VerifyServed(added.Chain, added, "www.example.com", mid) || s0.chainChecks.Load() != 1 {
+		t.Errorf("the served certificate's key missed the verdict hashing its chain stored: %d chain checks", s0.chainChecks.Load())
+	}
+	// A served certificate whose chain differs from the received one by
+	// one byte (of the leaf's signature) is not used, either way round:
+	// the store has just memoized each chain's verdict, so the other
+	// chain's key would give the wrong one.
+	flipped := &Certificate{Chain: [][]byte{bytes.Clone(added.Chain[0]), added.Chain[1]}, Key: added.Key}
+	flipped.Chain[0][len(flipped.Chain[0])-1] ^= 1
+	for _, tc := range []struct {
+		chain  [][]byte
+		served *Certificate
+		want   bool
+	}{
+		{flipped.Chain, flipped, false},
+		{added.Chain, flipped, true},
+		{added.Chain, added, true},
+		{flipped.Chain, added, false},
+	} {
+		if got := s0.VerifyServed(tc.chain, tc.served, "www.example.com", mid); got != tc.want {
+			t.Errorf("received chain flipped %v, served chain flipped %v: got %v, want %v", !tc.want, tc.served == flipped, got, tc.want)
 		}
 	}
 

@@ -118,112 +118,240 @@ func (z *scalar) montMul(x, y *scalar) *scalar {
 	return z
 }
 
-// inv sets z = x⁻¹ mod n, or 0 for x = 0. It runs a binary extended GCD
-// of (n, x) that shifts out every trailing zero at once (Kaliski's
-// almost-Montgomery inverse) with the invariants
-//
-//	n = u·s + v·r,  x·s ≡ v·2^k,  x·r ≡ -u·2^k  (mod n),
-//
-// which keep r and s below n without any reduction. The loop ends at
-// u = v = gcd = 1, where s = x⁻¹·2^k; dividing out 2^k, 63 bits at a
-// time, gives x⁻¹.
+// MulModOrder sets dst to a·b mod n, n the order of the P-256 base
+// point, for big-endian a and b of at most 32 bytes each. It allocates
+// nothing.
+func MulModOrder(dst *[32]byte, a, b []byte) {
+	var x, y scalar
+	x.setBytes(a)
+	y.setBytes(b)
+	x.mul(&x, &y).fillBytes(dst)
+}
+
+// inv sets z = x⁻¹ mod n, or 0 for x = 0. It is Bernstein and Yang's
+// safegcd (https://eprint.iacr.org/2019/266) in the variable-time form
+// of libsecp256k1's modinv64_var. The state is (eta, f, g, d, e), from
+// (-1, n, x, 0, 1), with d·x ≡ f and e·x ≡ g (mod n) throughout. Each
+// round runs 62 divsteps on the low 64 bits of f and g alone, which
+// decide them, and collects them in a transition matrix (divsteps62);
+// the matrix then takes the full f and g, and d and e mod n, 62
+// divsteps on (updateFG, updateDE). All four are held as five signed
+// 62-bit limbs. The loop ends at g = 0, where f = ±gcd(n, x) = ±1, so
+// ±d is the inverse. Like the rest of the simulator it is not hardened
+// against timing side channels.
 func (z *scalar) inv(x *scalar) *scalar {
 	if x.isZero() {
 		*z = scalar{}
 		return z
 	}
-	u, v := orderN, *x
-	r, s := scalar{}, scalar{1}
-	k := shiftOut(&v, &r)
+	d, e := signed62{}, signed62{1}
+	f, g := orderN62, x.signed62()
+	eta, n := int64(-1), len(f) // n: the limbs of f and g still in use
 	for {
-		switch {
-		case u == v:
-			for ; k > 63; k -= 63 {
-				s.divPow2(63)
-			}
-			if k > 0 {
-				s.divPow2(uint(k))
-			}
-			*z = s
-			return z
-		case less(&v, &u):
-			sub(&u, &v)
-			addTo(&r, &s)
-			k += shiftOut(&u, &s)
-		default:
-			sub(&v, &u)
-			addTo(&s, &r)
-			k += shiftOut(&v, &r)
+		var t transition
+		eta = divsteps62(eta, uint64(f[0]), uint64(g[0]), &t)
+		updateDE(&d, &e, &t)
+		updateFG(n, &f, &g, &t)
+		if g[0] == 0 && isZero62(g[1:n]) {
+			break
+		}
+		// While the top limbs of f and g are both 0 or -1, fold their
+		// sign into the limb below and drop them.
+		if fn, gn := f[n-1], g[n-1]; n > 1 && fn == fn>>63 && gn == gn>>63 {
+			f[n-2] |= int64(uint64(fn) << 62)
+			g[n-2] |= int64(uint64(gn) << 62)
+			n--
 		}
 	}
+	z.setSigned62(&d, f[n-1] < 0)
+	return z
 }
 
-// divPow2 sets z = z / 2^k mod n for 1 ≤ k ≤ 63: adding m·n with
-// m = -z·n⁻¹ mod 2^k clears the low k bits, and the sum is below
-// n + (2^k - 1)·n, so shifted it is already below n.
-func (z *scalar) divPow2(k uint) {
-	m := (z[0] * orderNInv) & (1<<k - 1)
-	var t [5]uint64
-	var carry uint64
-	for i := range z {
-		hi, lo := bits.Mul64(m, orderN[i])
-		lo, c := bits.Add64(lo, carry, 0)
-		hi += c
-		t[i], c = bits.Add64(z[i], lo, 0)
-		carry = hi + c
-	}
-	t[4] = carry
-	for i := range z {
-		z[i] = t[i]>>k | t[i+1]<<(64-k)
+// signed62 is an integer as five signed limbs of 62 bits, least
+// significant first: Σ v[i]·2^(62i). Between rounds of inv every limb
+// but the top one is in [0, 2^62).
+type signed62 [5]int64
+
+const mask62 = 1<<62 - 1
+
+// orderN62 is n as a signed62, and orderNInv62 is n⁻¹ mod 2^62.
+var orderN62 = orderN.signed62()
+
+const orderNInv62 = (1<<64 - orderNInv) & mask62
+
+func (x *scalar) signed62() signed62 {
+	return signed62{
+		int64(x[0] & mask62),
+		int64((x[0]>>62 | x[1]<<2) & mask62),
+		int64((x[1]>>60 | x[2]<<4) & mask62),
+		int64((x[2]>>58 | x[3]<<6) & mask62),
+		int64(x[3] >> 56),
 	}
 }
 
-// shiftOut divides the nonzero u by 2^j, its largest power-of-two
-// factor, multiplies c by 2^j, and returns j. The inverse's invariants
-// keep c·2^j below n.
-func shiftOut(u, c *scalar) int {
-	j := 0
-	for u[0] == 0 {
-		u[0], u[1], u[2], u[3] = u[1], u[2], u[3], 0
-		c[0], c[1], c[2], c[3] = 0, c[0], c[1], c[2]
-		j += 64
-	}
-	t := uint(bits.TrailingZeros64(u[0]))
-	if t == 0 {
-		return j
-	}
-	for i := 0; i < 3; i++ {
-		u[i] = u[i]>>t | u[i+1]<<(64-t)
-	}
-	u[3] >>= t
-	for i := 3; i > 0; i-- {
-		c[i] = c[i]<<t | c[i-1]>>(64-t)
-	}
-	c[0] <<= t
-	return j + int(t)
-}
-
-func less(x, y *scalar) bool {
-	for i := 3; i >= 0; i-- {
-		if x[i] != y[i] {
-			return x[i] < y[i]
+func isZero62(v []int64) bool {
+	for _, w := range v {
+		if w != 0 {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
-// sub sets x -= y for x ≥ y.
-func sub(x, y *scalar) {
-	var b uint64
-	for i := range x {
-		x[i], b = bits.Sub64(x[i], y[i], b)
+// setSigned62 sets z to d mod n, negated when negate is set, for d in
+// (-2n, n) with limbs in (-2^62, 2^62): adding n when d is negative,
+// then negating, gives (-n, n), and adding n once more gives [0, n).
+func (z *scalar) setSigned62(d *signed62, negate bool) {
+	v := *d
+	if v[4] < 0 {
+		v.addN()
+	}
+	if negate {
+		for i := range v {
+			v[i] = -v[i]
+		}
+	}
+	v.carry()
+	if v[4] < 0 {
+		v.addN()
+		v.carry()
+	}
+	z[0] = uint64(v[0]) | uint64(v[1])<<62
+	z[1] = uint64(v[1])>>2 | uint64(v[2])<<60
+	z[2] = uint64(v[2])>>4 | uint64(v[3])<<58
+	z[3] = uint64(v[3])>>6 | uint64(v[4])<<56
+}
+
+func (v *signed62) addN() {
+	for i := range v {
+		v[i] += orderN62[i]
 	}
 }
 
-// addTo sets x += y; the caller guarantees no overflow.
-func addTo(x, y *scalar) {
+// carry moves each limb's bits above the low 62 into the next limb, so
+// that all but the top one are in [0, 2^62).
+func (v *signed62) carry() {
+	for i := 0; i < 4; i++ {
+		v[i+1] += v[i] >> 62
+		v[i] &= mask62
+	}
+}
+
+// transition is the matrix of 62 divsteps, scaled by 2^62: it takes
+// (f, g) to (u·f + v·g, q·f + r·g) / 2^62.
+type transition struct{ u, v, q, r int64 }
+
+// divsteps62 runs 62 divsteps from (eta, f, g) on the low 64 bits of f
+// and g, f odd, into t, and returns the new eta. A run of zero low bits
+// of g is shifted out at once, and each odd step cancels up to six low
+// bits of g with one multiple of f, as libsecp256k1 does.
+func divsteps62(eta int64, f, g uint64, t *transition) int64 {
+	u, v, q, r := uint64(1), uint64(0), uint64(0), uint64(1)
+	for i := 62; ; {
+		// Shift out g's zero low bits, at most i of them: each is a
+		// divstep that halves g.
+		zeros := bits.TrailingZeros64(g | ^uint64(0)<<uint(i))
+		g >>= zeros
+		u <<= zeros
+		v <<= zeros
+		eta -= int64(zeros)
+		i -= zeros
+		if i == 0 {
+			break
+		}
+		// f and g are odd. With eta negative the step swaps them (and
+		// negates the old f). Then w·f is added to g, for the w that
+		// clears g's low bits: min(eta+1, i) of them, and at most 6 (4
+		// without the swap, where eta tends to be small).
+		var w, m uint64
+		if eta < 0 {
+			eta = -eta
+			f, g = g, -f
+			u, q = q, -u
+			v, r = r, -v
+			w, m = f*g*(f*f-2), 63
+		} else {
+			w, m = -(f+((f+1)&4)<<1)*g, 15
+		}
+		w &= m & (^uint64(0) >> (64 - min(int(eta)+1, i)))
+		g += f * w
+		q += u * w
+		r += v * w
+	}
+	t.u, t.v, t.q, t.r = int64(u), int64(v), int64(q), int64(r)
+	return eta
+}
+
+// updateDE sets (d, e) to t·(d, e) / 2^62 mod n. A multiple of n is
+// added to each product first: the one that undoes a negative d or e,
+// and the one that clears the 62 low bits, so the division is a shift
+// and the results stay in (-2n, n).
+func updateDE(d, e *signed62, t *transition) {
+	sd, se := d[4]>>63, e[4]>>63
+	md := t.u&sd + t.v&se
+	me := t.q&sd + t.r&se
+	var cd, ce i128
+	cd.addMul(t.u, d[0])
+	cd.addMul(t.v, e[0])
+	ce.addMul(t.q, d[0])
+	ce.addMul(t.r, e[0])
+	md -= int64((orderNInv62*cd.lo + uint64(md)) & mask62)
+	me -= int64((orderNInv62*ce.lo + uint64(me)) & mask62)
+	cd.addMul(orderN62[0], md)
+	ce.addMul(orderN62[0], me)
+	cd.shr62()
+	ce.shr62()
+	for i := 1; i < 5; i++ {
+		cd.addMul(t.u, d[i])
+		cd.addMul(t.v, e[i])
+		cd.addMul(orderN62[i], md)
+		ce.addMul(t.q, d[i])
+		ce.addMul(t.r, e[i])
+		ce.addMul(orderN62[i], me)
+		d[i-1], e[i-1] = int64(cd.lo&mask62), int64(ce.lo&mask62)
+		cd.shr62()
+		ce.shr62()
+	}
+	d[4], e[4] = int64(cd.lo), int64(ce.lo)
+}
+
+// updateFG sets (f, g) to t·(f, g) / 2^62 on their n low limbs. The 62
+// divsteps made the low 62 bits of both products zero.
+func updateFG(n int, f, g *signed62, t *transition) {
+	var cf, cg i128
+	cf.addMul(t.u, f[0])
+	cf.addMul(t.v, g[0])
+	cg.addMul(t.q, f[0])
+	cg.addMul(t.r, g[0])
+	cf.shr62()
+	cg.shr62()
+	for i := 1; i < n; i++ {
+		cf.addMul(t.u, f[i])
+		cf.addMul(t.v, g[i])
+		cg.addMul(t.q, f[i])
+		cg.addMul(t.r, g[i])
+		f[i-1], g[i-1] = int64(cf.lo&mask62), int64(cg.lo&mask62)
+		cf.shr62()
+		cg.shr62()
+	}
+	f[n-1], g[n-1] = int64(cf.lo), int64(cg.lo)
+}
+
+// i128 is a signed 128-bit accumulator in two's complement.
+type i128 struct{ hi, lo uint64 }
+
+// addMul sets a += x·y.
+func (a *i128) addMul(x, y int64) {
+	hi, lo := bits.Mul64(uint64(x), uint64(y))
+	// The unsigned product counts a negative factor as itself plus 2^64.
+	hi -= uint64(x>>63)&uint64(y) + uint64(y>>63)&uint64(x)
 	var c uint64
-	for i := range x {
-		x[i], c = bits.Add64(x[i], y[i], c)
-	}
+	a.lo, c = bits.Add64(a.lo, lo, 0)
+	a.hi += hi + c
+}
+
+// shr62 sets a to a >> 62, rounding toward minus infinity.
+func (a *i128) shr62() {
+	a.lo = a.lo>>62 | a.hi<<2
+	a.hi = uint64(int64(a.hi) >> 62)
 }

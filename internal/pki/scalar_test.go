@@ -34,6 +34,16 @@ func TestScalarConstants(t *testing.T) {
 	if orderNInv*orderN[0] != ^uint64(0) {
 		t.Fatalf("orderNInv·n = %#x mod 2^64, want -1", orderNInv*orderN[0])
 	}
+	n62 := new(big.Int)
+	for i := len(orderN62) - 1; i >= 0; i-- {
+		n62.Lsh(n62, 62).Add(n62, big.NewInt(orderN62[i]))
+	}
+	if n62.Cmp(n) != 0 {
+		t.Fatalf("orderN62 = %x, want %x", n62, n)
+	}
+	if p := orderNInv62 * uint64(orderN62[0]) & mask62; p != 1 {
+		t.Fatalf("orderNInv62·n = %#x mod 2^62, want 1", p)
+	}
 }
 
 // scalarEdges are values at and around the limb, sign-bit and modulus
@@ -106,6 +116,43 @@ func TestScalarMatchesBigRandom(t *testing.T) {
 	}
 }
 
+// TestScalarInvMatchesBig checks the safegcd inverse against math/big
+// on 100k random scalars: half of full width, half with random runs of
+// high zero bits. The edge values are in TestScalarMatchesBigEdges.
+func TestScalarInvMatchesBig(t *testing.T) {
+	n := elliptic.P256().Params().N
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 100000; i++ {
+		a := randomBelowN(rng)
+		want := new(big.Int).ModInverse(a, n)
+		if want == nil {
+			want = new(big.Int)
+		}
+		var z scalar
+		if x := scalarOf(t, a); z.inv(&x).big().Cmp(want) != 0 {
+			t.Fatalf("%x⁻¹ = %x, want %x", a, z.big(), want)
+		}
+	}
+}
+
+func TestMulModOrderMatchesBig(t *testing.T) {
+	n := elliptic.P256().Params().N
+	rng := rand.New(rand.NewSource(5))
+	vals := scalarEdges()
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, randomBelowN(rng))
+	}
+	for i, a := range vals {
+		b := vals[(7*i+3)%len(vals)]
+		var got [32]byte
+		MulModOrder(&got, a.Bytes(), b.FillBytes(make([]byte, 32)))
+		want := new(big.Int).Mul(a, b)
+		if want.Mod(want, n); new(big.Int).SetBytes(got[:]).Cmp(want) != 0 {
+			t.Fatalf("MulModOrder(%x, %x) = %x, want %x", a, b, got, want)
+		}
+	}
+}
+
 func TestScalarSetBytesReduces(t *testing.T) {
 	n := elliptic.P256().Params().N
 	one := big.NewInt(1)
@@ -142,6 +189,7 @@ func TestScalarAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		z.setBytes(b[:])
 		z.add(&x, &y).mul(&z, &y).inv(&z).fillBytes(&b)
+		MulModOrder(&b, b[:], b[3:])
 	}); n != 0 {
 		t.Fatalf("scalar arithmetic allocates %v times per run", n)
 	}

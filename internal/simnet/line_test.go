@@ -12,12 +12,13 @@ import (
 	"tlsshortcuts/internal/simclock"
 	"tlsshortcuts/internal/tlsclient"
 	"tlsshortcuts/internal/tlsserver"
+	"tlsshortcuts/internal/wire"
 )
 
-// lineNet is one ECDHE terminator, "line.example", and the scanner's
-// client configuration against it: a full handshake fills every slot of
-// the connection's hand-off.
-func lineNet(t *testing.T) (*Net, func(net.Conn) (*tlsclient.Capture, error)) {
+// lineNet is one terminator, "line.example", and the scanner's client
+// configuration against it, offering suite: a full handshake fills
+// every slot of the connection's hand-off for that key exchange.
+func lineNet(t *testing.T) (*Net, func(c net.Conn, suite uint16) (*tlsclient.Capture, error)) {
 	t.Helper()
 	now := simclock.Epoch
 	root, err := pki.NewRootCA("line root", pki.ECDSAP256, drbg.NewString("line-test|root"))
@@ -33,9 +34,9 @@ func lineNet(t *testing.T) (*Net, func(net.Conn) (*tlsclient.Capture, error)) {
 	n.Register("line.example", 1, []string{"10.0.0.7"}, &Endpoint{Config: &tlsserver.Config{
 		Clock: simclock.Fixed(now), DefaultCert: leaf, RandSeed: []byte("line-test|server"),
 	}})
-	return n, func(c net.Conn) (*tlsclient.Capture, error) {
+	return n, func(c net.Conn, suite uint16) (*tlsclient.Capture, error) {
 		return tlsclient.Handshake(c, &tlsclient.Config{
-			ServerName: "line.example", Clock: simclock.Fixed(now),
+			ServerName: "line.example", Clock: simclock.Fixed(now), Suites: []uint16{suite},
 			Roots: pki.NewRootStore(root), Rand: drbg.NewString("line-test|client"), ReuseKex: true,
 		})
 	}
@@ -43,12 +44,13 @@ func lineNet(t *testing.T) (*Net, func(net.Conn) (*tlsclient.Capture, error)) {
 
 // TestLineClearsOnClose pins what a Line keeps between connections:
 // nothing of the last one. Before Close the hand-off holds the server's
-// ECDHE key, the client's premaster, both AEADs and the signature nonce
-// (with which the one signature reveals the certificate's key); after
-// Close it is empty, both pipe buffers are back in their pool, the
-// deadlines and timers are gone and no server runs. A dial into the
-// Line while its connection is open fails without touching the network,
-// and the Line then redials.
+// ECDHE key (or, on a DHE connection, its group and exponent), the
+// client's premaster, the key schedule, both AEADs, the served
+// certificate and the signature nonce (with which the one signature
+// reveals the certificate's key); after Close it is empty, both pipe
+// buffers are back in their pool, the deadlines and timers are gone and
+// no server runs. A dial into the Line while its connection is open
+// fails without touching the network, and the Line then redials.
 func TestLineClearsOnClose(t *testing.T) {
 	n, handshake := lineNet(t)
 	var l Line
@@ -65,18 +67,20 @@ func TestLineClearsOnClose(t *testing.T) {
 		t.Fatal("the refused dial counted as a dial")
 	}
 	_ = c.SetDeadline(time.Now().Add(time.Minute))
-	cap, err := handshake(c)
+	cap, err := handshake(c, wire.SuiteECDHE)
 	if err != nil {
 		t.Fatalf("handshake on the Line after the refused dial: %v", err)
 	}
 	_, clientPub := keyex.FixedClientECDHE()
+	link := reflect.ValueOf(&l.link).Elem()
 	if l.link.ServerKey(cap.ServerKEXValue) == nil || l.link.Premaster(clientPub) == nil ||
-		*l.link.SKE() == (pki.SKENonce{}) || reflect.ValueOf(&l.link).Elem().FieldByName("aead").IsZero() {
+		*l.link.SKE() == (pki.SKENonce{}) || l.link.Certificate() == nil ||
+		link.FieldByName("aead").IsZero() || link.FieldByName("keys").IsZero() {
 		t.Fatal("the handshake did not fill the hand-off, so the check below proves nothing")
 	}
 
 	c.Close()
-	if !reflect.ValueOf(&l.link).Elem().IsZero() {
+	if !link.IsZero() {
 		t.Error("after Close the hand-off still holds a value of the closed connection")
 	}
 	for _, b := range []*pipeBuf{&l.p.ab, &l.p.ba} {
@@ -96,10 +100,16 @@ func TestLineClearsOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("redial after Close: %v", err)
 	}
-	if _, err := handshake(c); err != nil {
-		t.Fatalf("handshake on the redialed Line: %v", err)
+	if _, err = handshake(c, wire.SuiteDHE); err != nil {
+		t.Fatalf("DHE handshake on the redialed Line: %v", err)
+	}
+	if link.FieldByName("group").IsZero() || link.FieldByName("exponent").IsZero() || link.FieldByName("keys").IsZero() {
+		t.Fatal("the DHE handshake did not fill the hand-off's group, exponent and key schedule")
 	}
 	c.Close()
+	if !link.IsZero() {
+		t.Error("after Close the hand-off still holds a value of the closed DHE connection")
+	}
 }
 
 // TestLineRedialAllocatesNothing guards the reason Line exists: dialing

@@ -25,7 +25,8 @@ import (
 // against tlsserver over simnet connections (ECDHE and DHE, fresh and
 // reused server values) and checks the amortized premaster against a
 // recomputation that shares no code with the hand-off: crypto/ecdh or
-// big.Int.Exp with the fixed client key. The hand-off can hide its own
+// big.Int.Exp with the fixed client key, where the client took the
+// server's ECDHE key or DHE exponent. The hand-off can hide its own
 // bugs — the server takes the premaster the client handed over, so a
 // wrong value still completes the handshake — hence the check runs on
 // the session's master secret for every connection. The hit counters
@@ -77,16 +78,13 @@ func TestPremasterCachesMatchRecomputation(t *testing.T) {
 	}{
 		{"ecdhe/fresh", wire.SuiteECDHE, &tlsserver.Config{}, "keyex/scalar_exchange_hit"},
 		{"ecdhe/reuse", wire.SuiteECDHE, &tlsserver.Config{ECDHEPolicy: reuse}, "keyex/scalar_exchange_hit"},
-		{"dhe/fresh", wire.SuiteDHE, &tlsserver.Config{}, ""},
-		{"dhe/reuse", wire.SuiteDHE, &tlsserver.Config{DHEPolicy: reuse}, ""},
+		{"dhe/fresh", wire.SuiteDHE, &tlsserver.Config{}, "keyex/exponent_exchange_hit"},
+		{"dhe/reuse", wire.SuiteDHE, &tlsserver.Config{DHEPolicy: reuse}, "keyex/exponent_exchange_hit"},
 	}
 	const conns = 4
 	for _, s := range servers {
 		exchanged := reg.Counter("keyex/premaster_exchange_hit").Value()
-		var amortized uint64
-		if s.path != "" {
-			amortized = reg.Counter(s.path).Value()
-		}
+		amortized := reg.Counter(s.path).Value()
 		s.cfg.Clock = simclock.Fixed(now)
 		s.cfg.DefaultCert = leaf
 		s.cfg.RandSeed = []byte("tlsclient-test|" + s.name)
@@ -129,10 +127,8 @@ func TestPremasterCachesMatchRecomputation(t *testing.T) {
 		if got := reg.Counter("keyex/premaster_exchange_hit").Value() - exchanged; got != conns {
 			t.Fatalf("%s: server took %d of %d premasters from the exchange", s.name, got, conns)
 		}
-		if s.path != "" {
-			if got := reg.Counter(s.path).Value() - amortized; got != conns {
-				t.Fatalf("%s: %s counted %d of %d connections", s.name, s.path, got, conns)
-			}
+		if got := reg.Counter(s.path).Value() - amortized; got != conns {
+			t.Fatalf("%s: %s counted %d of %d connections", s.name, s.path, got, conns)
 		}
 	}
 }

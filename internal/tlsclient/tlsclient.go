@@ -105,15 +105,20 @@ type Config struct {
 }
 
 // Counters counts the hand-offs a client takes into one registry: the
-// server's ECDHE key for the premaster, its SKE signature nonce, and
-// its AEAD. NewCounters resolves them once, so every connection of a
-// scanner or traffic engine can share one.
-type Counters struct{ scalarHit, skeNonceHit, aeadHandedOver *telemetry.Counter }
+// server's ECDHE key or DHE exponent for the premaster, its key block on
+// a resumption, its SKE signature nonce, and its AEAD. NewCounters
+// resolves them once, so every connection of a scanner or traffic
+// engine can share one.
+type Counters struct {
+	scalarHit, exponentHit, keyScheduleHit, skeNonceHit, aeadHandedOver *telemetry.Counter
+}
 
 // NewCounters resolves r's client counters.
 func NewCounters(r *telemetry.Registry) *Counters {
 	return &Counters{
 		scalarHit:      r.LazyCounter("keyex/scalar_exchange_hit"),
+		exponentHit:    r.LazyCounter("keyex/exponent_exchange_hit"),
+		keyScheduleHit: r.LazyCounter("handshake/key_schedule_hit"),
 		skeNonceHit:    r.LazyCounter("pki/ske_nonce_hit"),
 		aeadHandedOver: r.LazyCounter("record/aead_cache_hit"),
 	}
@@ -289,7 +294,7 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 	}
 	hc.chain = chain
 	if cfg.Roots != nil {
-		cap.Trusted = cfg.Roots.Verify(chain, cfg.ServerName, cfg.now())
+		cap.Trusted = cfg.Roots.VerifyServed(chain, hc.Record.Link().Certificate(), cfg.ServerName, cfg.now())
 	}
 
 	kex := wire.SuiteKex(sh.Suite)
@@ -363,7 +368,20 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 			if !ffdh.ValidPublic(p, ys) {
 				return errors.New("tls: server DH value out of range")
 			}
-			premaster = new(big.Int).Exp(ys, x, p).Bytes()
+			// An in-process server hands over its group and exponent xs
+			// before the SKE was queued, and they are taken only for the
+			// value, modulus and generator it sent: then
+			// Ys^x = g^(xs·x mod p-1) comes from the group's fixed-base
+			// table, about a third of the modexp.
+			if fixed {
+				if g, xs := hc.Record.Link().ServerDHE(ske.Public, ske.P, ske.G); g != nil {
+					premaster = g.SharedFromExponents(x, xs)
+					cfg.counters().exponentHit.Inc()
+				}
+			}
+			if premaster == nil {
+				premaster = new(big.Int).Exp(ys, x, p).Bytes()
+			}
 		}
 	default:
 		return fmt.Errorf("tls: unsupported key exchange %v", kex)
@@ -378,16 +396,17 @@ func finishFull(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, sh 
 		return fmt.Errorf("tls: expected ServerHelloDone, got %d", msg.Type)
 	}
 
-	// Hand the agreement to an in-process server before the CKE is
-	// queued: it would recompute exactly these bytes from its private
-	// half. cap.ServerKEXValue carries the same bytes as the SKE public
-	// value, and clientPub and premaster are never written again.
-	hc.Record.Link().SetPremaster(cap.ServerKEXValue, clientPub, premaster)
+	// Hand the agreement and the key schedule to an in-process server
+	// before the CKE is queued: it would recompute exactly these bytes
+	// from its private half. clientPub and premaster are never written
+	// again.
+	ske := &hc.skeM
+	hc.Record.Link().SetPremaster(ske.Public, ske.P, ske.G, clientPub, premaster)
+	master := hc.DeriveMaster(handshake.Client, premaster, ch.Random[:], sh.Random[:], cfg.counters().keyScheduleHit)
 	hc.mbuf = wire.AppendCKE(hc.mbuf[:0], kex, clientPub)
 	if err := hc.WriteMsg(hc.mbuf); err != nil {
 		return err
 	}
-	master := hc.DeriveMaster(premaster, ch.Random[:], sh.Random[:])
 	if err := hc.SendFinished(handshake.Client); err != nil {
 		return err
 	}
@@ -425,7 +444,6 @@ func finishResumed(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, 
 	cap.Resumed = true
 	cap.ResumedViaTicket = cfg.ResumeViaTicket
 	master := cfg.Resume.Master[:]
-	hc.UseMaster(master, ch.Random[:], sh.Random[:])
 
 	if !ccs { // msg is NewSessionTicket (reissue)
 		if err := recordTicket(cap, msg); err != nil {
@@ -440,6 +458,9 @@ func finishResumed(hc *hsConn, cfg *Config, cap *Capture, ch *wire.ClientHello, 
 			return errors.New("tls: expected CCS after reissued ticket")
 		}
 	}
+	// After the server's ChangeCipherSpec, which an in-process server
+	// queues after publishing its key block.
+	hc.UseMaster(handshake.Client, master, ch.Random[:], sh.Random[:], cfg.counters().keyScheduleHit)
 	if err := hc.ReadFinished(handshake.Server, cfg.counters().aeadHandedOver); err != nil {
 		return err
 	}

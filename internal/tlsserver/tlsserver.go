@@ -79,16 +79,17 @@ type Config struct {
 }
 
 // Counters counts terminator events into one registry: ticket
-// resumption lookups and hand-offs taken from in-process clients, and
-// through the layers below the key-exchange values served, session-cache
-// lookups and sweeps, and STEK derivations and rotations. NewCounters
-// resolves them once, so every Config of a world can share one.
+// resumption lookups and hand-offs taken from in-process clients (the
+// premaster, the key schedule, the AEAD), and through the layers below
+// the key-exchange values served, session-cache lookups and sweeps, and
+// STEK derivations and rotations. NewCounters resolves them once, so
+// every Config of a world can share one.
 type Counters struct {
-	reg                          *telemetry.Registry // for the STEK managers
-	openOK, openMiss             *telemetry.Counter
-	premasterHit, aeadHandedOver *telemetry.Counter
-	keyex                        keyex.Counters
-	session                      session.Counters
+	reg                                          *telemetry.Registry // for the STEK managers
+	openOK, openMiss                             *telemetry.Counter
+	premasterHit, keyScheduleHit, aeadHandedOver *telemetry.Counter
+	keyex                                        keyex.Counters
+	session                                      session.Counters
 }
 
 // NewCounters resolves r's terminator counters.
@@ -98,6 +99,7 @@ func NewCounters(r *telemetry.Registry) *Counters {
 		openOK:         r.LazyCounter("ticket/open_ok"),
 		openMiss:       r.LazyCounter("ticket/open_miss"),
 		premasterHit:   r.LazyCounter("keyex/premaster_exchange_hit"),
+		keyScheduleHit: r.LazyCounter("handshake/key_schedule_hit"),
 		aeadHandedOver: r.LazyCounter("record/aead_cache_hit"),
 		keyex:          keyex.NewCounters(r),
 		session:        session.NewCounters(r),
@@ -318,6 +320,10 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 	if err := hc.WriteMsg(hc.mbuf); err != nil {
 		return err
 	}
+	// The certificate goes to the connection's hand-off before the
+	// Certificate message that carries its chain is queued.
+	link := hc.Record.Link()
+	link.SetCertificate(crt)
 	hc.mbuf = wire.AppendCertificate(hc.mbuf[:0], crt.Chain)
 	if err := hc.WriteMsg(hc.mbuf); err != nil {
 		return err
@@ -326,9 +332,9 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 	// ServerKeyExchange with the policy-selected ephemeral value. The
 	// private value is held in typed locals (not a closure) so the
 	// premaster computation after the CKE arrives allocates nothing extra.
-	// The value, the ECDHE key and the signature's nonce go to the
-	// connection's hand-off before the SKE that carries them is queued.
-	link := hc.Record.Link()
+	// The value, the ECDHE key or DHE group and exponent, and the
+	// signature's nonce go to the connection's hand-off before the SKE
+	// that carries them is queued.
 	tel := cfg.counters()
 	var ecdhePriv *ecdh.PrivateKey
 	var dheGroup *ffdh.Group
@@ -356,7 +362,7 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 		ske.P, ske.G = g.ParamBytes()
 		ske.Public = pub
 		dheGroup, dhePriv = g, priv
-		link.SetServerValue(pub, nil)
+		link.SetServerDHE(pub, g, priv)
 	default:
 		return record.WithAlert(record.AlertHandshakeFailure, fmt.Errorf("tls: unsupported key exchange for suite %04x", suite))
 	}
@@ -420,7 +426,7 @@ func full(hc *hsConn, cfg *Config, ch *wire.ClientHello, now time.Time) error {
 			return record.WithAlert(record.AlertIllegalParameter, err)
 		}
 	}
-	master := hc.DeriveMaster(premaster, ch.Random[:], sh.Random[:])
+	master := hc.DeriveMaster(handshake.Server, premaster, ch.Random[:], sh.Random[:], tel.keyScheduleHit)
 
 	// Client CCS + Finished. Only the read direction is armed here: the
 	// NewSessionTicket must still go out in plaintext before our CCS.
@@ -471,8 +477,9 @@ func resume(hc *hsConn, cfg *Config, ch *wire.ClientHello, st *session.State, no
 			return err
 		}
 	}
-	// Server Finished first on resumption.
-	hc.UseMaster(st.MasterSecret[:], ch.Random[:], sh.Random[:])
+	// Server Finished first on resumption. The key block goes to the
+	// connection's hand-off before the ChangeCipherSpec is queued.
+	hc.UseMaster(handshake.Server, st.MasterSecret[:], ch.Random[:], sh.Random[:], cfg.counters().keyScheduleHit)
 	if err := hc.SendFinished(handshake.Server); err != nil {
 		return err
 	}
